@@ -7,11 +7,9 @@ and scores them with censoring-aware metrics.
 """
 
 from .core import (
-    RiskSetIndex,
     Split,
     SurvivalCurve,
     SurvivalDataset,
-    build_risk_sets,
     standardize_covariates,
     train_test_split,
 )
@@ -25,7 +23,6 @@ from .simgen import (
     calibrate_weibull,
     draw_survival_time,
     generate,
-    inverse_cumulative_hazard,
     true_survival,
 )
 from .metrics import (
@@ -49,11 +46,9 @@ from .models import (
 )
 
 __all__ = [
-    "RiskSetIndex",
     "Split",
     "SurvivalCurve",
     "SurvivalDataset",
-    "build_risk_sets",
     "standardize_covariates",
     "train_test_split",
     "LogNormal",
@@ -65,7 +60,6 @@ __all__ = [
     "calibrate_weibull",
     "draw_survival_time",
     "generate",
-    "inverse_cumulative_hazard",
     "true_survival",
     "KaplanMeier",
     "MetricReport",

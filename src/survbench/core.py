@@ -8,7 +8,7 @@ operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,24 +107,6 @@ class SurvivalCurve:
 
 
 @dataclass(frozen=True)
-class RiskSetIndex:
-    """Risk sets R_i = { l : T_l >= T_i } for every subject i.
-
-    ``order`` sorts subjects by ascending observed time; ``sets`` lists,
-    for each subject in original numbering, the member indices of R_i.
-    """
-
-    sets: tuple
-    order: np.ndarray = field(repr=False)
-
-    def members(self, i: int) -> np.ndarray:
-        return self.sets[i]
-
-    def size(self, i: int) -> int:
-        return self.sets[i].size
-
-
-@dataclass(frozen=True)
 class Split:
     """Train/test index partition, remembering the seed that made it."""
 
@@ -141,24 +123,6 @@ class Split:
         test.setflags(write=False)
         object.__setattr__(self, "train", train)
         object.__setattr__(self, "test", test)
-
-
-def build_risk_sets(data: SurvivalDataset) -> RiskSetIndex:
-    """Index the at-risk sets: R_i contains every l with T_l >= T_i.
-
-    Tied observed times put both subjects in each other's risk set.
-    """
-    time = data.time
-    order = np.argsort(time, kind="stable")
-    sorted_idx = order  # candidates in ascending time order
-    sets = []
-    for i in range(data.n):
-        # members are the tail of the sorted order from the first l with T_l >= T_i
-        start = np.searchsorted(time[sorted_idx], time[i], side="left")
-        members = np.sort(sorted_idx[start:])
-        members.setflags(write=False)
-        sets.append(members)
-    return RiskSetIndex(sets=tuple(sets), order=order)
 
 
 def risk_set_sums(time: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -207,6 +171,38 @@ def apply_standardization(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) ->
     return (X - np.asarray(mean)) / np.asarray(scale)
 
 
+def _stratum_orders(strata: np.ndarray, rng: np.random.Generator) -> list:
+    """A random order of the rows of each 0/1 stratum, stratum 0 drawn first.
+
+    An empty stratum draws nothing from ``rng``.
+    """
+    return [rng.permutation(np.flatnonzero(strata == value)) for value in (0, 1)]
+
+
+def stratified_cut(strata: np.ndarray, fraction: float,
+                   rng: np.random.Generator):
+    """Cut each stratum's random order after round(fraction * size) rows.
+
+    Returns ``(head, tail)``, each a sorted index array.
+    """
+    heads, tails = [], []
+    for order in _stratum_orders(strata, rng):
+        cut = int(round(fraction * order.size))
+        heads.append(order[:cut])
+        tails.append(order[cut:])
+    return np.sort(np.concatenate(heads)), np.sort(np.concatenate(tails))
+
+
+def stratified_folds(strata: np.ndarray, nfolds: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Fold label per row, dealt round-robin along each stratum's random
+    order, so fold sizes within a stratum differ by at most one."""
+    labels = np.empty(strata.shape[0], dtype=np.int64)
+    for order in _stratum_orders(strata, rng):
+        labels[order] = np.arange(order.size) % nfolds
+    return labels
+
+
 def train_test_split(data: SurvivalDataset, fraction: float, seed: int):
     """Split into train/test parts, stratified on the event indicator.
 
@@ -216,18 +212,8 @@ def train_test_split(data: SurvivalDataset, fraction: float, seed: int):
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
-    train_parts, test_parts = [], []
-    for value in (0, 1):
-        stratum = np.flatnonzero(data.event == value)
-        if stratum.size == 0:
-            continue
-        perm = rng.permutation(stratum)
-        n_train = int(round(fraction * stratum.size))
-        train_parts.append(perm[:n_train])
-        test_parts.append(perm[n_train:])
-    train = np.sort(np.concatenate(train_parts)) if train_parts else np.array([], dtype=np.intp)
-    test = np.sort(np.concatenate(test_parts)) if test_parts else np.array([], dtype=np.intp)
+    train, test = stratified_cut(data.event, fraction,
+                                 np.random.default_rng(seed))
     if train.size == 0 or test.size == 0:
         raise ValueError(
             f"fraction {fraction} leaves an empty part (n={data.n}: "

@@ -19,6 +19,7 @@ from .core import (
     apply_standardization,
     risk_set_sums,
     standardize_covariates,
+    stratified_folds,
 )
 
 
@@ -172,17 +173,6 @@ def fit_lasso(data: SurvivalDataset, lam: float, tol: float = 1e-7,
                   objective_trace=trace, converged=converged)
 
 
-def _stratified_folds(event: np.ndarray, nfolds: int, seed: int) -> np.ndarray:
-    """Fold labels balanced within each event stratum, seeded."""
-    rng = np.random.default_rng(seed)
-    labels = np.empty(event.shape[0], dtype=np.int64)
-    for value in (0, 1):
-        idx = np.flatnonzero(event == value)
-        perm = rng.permutation(idx)
-        labels[perm] = np.arange(perm.size) % nfolds
-    return labels
-
-
 def cv_lambda(data: SurvivalDataset, nfolds: int, path=None, seed: int = 0,
               tol: float = 1e-7, max_iter: int = 10_000) -> float:
     """Pick the penalty maximizing the cross-validated partial likelihood.
@@ -198,7 +188,8 @@ def cv_lambda(data: SurvivalDataset, nfolds: int, path=None, seed: int = 0,
     if path.size == 0:
         raise ValueError("empty penalty path")
 
-    labels = _stratified_folds(data.event, nfolds, seed)
+    labels = stratified_folds(data.event, nfolds,
+                              np.random.default_rng(seed))
     scores = np.zeros(path.size)
     used_folds = 0
     for fold in range(nfolds):

@@ -113,8 +113,9 @@ def fit_model(name: str, train: SurvivalDataset, seed: int = 0,
                             base=_cox_family_baseline(train, fit.train_scores))
     depth = 1 if name == "nnsurv" else 2
     # coarse grids leave a visible staircase bias in the Brier score, so
-    # scale the interval count with the training size
-    n_intervals = int(min(40, max(10, train.n // 16)))
+    # scale the interval count with the training size; tied times cap it
+    n_intervals = int(min(40, max(10, train.n // 16),
+                          np.unique(train.time).size))
     return DiscreteTimeModel(fit=nnsurv_fit(train, cfg, depth=depth,
                                             n_intervals=n_intervals))
 

@@ -7,7 +7,6 @@ from .coxnnet import (
     coxnnet_fit,
     coxnnet_loss_and_grad,
     coxnnet_scores,
-    coxnnet_survival,
 )
 from .discrete import (
     DiscreteTimeGrid,
@@ -29,7 +28,6 @@ __all__ = [
     "coxnnet_fit",
     "coxnnet_loss_and_grad",
     "coxnnet_scores",
-    "coxnnet_survival",
     "DiscreteTimeGrid",
     "DuplicatedBatch",
     "NnsurvFit",

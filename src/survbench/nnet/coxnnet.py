@@ -20,10 +20,11 @@ from ..core import (
     apply_standardization,
     risk_set_sums,
     standardize_covariates,
+    stratified_folds,
+    stratified_cut,
 )
 from .config import TrainConfig
 from .mlp import (
-    Adam,
     MlpParams,
     init_mlp,
     mlp_backward,
@@ -33,6 +34,7 @@ from .mlp import (
     squared_norm,
     unpack,
 )
+from .train import fit_adam, select_ridge
 
 
 @dataclass(frozen=True)
@@ -80,18 +82,6 @@ def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam: float):
     return loss, grad
 
 
-def _validation_split(event: np.ndarray, fraction: float, rng: np.random.Generator):
-    """Stratified subject-level holdout; returns (train_idx, val_idx)."""
-    train_parts, val_parts = [], []
-    for value in (0, 1):
-        idx = np.flatnonzero(event == value)
-        perm = rng.permutation(idx)
-        n_val = int(round(fraction * idx.size))
-        val_parts.append(perm[:n_val])
-        train_parts.append(perm[n_val:])
-    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(val_parts))
-
-
 def _train_network(zdata: SurvivalDataset, lam: float, config: TrainConfig,
                    seed: int):
     """Full-batch Adam with early stopping on a held-out partial likelihood."""
@@ -100,45 +90,23 @@ def _train_network(zdata: SurvivalDataset, lam: float, config: TrainConfig,
     params = init_mlp((zdata.p, hidden, 1), ("tanh", "identity"),
                       seed=int(rng.integers(2 ** 31)), output_bias=False)
 
-    train_idx, val_idx = _validation_split(zdata.event, config.val_fraction, rng)
+    val_idx, train_idx = stratified_cut(zdata.event, config.val_fraction, rng)
     monitor_val = val_idx.size >= 3 and zdata.event[val_idx].sum() >= 2
     train = zdata.subset(train_idx) if monitor_val else zdata
-    val = zdata.subset(val_idx) if monitor_val else None
+    held_score = None
+    if monitor_val:
+        val = zdata.subset(val_idx)
 
-    opt = Adam(lr=config.learning_rate)
-    vec = pack(params)
-    best_vec, best_score, since_best = vec.copy(), np.inf, 0
-    trace = []
-    for epoch in range(config.epochs):
-        params = unpack(params, vec)
-        loss, grad = coxnnet_loss_and_grad(params, train, lam)
-        if not np.isfinite(loss):
-            raise RuntimeError("training loss became non-finite")
-        trace.append(loss)
-        if monitor_val:
-            theta_val, _ = mlp_forward(params, val.X)
-            score, _ = _neg_partial_loglik_of_theta(theta_val[:, 0], val.time,
-                                                    val.event)
-        else:
-            score = loss
-        if score < best_score - 1e-10:
-            best_score, best_vec, since_best = score, vec.copy(), 0
-        else:
-            since_best += 1
-            # the early-epoch validation signal is too noisy to act on
-            if since_best >= config.patience and epoch >= config.min_epochs:
-                break
-        vec = opt.step(vec, grad)
-    return unpack(params, best_vec), np.asarray(trace)
+        def held_score(vec):
+            theta, _ = mlp_forward(unpack(params, vec), val.X)
+            return _neg_partial_loglik_of_theta(theta[:, 0], val.time,
+                                                val.event)[0]
 
-
-def _cv_folds(event: np.ndarray, nfolds: int, rng: np.random.Generator):
-    labels = np.empty(event.size, dtype=np.int64)
-    for value in (0, 1):
-        idx = np.flatnonzero(event == value)
-        perm = rng.permutation(idx)
-        labels[perm] = np.arange(perm.size) % nfolds
-    return labels
+    vec, trace = fit_adam(
+        pack(params),
+        lambda vec, batch: coxnnet_loss_and_grad(unpack(params, vec), batch, lam),
+        lambda: (train,), held_score, config)
+    return unpack(params, vec), trace
 
 
 def _scalar_concordance(scores: np.ndarray, time: np.ndarray,
@@ -163,23 +131,22 @@ def _select_ridge(zdata: SurvivalDataset, config: TrainConfig,
     partial likelihood at these sample sizes)."""
     n_events = int(zdata.event.sum())
     fracs = config.ridge_grid if config.ridge_grid is not None else (1e-2, 1e-1, 1.0)
-    candidates = [frac * n_events for frac in fracs]
-    labels = _cv_folds(zdata.event, config.cv_folds, rng)
-    fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
-    scores = np.zeros(len(candidates))
-    for fold in range(config.cv_folds):
-        train_idx = np.flatnonzero(labels != fold)
-        held_idx = np.flatnonzero(labels == fold)
-        train = zdata.subset(train_idx)
-        held = zdata.subset(held_idx)
+    labels = stratified_folds(zdata.event, config.cv_folds, rng)
+
+    def fold_scorer(held_mask, seed):
+        train = zdata.subset(np.flatnonzero(~held_mask))
+        held = zdata.subset(np.flatnonzero(held_mask))
         if train.event.sum() == 0 or held.event.sum() == 0:
-            continue
-        for j, lam in enumerate(candidates):
-            params, _ = _train_network(train, lam, config, int(fold_seeds[fold]))
+            return None
+
+        def score(lam):
+            params, _ = _train_network(train, lam, config, seed)
             theta_held, _ = mlp_forward(params, held.X)
-            scores[j] += _scalar_concordance(theta_held[:, 0], held.time,
-                                             held.event)
-    return float(candidates[int(np.argmax(scores))])
+            return _scalar_concordance(theta_held[:, 0], held.time, held.event)
+        return score
+
+    return select_ridge([frac * n_events for frac in fracs], labels,
+                        fold_scorer, config, rng)
 
 
 def coxnnet_fit(data: SurvivalDataset, config: TrainConfig | None = None) -> CoxnnetFit:
@@ -206,11 +173,3 @@ def coxnnet_scores(fit: CoxnnetFit, X) -> np.ndarray:
                               fit.mean, fit.scale)
     theta, _ = mlp_forward(fit.params, Z)
     return np.exp(theta[:, 0])
-
-
-def coxnnet_survival(fit: CoxnnetFit, base, x):
-    """Survival curve exp(-score(x) * integrated baseline hazard)."""
-    from ..baseline import survival_from_scores
-
-    score = float(coxnnet_scores(fit, x)[0])
-    return survival_from_scores(base, score)

@@ -24,7 +24,6 @@ from ..core import (
 )
 from .config import TrainConfig
 from .mlp import (
-    Adam,
     MlpParams,
     init_mlp,
     mlp_backward,
@@ -34,6 +33,7 @@ from .mlp import (
     squared_norm,
     unpack,
 )
+from .train import fit_adam, select_ridge
 
 HAZARD_CLIP = 1e-12
 
@@ -82,16 +82,20 @@ class DuplicatedBatch:
 
 
 def build_time_grid(data: SurvivalDataset, n_intervals: int = 20) -> DiscreteTimeGrid:
-    """Cut points at empirical quantiles of the observed times."""
+    """Cut points at empirical quantiles of the observed times.
+
+    Tied times can make neighbouring quantiles coincide; such duplicate
+    cuts are merged, so the grid may hold fewer than ``n_intervals``.
+    """
     if n_intervals < 2:
         raise ValueError("need at least two intervals")
     if np.unique(data.time).size < n_intervals:
         raise ValueError(
             f"{n_intervals} intervals need at least {n_intervals} distinct times")
     qs = np.quantile(data.time, np.linspace(0.0, 1.0, n_intervals + 1)[1:])
-    cuts = np.concatenate([[0.0], qs])
-    if np.any(np.diff(cuts) <= 0):
-        raise ValueError("quantile cuts collapsed; reduce the interval count")
+    cuts = np.unique(np.concatenate([[0.0], qs]))
+    if cuts.size < 3:
+        raise ValueError("tied times leave fewer than two intervals")
     return DiscreteTimeGrid(cuts=cuts)
 
 
@@ -194,38 +198,24 @@ def _train_network(features, targets, subject, depth, lam, config: TrainConfig,
     tr_feat, tr_tgt = features[~val_mask], targets[~val_mask]
     va_feat, va_tgt = features[val_mask], targets[val_mask]
 
-    opt = Adam(lr=config.learning_rate)
-    vec = pack(params)
-    best_vec, best_score, since_best = vec.copy(), np.inf, 0
-    trace = []
     n_rows = tr_feat.shape[0]
-    for epoch in range(config.epochs):
+
+    def batches():
         order = rng.permutation(n_rows)
-        epoch_loss = 0.0
         for start in range(0, n_rows, config.batch_size):
             take = order[start:start + config.batch_size]
-            params = unpack(params, vec)
-            loss, grad = nnsurv_loss_and_grad(params, tr_feat[take],
-                                              tr_tgt[take], lam)
-            if not np.isfinite(loss):
-                raise RuntimeError("training loss became non-finite")
-            epoch_loss += loss
-            vec = opt.step(vec, grad)
-        trace.append(epoch_loss)
-        params = unpack(params, vec)
-        if monitor_val:
-            score = _mean_cross_entropy(params, va_feat, va_tgt)
-        else:
-            score = epoch_loss
-        if score < best_score - 1e-10:
-            best_score, best_vec, since_best = score, vec.copy(), 0
-        else:
-            since_best += 1
-            # same guard as the partial-likelihood head: the early
-            # validation signal is too noisy to act on
-            if since_best >= config.patience and epoch >= config.min_epochs:
-                break
-    return unpack(params, best_vec), np.asarray(trace)
+            yield tr_feat[take], tr_tgt[take]
+
+    held_score = None
+    if monitor_val:
+        def held_score(vec):
+            return _mean_cross_entropy(unpack(params, vec), va_feat, va_tgt)
+
+    vec, trace = fit_adam(
+        pack(params),
+        lambda vec, batch: nnsurv_loss_and_grad(unpack(params, vec), *batch, lam),
+        batches, held_score, config)
+    return unpack(params, vec), trace
 
 
 def _select_ridge(features, targets, subject, depth, config: TrainConfig,
@@ -235,18 +225,16 @@ def _select_ridge(features, targets, subject, depth, config: TrainConfig,
     labels_by_subject = rng.permutation(subjects.size) % config.cv_folds
     labels = labels_by_subject[np.searchsorted(subjects, subject)]
     fracs = config.ridge_grid if config.ridge_grid is not None else (1e-5, 1e-4, 1e-3)
-    candidates = [frac * features.shape[0] for frac in fracs]
-    fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
-    scores = np.zeros(len(candidates))
-    for fold in range(config.cv_folds):
-        held = labels == fold
-        for j, lam in enumerate(candidates):
+
+    def fold_scorer(held, seed):
+        def score(lam):
             params, _ = _train_network(features[~held], targets[~held],
-                                       subject[~held], depth, lam, config,
-                                       int(fold_seeds[fold]))
-            scores[j] += _mean_cross_entropy(params, features[held],
-                                             targets[held])
-    return float(candidates[int(np.argmin(scores))])
+                                       subject[~held], depth, lam, config, seed)
+            return -_mean_cross_entropy(params, features[held], targets[held])
+        return score
+
+    return select_ridge([frac * features.shape[0] for frac in fracs], labels,
+                        fold_scorer, config, rng)
 
 
 def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,

@@ -162,11 +162,6 @@ class SimulatedDataset:
     censor_rate: float  # exponential censoring rate actually used (0 if none)
 
 
-def inverse_cumulative_hazard(baseline: BaselineDist, u):
-    """Invert the baseline cumulative hazard: the t with H0(t) = u."""
-    return baseline.inverse_cumulative_hazard(u)
-
-
 def _times_from_eta(family: ModelFamily, baseline: BaselineDist, eta, u):
     eta = np.asarray(eta, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)

@@ -7,8 +7,10 @@ from survbench.core import (
     SurvivalCurve,
     SurvivalDataset,
     apply_standardization,
-    build_risk_sets,
+    risk_set_sums,
     standardize_covariates,
+    stratified_folds,
+    stratified_cut,
     train_test_split,
 )
 
@@ -53,38 +55,52 @@ class TestSurvivalCurve:
         np.testing.assert_allclose(curve.at([0.5, 2.0]), [1.0, 0.5])
 
 
+def risk_set_members(time):
+    """Membership matrix M[i, l] = [l in R_i], read off risk_set_sums of
+    one-hot rows."""
+    return risk_set_sums(time, np.eye(len(time))) == 1.0
+
+
 class TestRiskSets:
     def test_smallest_time_at_risk_of_everyone(self):
-        data = make_data([3.0, 1.0, 2.0], [1, 1, 0])
-        rs = build_risk_sets(data)
-        np.testing.assert_array_equal(rs.members(1), [0, 1, 2])
+        members = risk_set_members([3.0, 1.0, 2.0])
+        np.testing.assert_array_equal(np.flatnonzero(members[1]), [0, 1, 2])
 
     def test_sizes_on_distinct_times(self):
         # enumerating the definition on times (1, 2, 3)
-        data = make_data([1.0, 2.0, 3.0], [1, 1, 1])
-        rs = build_risk_sets(data)
-        assert [rs.size(i) for i in range(3)] == [3, 2, 1]
+        sizes = risk_set_sums([1.0, 2.0, 3.0], np.ones(3))
+        np.testing.assert_array_equal(sizes, [3.0, 2.0, 1.0])
 
     def test_single_subject_self_membership(self):
-        data = make_data([5.0], [1])
-        rs = build_risk_sets(data)
-        np.testing.assert_array_equal(rs.members(0), [0])
+        np.testing.assert_array_equal(risk_set_sums([5.0], [2.5]), [2.5])
 
     def test_ties_mutually_at_risk(self):
-        data = make_data([2.0, 2.0, 1.0], [1, 1, 1])
-        rs = build_risk_sets(data)
-        assert 0 in rs.members(1) and 1 in rs.members(0)
+        members = risk_set_members([2.0, 2.0, 1.0])
+        assert members[1, 0] and members[0, 1]
 
     @given(st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=1, max_size=12))
     @settings(max_examples=50, deadline=None)
     def test_nesting_and_self_membership(self, times):
-        data = make_data(times, np.ones(len(times), dtype=int))
-        rs = build_risk_sets(data)
-        for i in range(data.n):
-            assert i in rs.members(i)
-            for j in range(data.n):
-                if data.time[i] < data.time[j]:
-                    assert set(rs.members(j)) <= set(rs.members(i))
+        time = np.asarray(times)
+        members = risk_set_members(time)
+        for i in range(time.size):
+            assert members[i, i]
+            for j in range(time.size):
+                if time[i] < time[j]:
+                    assert np.all(members[i] >= members[j])
+
+    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1,
+                    max_size=15), st.integers(0, 2 ** 31))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_brute_force_sum(self, times, seed):
+        # small integer times force many ties
+        time = np.asarray(times, dtype=float)
+        values = np.random.default_rng(seed).standard_normal((time.size, 2))
+        want = np.array([values[time >= t].sum(axis=0) for t in time])
+        np.testing.assert_allclose(risk_set_sums(time, values), want,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(risk_set_sums(time, values[:, 0]),
+                                   want[:, 0], rtol=1e-12, atol=1e-12)
 
 
 class TestStandardize:
@@ -137,3 +153,86 @@ class TestSplit:
         _, _, split = train_test_split(data, 0.6, seed=2)
         combined = np.sort(np.concatenate([split.train, split.test]))
         np.testing.assert_array_equal(combined, np.arange(15))
+
+
+strata_lists = st.lists(st.integers(0, 1), min_size=1, max_size=40)
+
+
+class TestStratifiedSplitter:
+    @given(strata_lists, st.floats(0.0, 1.0), st.integers(0, 2 ** 31))
+    @settings(max_examples=60, deadline=None)
+    def test_head_partitions_with_rounded_stratum_sizes(self, strata, fraction,
+                                                         seed):
+        strata = np.asarray(strata)
+        head, tail = stratified_cut(strata, fraction,
+                                    np.random.default_rng(seed))
+        np.testing.assert_array_equal(np.sort(np.concatenate([head, tail])),
+                                      np.arange(strata.size))
+        assert np.all(np.diff(head) > 0) and np.all(np.diff(tail) > 0)
+        for value in (0, 1):
+            size = int(np.sum(strata == value))
+            assert np.sum(strata[head] == value) == round(fraction * size)
+
+    @given(strata_lists, st.integers(1, 6), st.integers(0, 2 ** 31))
+    @settings(max_examples=60, deadline=None)
+    def test_fold_sizes_balanced_within_stratum(self, strata, nfolds, seed):
+        strata = np.asarray(strata)
+        labels = stratified_folds(strata, nfolds, np.random.default_rng(seed))
+        assert labels.shape == strata.shape
+        assert labels.min() >= 0 and labels.max() < nfolds
+        for value in (0, 1):
+            counts = np.bincount(labels[strata == value], minlength=nfolds)
+            assert counts.max() - counts.min() <= 1
+
+    @given(strata_lists, st.integers(0, 2 ** 31))
+    @settings(max_examples=30, deadline=None)
+    def test_deterministic_given_seed(self, strata, seed):
+        strata = np.asarray(strata)
+        head_a, tail_a = stratified_cut(strata, 0.3, np.random.default_rng(seed))
+        head_b, tail_b = stratified_cut(strata, 0.3, np.random.default_rng(seed))
+        np.testing.assert_array_equal(head_a, head_b)
+        np.testing.assert_array_equal(tail_a, tail_b)
+        np.testing.assert_array_equal(
+            stratified_folds(strata, 3, np.random.default_rng(seed)),
+            stratified_folds(strata, 3, np.random.default_rng(seed)))
+
+
+# Index arrays recorded from the four per-stratum helpers the splitter
+# replaced (the train/test split, the Lasso CV folds and the coxnnet CV
+# folds and validation holdout); the splitter must draw them identically.
+EVENTS = np.array([1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1])
+
+
+class TestSplitterRecordedDraws:
+    def test_train_test_split(self):
+        data = make_data(np.arange(1.0, EVENTS.size + 1), EVENTS, p=1)
+        _, _, split = train_test_split(data, 0.7, seed=3)
+        np.testing.assert_array_equal(
+            split.train, [2, 3, 4, 5, 7, 9, 10, 12, 13, 14, 15, 16])
+        np.testing.assert_array_equal(split.test, [0, 1, 6, 8, 11])
+
+    def test_train_test_split_with_empty_stratum(self):
+        data = make_data(np.arange(1.0, 10.0), np.ones(9, dtype=int), p=1)
+        _, _, split = train_test_split(data, 0.6, seed=4)
+        np.testing.assert_array_equal(split.train, [0, 1, 2, 6, 8])
+        np.testing.assert_array_equal(split.test, [3, 4, 5, 7])
+
+    def test_lasso_folds(self):
+        labels = stratified_folds(EVENTS, 3, np.random.default_rng(5))
+        np.testing.assert_array_equal(
+            labels, [2, 2, 0, 1, 0, 1, 2, 2, 0, 0, 0, 0, 1, 1, 2, 1, 1])
+
+    def test_network_folds_and_next_draw(self):
+        rng = np.random.default_rng(7)
+        labels = stratified_folds(EVENTS, 3, rng)
+        np.testing.assert_array_equal(
+            labels, [0, 2, 1, 1, 1, 0, 2, 1, 2, 0, 2, 1, 0, 0, 2, 0, 1])
+        assert int(rng.integers(2 ** 31)) == 733587778
+
+    def test_validation_holdout_and_next_draw(self):
+        rng = np.random.default_rng(9)
+        val, train = stratified_cut(EVENTS, 0.25, rng)
+        np.testing.assert_array_equal(
+            train, [0, 1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 16])
+        np.testing.assert_array_equal(val, [3, 8, 11, 14, 15])
+        assert int(rng.integers(2 ** 31)) == 57096725

@@ -132,3 +132,25 @@ class TestHighDimensionalRobustness:
             curves = model.predict_survival(test.X)
             scores[tag] = c_index_td(curves, test.time, test.event)
         assert abs(scores["clean"] - scores["noisy"]) < 0.15
+
+
+class TestTieHeavyTimes:
+    @pytest.mark.parametrize("name", ["nnsurv", "nnsurv_deep"])
+    def test_times_rounded_to_years_fit(self, name):
+        # the Table-1 cell with times rounded up to whole years leaves 27
+        # distinct training times, fewer than the 40 intervals n=667 asks for
+        from survbench.core import SurvivalDataset, train_test_split
+
+        spec = SimulationSpec(family=ModelFamily.COX,
+                              baseline=Weibull(2.0, 1.3e-7),
+                              n=1000, p=10, k=10, censor_target=0.3, seed=0)
+        data = generate(spec).data
+        years = np.ceil(data.time / 365.25) * 365.25
+        train, test, _ = train_test_split(
+            SurvivalDataset(data.X, years, data.event), 2 / 3, seed=0)
+        assert np.unique(train.time).size == 27
+        cfg = TrainConfig(ridge=1.0, epochs=3, min_epochs=1, seed=0)
+        model = fit_model(name, train, seed=0, config=cfg)
+        assert 2 <= model.fit.grid.n_intervals <= 27
+        curves = model.predict_survival(test.X[:20])
+        assert all(np.all(np.isfinite(c.probs)) for c in curves)

@@ -4,7 +4,7 @@ from scipy import stats
 
 from survbench.core import SurvivalDataset, risk_set_sums
 from survbench.nnet import TrainConfig, coxnnet_fit, coxnnet_loss_and_grad
-from survbench.nnet.coxnnet import coxnnet_scores, coxnnet_survival
+from survbench.nnet.coxnnet import coxnnet_scores
 from survbench.nnet.mlp import MlpParams, init_mlp, pack, unpack
 from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
 
@@ -140,6 +140,7 @@ class TestFit:
 class TestSurvival:
     def test_curves_match_score_times_cumhaz(self):
         from survbench.baseline import default_grid, ramlau_hansen
+        from survbench.models import CoxnnetModel
 
         sim = small_sim(n=200)
         fit = coxnnet_fit(sim.data, TrainConfig(ridge=2.0, seed=4, epochs=80,
@@ -147,7 +148,7 @@ class TestSurvival:
         base = ramlau_hansen(sim.data, fit.train_scores, 400.0,
                              default_grid(sim.data, 80))
         x = sim.data.X[5]
-        curve = coxnnet_survival(fit, base, x)
+        curve, = CoxnnetModel(fit=fit, base=base).predict_survival(x[None, :])
         score = coxnnet_scores(fit, x)[0]
         np.testing.assert_allclose(curve.probs, np.exp(-score * base.cumulative),
                                    rtol=1e-12)

@@ -214,3 +214,86 @@ class TestFitAndSurvival:
         fit = replace(fit_like, params=frozen)
         curve = nnsurv_survival(fit, np.zeros(4))
         np.testing.assert_allclose(curve.probs, 1.0, atol=1e-9)
+
+
+class TestTiedTimes:
+    def test_tied_quantile_cuts_merge(self):
+        # six of eight times tie at 1: the 1/3 and 2/3 quantiles coincide
+        data = SurvivalDataset(np.zeros((8, 1)), [1.0] * 6 + [2.0, 3.0],
+                               np.ones(8, dtype=int))
+        grid = build_time_grid(data, 3)
+        np.testing.assert_array_equal(grid.cuts, [0.0, 1.0, 3.0])
+
+    def test_fewer_than_two_intervals_left_errors(self):
+        # the median already equals the largest time
+        data = SurvivalDataset(np.zeros((6, 1)), [1.0] + [2.0] * 5,
+                               np.ones(6, dtype=int))
+        with pytest.raises(ValueError, match="fewer than two intervals"):
+            build_time_grid(data, 2)
+
+    def test_distinct_times_keep_every_quantile_cut(self):
+        data = uniform_data(n=200, seed=6)
+        grid = build_time_grid(data, 12)
+        qs = np.quantile(data.time, np.linspace(0.0, 1.0, 13)[1:])
+        np.testing.assert_array_equal(grid.cuts, np.concatenate([[0.0], qs]))
+
+
+# nnsurv_fit outputs with ridge CV on, recorded before the network heads
+# moved onto the shared training loop; any change to the nnsurv path
+# (RNG order, batching, scoring, tie rule of the CV) shows here.
+PINNED_FITS = {
+    1: dict(
+        ridge=0.315,
+        loss_trace=[
+            151.56187319274326, 148.88360356554605, 146.4419153358752,
+            144.54546826884587, 142.75562227213499, 141.10605875890968,
+            139.45969596143456, 138.07091775890714, 136.96710645403385,
+            135.90717975800519, 135.37017564217123, 134.73313661302325,
+            134.43394873288972, 134.19032143169414, 133.9881130527233,
+            133.75765546566996],
+        hazards=[
+            [0.07973797876318822, 0.11180672136958364, 0.1478640351720356,
+             0.2092332511238429, 0.33160928601191714, 0.6812272512760308],
+            [0.09396811007017115, 0.11891820464861567, 0.14924427115480524,
+             0.202959675130386, 0.30032530815611913, 0.6080159589811156],
+            [0.1435289473123128, 0.19577488448902255, 0.24144702953193534,
+             0.30516505621597556, 0.36807312560967537, 0.6435462379896444],
+        ]),
+    2: dict(
+        ridge=0.0315,
+        loss_trace=[
+            146.18219093991354, 144.2176903573797, 141.99170210470854,
+            139.50435675543918, 136.9183312813053, 134.41149351384686,
+            132.02034909890455, 130.56193162408226, 129.38112308983193,
+            128.36318352720218, 128.1627540774404, 127.47858195063493,
+            126.83673047966579, 126.42884725699942, 125.75839060348547,
+            125.40585734142729],
+        hazards=[
+            [0.04061944794323027, 0.08595292598722631, 0.1429507687088826,
+             0.25677162469970977, 0.4136270207904014, 0.6832006851549656],
+            [0.04772404525511918, 0.09133534747025551, 0.1375149137487817,
+             0.23365298970788195, 0.3800576219895813, 0.6403656967785469],
+            [0.11733084798401995, 0.2071415720684239, 0.2688660182654326,
+             0.32713122308932946, 0.37278785747233584, 0.6301820474724398],
+        ]),
+}
+
+
+class TestPinnedFits:
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_cv_fit_matches_recorded(self, depth):
+        spec = SimulationSpec(family=ModelFamily.AH,
+                              baseline=LogNormal(7.73, 0.7),
+                              n=90, p=3, k=2, censor_target=0.3, seed=11)
+        sim = generate(spec)
+        cfg = TrainConfig(seed=5, epochs=30, min_epochs=5, patience=4,
+                          cv_folds=2, batch_size=64, learning_rate=0.01,
+                          ridge_grid=(1e-5, 1e-4, 1e-3))
+        fit = nnsurv_fit(sim.data, cfg, depth=depth, n_intervals=6)
+        want = PINNED_FITS[depth]
+        assert fit.ridge == pytest.approx(want["ridge"], rel=1e-12)
+        np.testing.assert_allclose(fit.loss_trace, want["loss_trace"],
+                                   rtol=1e-12)
+        for i, hazards in enumerate(want["hazards"]):
+            np.testing.assert_allclose(nnsurv_hazards(fit, sim.data.X[i]),
+                                       hazards, rtol=1e-12)

@@ -12,7 +12,6 @@ from survbench.simgen import (
     calibrate_weibull,
     draw_survival_time,
     generate,
-    inverse_cumulative_hazard,
     survival_probability,
     true_survival,
 )
@@ -22,25 +21,25 @@ WEIB = Weibull(a=2.0, lam=1.3e-7)
 
 class TestInverseCumulativeHazard:
     def test_weibull_unit_point(self):
-        assert inverse_cumulative_hazard(WEIB, 1.3e-7) == pytest.approx(1.0)
+        assert WEIB.inverse_cumulative_hazard(1.3e-7) == pytest.approx(1.0)
 
     def test_weibull_scaled_point(self):
         # (5.2e-7 / 1.3e-7)^(1/2) = 2
-        assert inverse_cumulative_hazard(WEIB, 5.2e-7) == pytest.approx(2.0)
+        assert WEIB.inverse_cumulative_hazard(5.2e-7) == pytest.approx(2.0)
 
     def test_lognormal_median_point(self):
         # 1 - exp(-log 2) = 0.5, and Phi^{-1}(0.5) = 0
         ln = LogNormal(mu=0.0, sigma=1.0)
-        assert inverse_cumulative_hazard(ln, np.log(2.0)) == pytest.approx(1.0)
+        assert ln.inverse_cumulative_hazard(np.log(2.0)) == pytest.approx(1.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            inverse_cumulative_hazard(WEIB, -0.1)
+            WEIB.inverse_cumulative_hazard(-0.1)
 
     @pytest.mark.parametrize("baseline", [WEIB, LogNormal(7.73, 0.7)])
     def test_round_trip_and_monotone(self, baseline):
         u = np.linspace(0.01, 8.0, 60)
-        t = inverse_cumulative_hazard(baseline, u)
+        t = baseline.inverse_cumulative_hazard(u)
         assert np.all(np.diff(t) > 0)
         np.testing.assert_allclose(baseline.cumulative_hazard(t), u, rtol=1e-9)
 
