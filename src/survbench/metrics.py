@@ -94,9 +94,71 @@ def kaplan_meier(times, indicators) -> KaplanMeier:
     )
 
 
-def _prediction_matrix(predictions: Sequence[SurvivalCurve], ts: np.ndarray) -> np.ndarray:
-    """M[a, j] = S(ts[a] | x_j) from each subject's predicted curve."""
-    return np.column_stack([np.atleast_1d(curve.at(ts)) for curve in predictions])
+_BLOCK = 256  # events per comparison block: the block's work set is _BLOCK × n
+
+
+def _check_lengths(predictions: Sequence[SurvivalCurve], times, events):
+    """Times and events as arrays, after requiring one curve per subject."""
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=np.int64)
+    if times.size == 0 or len(predictions) != times.size:
+        raise ValueError("one predicted curve per subject is required")
+    if events.shape != times.shape:
+        raise ValueError("times and events must have the same length")
+    return times, events
+
+
+def _tabulate(curves: Sequence[SurvivalCurve], t) -> tuple[np.ndarray, np.ndarray]:
+    """Every curve at the times ``t``, one table column per step they fall on.
+
+    The union of the curves' grids cuts the time axis into steps on which
+    every curve is constant, with a step before the first grid point where
+    S = 1. Returns (table, col) with table[j, col[a]] equal to
+    curves[j].at(t[a]) bit for bit; the table holds n·min(len(t), G + 1)
+    values for a union grid of G points.
+    """
+    grids = {id(curve.grid): curve.grid for curve in curves}
+    knots = np.unique(np.concatenate(list(grids.values())))
+    steps, col = np.unique(np.searchsorted(knots, t, side="right"),
+                           return_inverse=True)
+    left = np.concatenate(([-np.inf], knots))[steps]  # each step's start
+    index = {key: np.searchsorted(grid, left, side="right")
+             for key, grid in grids.items()}
+    table = np.empty((len(curves), steps.size))
+    for j, curve in enumerate(curves):
+        table[j] = np.concatenate(([1.0], curve.probs))[index[id(curve.grid)]]
+    return table, col
+
+
+def _concordance(table: np.ndarray, col: np.ndarray, times, events):
+    """Pair counts of the time-dependent concordance.
+
+    ``table[j, col[i]]`` is subject j's prediction at subject i's time
+    (read for events i only); lower means an earlier expected event.
+    Returns (concordant + 0.5·tied, comparable) over the pairs (i, j) with
+    i an event and T_i < T_j, or T_i = T_j with j censored. In time order
+    with events first at ties, each event's comparable subjects form a
+    suffix, which is scanned for a block of events at a time.
+    """
+    is_event = events.astype(bool)
+    order = np.lexsort((~is_event, times))
+    pos = np.flatnonzero(is_event[order])
+    event_t = times[order][pos]
+    # ahead of an event's suffix: the events up to its time and the
+    # subjects censored before it
+    start = (np.searchsorted(event_t, event_t, side="right")
+             + np.searchsorted(np.sort(times[~is_event]), event_t, side="left"))
+    n = times.size
+    less = tied = 0
+    for lo in range(0, pos.size, _BLOCK):
+        subj = order[pos[lo:lo + _BLOCK]]
+        first = start[lo:lo + _BLOCK]
+        own = table[subj, col[subj]]
+        later = table[np.ix_(order[first[0]:], col[subj])]
+        comparable = np.arange(first[0], n)[:, None] >= first
+        less += int(np.count_nonzero((own < later) & comparable))
+        tied += int(np.count_nonzero((own == later) & comparable))
+    return less + 0.5 * tied, int((n - start).sum())
 
 
 def c_index_td(predictions: Sequence[SurvivalCurve], times, events) -> float:
@@ -105,96 +167,79 @@ def c_index_td(predictions: Sequence[SurvivalCurve], times, events) -> float:
     Pair (i, j) is comparable when T_i < T_j with subject i an event, or
     T_i = T_j with i an event and j censored. It is concordant when the
     predicted survival of i at T_i falls below that of j at the same
-    time; ties contribute 0.5.
+    time; ties contribute 0.5. Only the events' times are tabulated, and
+    the pairs are counted in time order without an n×n matrix.
     """
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.int64)
-    n = times.size
-    if len(predictions) != n:
-        raise ValueError("one predicted curve per subject is required")
-
-    M = _prediction_matrix(predictions, times)  # M[a, j] = S(T_a | x_j)
-    ti = times[:, None]
-    tj = times[None, :]
-    di = events[:, None].astype(bool)
-    dj = events[None, :].astype(bool)
-    comp = (ti < tj) & di | (ti == tj) & di & ~dj
-    np.fill_diagonal(comp, False)
-
-    own = np.diag(M)[:, None]  # S(T_i | x_i)
-    conc = np.where(own < M, 1.0, np.where(own == M, 0.5, 0.0))
-
-    n_comp = comp.sum()
-    if n_comp == 0:
+    times, events = _check_lengths(predictions, times, events)
+    is_event = events.astype(bool)
+    table, event_col = _tabulate(predictions, times[is_event])
+    col = np.zeros(times.size, dtype=np.intp)
+    col[is_event] = event_col
+    concordant, comparable = _concordance(table, col, times, events)
+    if comparable == 0:
         raise ValueError("no comparable pairs")
-    return float(conc[comp].sum() / n_comp)
+    return concordant / comparable
 
 
-def _ipcw_weights(times, events, t: float, censor_km: KaplanMeier):
-    """Weights of the censoring-adjusted squared error at horizon t.
+def _ipcw(times: np.ndarray, events: np.ndarray, censor_km: KaplanMeier):
+    """Status and weights of the censoring-adjusted squared error.
 
-    Returns (weights, clamp_count); zero censoring-survival values are
-    clamped to the smallest positive estimate so past events keep finite
-    weight.
+    Returns ``at(t) -> (y, w, clamp_count)``. Events before t weigh
+    1/G(T_i-) and subjects still at risk 1/G(t-); zero censoring-survival
+    values are clamped to the smallest positive estimate so past events
+    keep finite weight. The terms that do not depend on t are computed
+    here, once.
     """
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.float64)
-    y = (times >= t).astype(np.float64)
-
-    g_floor = float(censor_km.surv[censor_km.surv > 0].min()) if (
-        censor_km.surv.size and (censor_km.surv > 0).any()) else 1.0
-    clamps = 0
-
+    positive = censor_km.surv[censor_km.surv > 0]
+    g_floor = float(positive.min()) if positive.size else 1.0
     g_ti = np.atleast_1d(censor_km.survival_at_minus(times))
-    g_t = float(censor_km.survival_at_minus(t))
-    past_event = (1.0 - y) * events > 0
-    bad_ti = past_event & (g_ti <= 0)
-    if bad_ti.any():
-        clamps += int(bad_ti.sum())
-        g_ti = np.where(bad_ti, g_floor, g_ti)
-    if g_t <= 0 and y.any():
-        clamps += int(y.sum())
-        g_t = g_floor
+    is_event = events > 0
+    clamped = is_event & (g_ti <= 0)
+    event_w = np.zeros_like(times)
+    event_w[is_event] = events[is_event] / np.where(clamped, g_floor, g_ti)[is_event]
 
-    w = np.zeros_like(times)
-    w[past_event] = events[past_event] / g_ti[past_event]
-    w += y / g_t
-    return w, clamps
+    def at(t: float):
+        y = (times >= t).astype(np.float64)
+        past_event = (y == 0) & is_event
+        clamps = int(np.count_nonzero(past_event & clamped))
+        g_t = float(censor_km.survival_at_minus(t))
+        if g_t <= 0 and y.any():
+            clamps += int(y.sum())
+            g_t = g_floor
+        return y, np.where(past_event, event_w, 0.0) + y / g_t, clamps
+
+    return at
 
 
 def brier_score(predictions: Sequence[SurvivalCurve], times, events, t: float,
                 censor_km: KaplanMeier) -> float:
     """IPCW-weighted squared error between survival status at t and the
     predicted S(t|x)."""
-    times = np.asarray(times, dtype=np.float64)
-    y = (times >= t).astype(np.float64)
-    w, clamps = _ipcw_weights(times, events, t, censor_km)
+    times, events = _check_lengths(predictions, times, events)
+    table, _ = _tabulate(predictions, [t])
+    y, w, clamps = _ipcw(times, events, censor_km)(t)
     if clamps:
         warnings.warn(f"censoring survival hit 0; clamped {clamps} weight(s)",
                       RuntimeWarning, stacklevel=2)
-    s_t = np.array([float(curve.at(t)) for curve in predictions])
-    return float(np.mean(w * (y - s_t) ** 2))
+    return float(np.mean(w * (y - table[:, 0]) ** 2))
 
 
 def brier_trace(predictions: Sequence[SurvivalCurve], times, events,
                 grid=None):
     """Brier score along a grid (default: 0 plus 100 equispaced points up
     to the largest observed time). Returns (trace rows (t, BS), clamp count)."""
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.int64)
+    times, events = _check_lengths(predictions, times, events)
     tau = float(times.max())
-    if grid is None:
-        grid = np.linspace(0.0, tau, 101)
-    censor_km = kaplan_meier(times, 1 - events)
-
-    P = _prediction_matrix(predictions, np.asarray(grid, dtype=np.float64))
+    grid = np.linspace(0.0, tau, 101) if grid is None else np.asarray(
+        grid, dtype=np.float64)
+    at = _ipcw(times, events, kaplan_meier(times, 1 - events))
+    table, col = _tabulate(predictions, grid)
     rows = []
     total_clamps = 0
-    for a, t in enumerate(grid):
-        y = (times >= t).astype(np.float64)
-        w, clamps = _ipcw_weights(times, events, float(t), censor_km)
+    for t, c in zip(grid, col):
+        y, w, clamps = at(float(t))
         total_clamps += clamps
-        rows.append((float(t), float(np.mean(w * (y - P[a]) ** 2))))
+        rows.append((float(t), float(np.mean(w * (y - table[:, c]) ** 2))))
     return np.asarray(rows), total_clamps
 
 
@@ -208,7 +253,7 @@ def integrate_trace(trace: np.ndarray, tau: float) -> float:
 def integrated_brier(predictions: Sequence[SurvivalCurve], times, events) -> float:
     """Integrated Brier score: the Brier trace averaged over [0, tau]
     with tau the largest observed time."""
-    times = np.asarray(times, dtype=np.float64)
+    times, events = _check_lengths(predictions, times, events)
     tau = float(times.max())
     trace, clamps = brier_trace(predictions, times, events)
     if clamps:
@@ -219,8 +264,7 @@ def integrated_brier(predictions: Sequence[SurvivalCurve], times, events) -> flo
 
 def metric_report(predictions: Sequence[SurvivalCurve], times, events) -> MetricReport:
     """C_td, IBS and the per-time Brier trace for one set of predictions."""
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.int64)
+    times, events = _check_lengths(predictions, times, events)
     tau = float(times.max())
     trace, clamps = brier_trace(predictions, times, events)
     return MetricReport(

@@ -23,6 +23,7 @@ from ..core import (
     stratified_folds,
     stratified_cut,
 )
+from ..metrics import _concordance
 from .config import TrainConfig
 from .mlp import (
     MlpParams,
@@ -111,17 +112,13 @@ def _train_network(zdata: SurvivalDataset, lam: float, config: TrainConfig,
 
 def _scalar_concordance(scores: np.ndarray, time: np.ndarray,
                         event: np.ndarray) -> float:
-    """Harrell concordance of risk scores (higher score, earlier event)."""
-    ti, tj = time[:, None], time[None, :]
-    di = (event == 1)[:, None]
-    dj = (event == 1)[None, :]
-    comp = (ti < tj) & di | (ti == tj) & di & ~dj
-    np.fill_diagonal(comp, False)
-    if not comp.any():
-        return 0.5
-    si, sj = scores[:, None], scores[None, :]
-    conc = np.where(si > sj, 1.0, np.where(si == sj, 0.5, 0.0))
-    return float(conc[comp].sum() / comp.sum())
+    """Harrell concordance of risk scores (higher score, earlier event):
+    the time-dependent pair count on a one-column table of -score; 0.5
+    when no pair is comparable."""
+    concordant, comparable = _concordance(
+        -np.asarray(scores, dtype=np.float64)[:, None],
+        np.zeros(time.size, dtype=np.intp), time, event)
+    return concordant / comparable if comparable else 0.5
 
 
 def _select_ridge(zdata: SurvivalDataset, config: TrainConfig,

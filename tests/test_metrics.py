@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from survbench.core import SurvivalCurve
 from survbench.metrics import (
+    _BLOCK,
     brier_score,
     brier_trace,
     c_index_td,
@@ -54,6 +57,17 @@ def c_td_brute_force(curves, times, events):
             sj = curves[j].at(times[i])
             num += 1.0 if si < sj else (0.5 if si == sj else 0.0)
     return num / den
+
+
+def assert_matches_oracle(curves, times, events):
+    try:
+        got = c_index_td(curves, times, events)
+    except ValueError as err:
+        assert "comparable" in str(err)
+        with pytest.raises(ZeroDivisionError):
+            c_td_brute_force(curves, times, events)
+        return
+    assert got == c_td_brute_force(curves, times, events)
 
 
 def step_curves(values, grid):
@@ -139,12 +153,51 @@ class TestCIndexTd:
         grid = np.linspace(0.5, 6.0, 6)
         curves = [SurvivalCurve(grid, np.sort(rng.random(6))[::-1])
                   for _ in range(n)]
-        try:
-            got = c_index_td(curves, times, events)
-        except ValueError:
-            return  # no comparable pairs, oracle would divide by zero too
-        want = c_td_brute_force(curves, times, events)
-        assert got == pytest.approx(want, abs=1e-15)
+        assert_matches_oracle(curves, times, events)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_per_subject_grids_match_oracle(self, data):
+        # every curve on its own grid: the table's columns are the steps
+        # of the union grid, and tied levels make prediction ties likely
+        n = data.draw(st.integers(2, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        times = rng.integers(1, 8, size=n).astype(float)
+        events = rng.integers(0, 2, size=n)
+        curves = []
+        for _ in range(n):
+            grid = np.unique(rng.integers(1, 9, size=rng.integers(1, 5)) * 0.9)
+            levels = rng.choice([0.2, 0.5, 0.8], size=grid.size)
+            curves.append(SurvivalCurve(grid, np.sort(levels)[::-1]))
+        assert_matches_oracle(curves, times, events)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_times_before_grid_match_oracle(self, data):
+        # grids start after some observed times, where every S is 1
+        n = data.draw(st.integers(2, 10))
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        times = rng.integers(1, 6, size=n).astype(float)
+        events = rng.integers(0, 2, size=n)
+        times[0], events[0] = 1.0, 1
+        grid = np.linspace(data.draw(st.sampled_from([2.0, 3.5, 4.0])), 7.0, 4)
+        curves = [SurvivalCurve(grid, np.sort(rng.random(4))[::-1])
+                  for _ in range(n)]
+        assert_matches_oracle(curves, times, events)
+
+    @given(st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_past_block_size_matches_oracle(self, data):
+        # more events than one comparison block holds
+        n = data.draw(st.integers(_BLOCK + 20, _BLOCK + 120))
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        times = rng.integers(1, 60, size=n).astype(float)
+        events = (rng.random(n) < 0.95).astype(int)
+        grid = np.linspace(0.5, 61.0, 12)
+        curves = [SurvivalCurve(grid, np.sort(rng.random(12).round(1))[::-1])
+                  for _ in range(n)]
+        assert events.sum() > _BLOCK
+        assert_matches_oracle(curves, times, events)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(5)
@@ -279,3 +332,60 @@ class TestReferenceMetrics:
         assert rep.tau == pytest.approx(float(sim.data.time[:100].max()))
         assert rep.brier_trace.shape[1] == 2
         assert integrate_trace(rep.brier_trace, rep.tau) == pytest.approx(rep.ibs)
+
+
+class TestInputChecks:
+    """Every public metric rejects a curve count that differs from the
+    number of subjects, and empty input, with one typed error."""
+
+    times = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    events = np.array([1, 0, 1, 1, 0])
+    short = step_curves([0.2, 0.4, 0.6, 0.8], [0.5, 6.0])
+
+    def test_c_index_td(self):
+        with pytest.raises(ValueError, match="one predicted curve per subject"):
+            c_index_td(self.short, self.times, self.events)
+
+    def test_c_index_td_empty(self):
+        with pytest.raises(ValueError, match="one predicted curve per subject"):
+            c_index_td([], [], [])
+
+    def test_events_length_mismatch(self):
+        curves = step_curves([0.2, 0.4, 0.6, 0.8, 0.9], [0.5, 6.0])
+        with pytest.raises(ValueError, match="same length"):
+            c_index_td(curves, self.times, self.events[:4])
+
+    def test_metric_report(self):
+        with pytest.raises(ValueError, match="one predicted curve per subject"):
+            metric_report(self.short, self.times, self.events)
+
+    def test_brier_trace(self):
+        with pytest.raises(ValueError, match="one predicted curve per subject"):
+            brier_trace(self.short, self.times, self.events)
+
+    def test_brier_score(self):
+        km = kaplan_meier(self.times, 1 - self.events)
+        with pytest.raises(ValueError, match="one predicted curve per subject"):
+            brier_score(self.short, self.times, self.events, 2.5, km)
+
+    def test_integrated_brier(self):
+        with pytest.raises(ValueError, match="one predicted curve per subject"):
+            integrated_brier(self.short, self.times, self.events)
+
+
+def test_metric_report_memory_is_linear_in_n():
+    # an n×n float64 matrix at n = 3000 alone takes 69 MiB
+    rng = np.random.default_rng(0)
+    n = 3000
+    times = rng.uniform(1.0, 100.0, n)
+    events = (rng.random(n) < 0.7).astype(int)
+    grid = np.linspace(0.5, 101.0, 200)
+    curves = [SurvivalCurve(grid, np.sort(rng.random(200))[::-1])
+              for _ in range(n)]
+    tracemalloc.start()
+    try:
+        metric_report(curves, times, events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from survbench.core import SurvivalDataset, risk_set_sums
 from survbench.nnet import TrainConfig, coxnnet_fit, coxnnet_loss_and_grad
-from survbench.nnet.coxnnet import coxnnet_scores
+from survbench.nnet.coxnnet import _scalar_concordance, coxnnet_scores
 from survbench.nnet.mlp import MlpParams, init_mlp, pack, unpack
 from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
 
@@ -135,6 +137,42 @@ class TestFit:
         fit = coxnnet_fit(sim.data, cfg)
         n_events = int(sim.data.event.sum())
         assert fit.ridge in {f * n_events for f in (1e-2, 1e-1)}
+
+
+def harrell_brute_force(scores, times, events):
+    """Exhaustive ordered-pair enumeration of Harrell's concordance."""
+    n = len(times)
+    num = den = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            comp = (times[i] < times[j] and events[i] == 1) or (
+                times[i] == times[j] and events[i] == 1 and events[j] == 0)
+            if not comp:
+                continue
+            den += 1
+            num += 1.0 if scores[i] > scores[j] else (
+                0.5 if scores[i] == scores[j] else 0.0)
+    return num / den if den else 0.5
+
+
+class TestScalarConcordance:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_enumeration_oracle_with_ties(self, data):
+        n = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        times = rng.integers(1, 5, size=n).astype(float)
+        events = rng.integers(0, 2, size=n)
+        scores = rng.integers(-2, 3, size=n).astype(float)
+        assert _scalar_concordance(scores, times, events) == (
+            harrell_brute_force(scores, times, events))
+
+    def test_no_comparable_pairs_is_half(self):
+        times = np.array([1.0, 2.0, 3.0])
+        assert _scalar_concordance(np.array([1.0, 2.0, 3.0]), times,
+                                   np.zeros(3, dtype=int)) == 0.5
 
 
 class TestSurvival:
