@@ -402,6 +402,8 @@ def load_csv(path) -> SurvivalDataset:
                 raise ValueError(f"row {line_no}: non-numeric cell") from None
             if any(np.isnan(v) for v in values):
                 raise ValueError(f"row {line_no}: missing value")
+            if not all(np.isfinite(values[j]) for j in x_cols):
+                raise ValueError(f"row {line_no}: covariates must be finite")
             t = values[t_col]
             e = values[e_col]
             if not np.isfinite(t) or t <= 0:

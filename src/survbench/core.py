@@ -20,7 +20,7 @@ class SurvivalDataset:
     Parameters
     ----------
     X : ndarray of shape (n, p)
-        Real covariates, one row per subject.
+        Finite real covariates, one row per subject.
     time : ndarray of shape (n,)
         Observed times, strictly positive and finite.
     event : ndarray of shape (n,)
@@ -44,6 +44,8 @@ class SurvivalDataset:
                 f"row mismatch: X has {X.shape[0]} rows, time {time.shape[0]}, "
                 f"event {event.shape[0]}"
             )
+        if not np.all(np.isfinite(X)):
+            raise ValueError("covariates must be finite")
         if not np.all(np.isfinite(time)) or np.any(time <= 0):
             raise ValueError("times must be strictly positive and finite")
         if not np.all((event == 0) | (event == 1)):
@@ -143,6 +145,42 @@ def risk_set_sums(time: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.empty_like(sums_sorted)
     out[order] = sums_sorted
     return out
+
+
+def _cox_partial_likelihood(eta, time, event, with_derivative: bool):
+    """Negative Cox partial log-likelihood of linear predictors ``eta``,
+    -sum_i delta_i [eta_i - log sum_{l in R_i} exp(eta_l)], with Breslow
+    risk sets (ties mutually at risk) and a log-sum-exp shift.
+
+    With ``with_derivative``, also d(-pll)/d eta_i = e^{eta_i} q_i - delta_i,
+    where q_i sums delta_j / S_j over the events j with T_j <= T_i and
+    S_j = sum_{l in R_j} e^{eta_l}.
+    """
+    eta = np.asarray(eta, dtype=np.float64)
+    shift = float(eta.max()) if eta.size else 0.0
+    w = np.exp(eta - shift)
+    # the self-term keeps every sum positive mathematically; guard the
+    # underflow case so extreme line-search trials stay comparable
+    denom = np.maximum(risk_set_sums(time, w), 1e-300)
+    events = event == 1
+    loss = float(np.sum(np.log(denom[events]) + shift - eta[events]))
+    if not with_derivative:
+        return loss
+    inv = np.where(events, 1.0 / denom, 0.0)
+    d_eta = w * risk_set_sums(-time, inv) - events.astype(np.float64)
+    return loss, d_eta
+
+
+def cox_loss(eta, time, event) -> float:
+    """Negative Cox partial log-likelihood of linear predictors ``eta``;
+    0 when no event is observed."""
+    return _cox_partial_likelihood(eta, time, event, with_derivative=False)
+
+
+def cox_loss_and_grad(eta, time, event):
+    """``(cox_loss, d cox_loss / d eta)``; the derivative has one entry per
+    subject and is zero when no event is observed."""
+    return _cox_partial_likelihood(eta, time, event, with_derivative=True)
 
 
 def standardize_covariates(X: np.ndarray):

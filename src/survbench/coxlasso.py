@@ -1,9 +1,10 @@
 """L1-penalized Cox regression.
 
-The partial log-likelihood uses Breslow-style risk sets (ties mutually at
-risk) and log-sum-exp stabilization. Fitting minimizes the negative
-partial log-likelihood plus an L1 penalty by proximal gradient descent
-with backtracking, which keeps the objective monotone and produces exact
+The partial log-likelihood is the shared one in ``core`` (Breslow-style
+risk sets, ties mutually at risk, log-sum-exp stabilization), applied to
+the linear predictor X beta. Fitting minimizes the negative partial
+log-likelihood plus an L1 penalty by proximal gradient descent with
+backtracking, which keeps the objective monotone and produces exact
 zeros for inactive coordinates.
 """
 
@@ -17,7 +18,8 @@ import numpy as np
 from .core import (
     SurvivalDataset,
     apply_standardization,
-    risk_set_sums,
+    cox_loss,
+    cox_loss_and_grad,
     standardize_covariates,
     stratified_folds,
 )
@@ -37,12 +39,10 @@ class CoxFit:
     converged: bool = True
 
 
-def _check_inputs(data: SurvivalDataset, beta: np.ndarray) -> np.ndarray:
+def _check_beta(data: SurvivalDataset, beta) -> np.ndarray:
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (data.p,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({data.p},)")
-    if not np.all(np.isfinite(data.X)):
-        raise ValueError("covariates must be finite")
     if not np.all(np.isfinite(beta)):
         raise ValueError("coefficients must be finite")
     return beta
@@ -51,27 +51,16 @@ def _check_inputs(data: SurvivalDataset, beta: np.ndarray) -> np.ndarray:
 def partial_loglik(data: SurvivalDataset, beta) -> float:
     """Cox partial log-likelihood
     sum_i delta_i [beta'x_i - log sum_{l in R_i} exp(beta'x_l)]."""
-    beta = _check_inputs(data, beta)
-    eta = data.X @ beta
-    shift = float(eta.max()) if eta.size else 0.0
-    w = np.exp(eta - shift)
-    # the self-term keeps every sum positive mathematically; guard the
-    # underflow case so extreme line-search trials stay comparable
-    denom = np.maximum(risk_set_sums(data.time, w), 1e-300)
-    events = data.event == 1
-    return float(np.sum(eta[events] - (np.log(denom[events]) + shift)))
+    beta = _check_beta(data, beta)
+    return -cox_loss(data.X @ beta, data.time, data.event)
 
 
 def partial_loglik_grad(data: SurvivalDataset, beta) -> np.ndarray:
-    """Score vector: sum_i delta_i [x_i - weighted risk-set mean of x]."""
-    beta = _check_inputs(data, beta)
-    eta = data.X @ beta
-    shift = float(eta.max()) if eta.size else 0.0
-    w = np.exp(eta - shift)
-    denom = risk_set_sums(data.time, w)
-    num = risk_set_sums(data.time, w[:, None] * data.X)
-    events = data.event == 1
-    return np.sum(data.X[events] - num[events] / denom[events, None], axis=0)
+    """Score vector sum_i delta_i [x_i - weighted risk-set mean of x], by
+    the chain rule through the linear predictor: -X' d(-pll)/d eta."""
+    beta = _check_beta(data, beta)
+    _, d_eta = cox_loss_and_grad(data.X @ beta, data.time, data.event)
+    return -(d_eta @ data.X)
 
 
 def soft_threshold(z: np.ndarray, thresh: float) -> np.ndarray:
@@ -218,11 +207,11 @@ def cv_lambda(data: SurvivalDataset, nfolds: int, path=None, seed: int = 0,
 
 
 def risk_score(fit: CoxFit, x) -> np.ndarray:
-    """exp(beta_hat' z) with the fit's standardization applied to ``x``."""
+    """exp(beta_hat' z) per row of ``x``, with the fit's standardization
+    applied; always an array, one entry per row."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != fit.beta_hat.shape[0]:
         raise ValueError(
             f"row has {x.shape[1]} covariates, fit expects {fit.beta_hat.shape[0]}")
     z = apply_standardization(x, fit.mean, fit.scale)
-    scores = np.exp(z @ fit.beta_hat)
-    return scores if scores.size > 1 else float(scores[0])
+    return np.exp(z @ fit.beta_hat)

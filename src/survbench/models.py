@@ -38,6 +38,7 @@ from .nnet.mlp import MlpParams
 
 MODEL_NAMES = ("coxl1", "coxnnet", "nnsurv", "nnsurv_deep")
 FORMAT_VERSION = 1
+LASSO_TOL = 1e-6  # relative objective change that ends each coxl1 fit
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class CoxLassoModel:
     base: BaselineEstimate
 
     def predict_risk(self, X) -> np.ndarray:
-        return np.atleast_1d(coxlasso.risk_score(self.fit, X))
+        return coxlasso.risk_score(self.fit, X)
 
     def predict_survival(self, X) -> list:
         return [survival_from_scores(self.base, float(s))
@@ -92,16 +93,16 @@ def _cox_family_baseline(train: SurvivalDataset, scores: np.ndarray) -> Baseline
 
 def fit_model(name: str, train: SurvivalDataset, seed: int = 0,
               config: TrainConfig | None = None,
-              lasso_cv_folds: int = 5, lasso_tol: float = 1e-6) -> FittedModel:
+              lasso_cv_folds: int = 5) -> FittedModel:
     """Run the complete fitting pipeline for one method name."""
     if name not in MODEL_NAMES:
         raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
     if name == "coxl1":
         path = coxlasso.lambda_path(train, 20)
         lam = coxlasso.cv_lambda(train, lasso_cv_folds, path=path, seed=seed,
-                                 tol=lasso_tol)
-        fit = coxlasso.fit_lasso(train, lam, tol=lasso_tol)
-        scores = np.atleast_1d(coxlasso.risk_score(fit, train.X))
+                                 tol=LASSO_TOL)
+        fit = coxlasso.fit_lasso(train, lam, tol=LASSO_TOL)
+        scores = coxlasso.risk_score(fit, train.X)
         return CoxLassoModel(fit=fit, base=_cox_family_baseline(train, scores))
     cfg = config or TrainConfig(seed=seed)
     if cfg.seed != seed:

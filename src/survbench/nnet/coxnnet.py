@@ -2,10 +2,10 @@
 output replaces the linear predictor of a Cox regression.
 
 The loss is the negative Cox partial log-likelihood of the network
-outputs plus a squared-L2 penalty on all weights and biases; risk sets
-are global, so training is full-batch. The fitted per-subject scores
-exp(theta_i) plug into the kernel baseline estimator to produce full
-survival curves.
+outputs (``core.cox_loss``, the one coxl1 also uses) plus a squared-L2
+penalty on all weights and biases; risk sets are global, so training is
+full-batch. The fitted per-subject scores exp(theta_i) plug into the
+kernel baseline estimator to produce full survival curves.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 from ..core import (
     SurvivalDataset,
     apply_standardization,
-    risk_set_sums,
+    cox_loss,
+    cox_loss_and_grad,
     standardize_covariates,
     stratified_folds,
     stratified_cut,
@@ -50,22 +51,6 @@ class CoxnnetFit:
     loss_trace: np.ndarray
 
 
-def _neg_partial_loglik_of_theta(theta, time, event):
-    """(-pll, d(-pll)/dtheta) with Breslow risk sets and log-sum-exp shift."""
-    shift = float(theta.max()) if theta.size else 0.0
-    w = np.exp(theta - shift)
-    denom = risk_set_sums(time, w)  # S_j = sum_{l in R_j} e^{theta_l - shift}
-    events = event == 1
-    if not events.any():
-        return 0.0, np.zeros_like(theta)
-    ll = float(np.sum(theta[events] - (np.log(denom[events]) + shift)))
-    # d(-ll)/dtheta_i = -delta_i + e^{theta_i} * sum_{events j with T_j <= T_i} 1/S_j
-    inv = np.where(events, 1.0 / denom, 0.0)
-    q = risk_set_sums(-time, inv)
-    grad = -events.astype(np.float64) + w * q
-    return -ll, grad
-
-
 def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam: float):
     """Penalized negative partial log-likelihood of the network output and
     its gradient with respect to every parameter (packed)."""
@@ -76,7 +61,7 @@ def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam: float):
     if not (data.event == 1).any():
         warnings.warn("all subjects censored; loss reduces to the penalty",
                       RuntimeWarning, stacklevel=2)
-    neg_ll, d_theta = _neg_partial_loglik_of_theta(theta, data.time, data.event)
+    neg_ll, d_theta = cox_loss_and_grad(theta, data.time, data.event)
     loss = neg_ll + lam * squared_norm(params)
     d_w, d_b = mlp_backward(params, caches, d_theta[:, None])
     grad = pack_grads(params, d_w, d_b) + 2.0 * lam * pack(params)
@@ -100,8 +85,7 @@ def _train_network(zdata: SurvivalDataset, lam: float, config: TrainConfig,
 
         def held_score(vec):
             theta, _ = mlp_forward(unpack(params, vec), val.X)
-            return _neg_partial_loglik_of_theta(theta[:, 0], val.time,
-                                                val.event)[0]
+            return cox_loss(theta[:, 0], val.time, val.event)
 
     vec, trace = fit_adam(
         pack(params),

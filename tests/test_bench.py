@@ -58,6 +58,16 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="row 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_nonfinite_covariate_names_the_row(self, tmp_path, cell):
+        lines = ["time,event,x1,x2"] + [f"{i}.0,{i % 2},0.5,-1.0"
+                                        for i in range(1, 61)]
+        lines[12] = f"12.0,0,0.5,{cell}"  # line 13 in the file
+        path = tmp_path / "inf.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="row 13: covariates must be finite"):
+            load_csv(path)
+
     def test_nonpositive_time(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time,event,x1\n0.0,1,0.5\n")

@@ -7,6 +7,8 @@ from survbench.core import (
     SurvivalCurve,
     SurvivalDataset,
     apply_standardization,
+    cox_loss,
+    cox_loss_and_grad,
     risk_set_sums,
     standardize_covariates,
     stratified_folds,
@@ -39,6 +41,13 @@ class TestSurvivalDataset:
         data = make_data([1.0, 2.0], [1, 0])
         with pytest.raises(ValueError):
             data.time[0] = 5.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_covariates(self, bad):
+        X = np.zeros((3, 2))
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            SurvivalDataset(X, [1.0, 2.0, 3.0], [1, 0, 1])
 
 
 class TestSurvivalCurve:
@@ -101,6 +110,74 @@ class TestRiskSets:
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(risk_set_sums(time, values[:, 0]),
                                    want[:, 0], rtol=1e-12, atol=1e-12)
+
+
+
+def cox_loss_oracle(eta, time, event):
+    """-pll and d(-pll)/d eta by enumerating every (event, risk-set member)
+    pair: O(n^2), no shift, no cumulative sums."""
+    n = eta.size
+    loss, d_eta = 0.0, -event.astype(float)
+    for i in range(n):
+        if event[i] != 1:
+            continue
+        risk = [l for l in range(n) if time[l] >= time[i]]
+        s_i = sum(np.exp(eta[l]) for l in risk)
+        loss -= eta[i] - np.log(s_i)
+        for l in risk:
+            d_eta[l] += np.exp(eta[l]) / s_i
+    return loss, d_eta
+
+
+class TestCoxLoss:
+    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1,
+                    max_size=20), st.integers(0, 2 ** 31))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pair_enumeration_on_ties(self, times, seed):
+        # integer times in 1..4 make most subjects share a time
+        rng = np.random.default_rng(seed)
+        time = np.asarray(times, dtype=float)
+        event = rng.integers(0, 2, time.size)
+        eta = rng.normal(0.0, 2.0, time.size)
+        want_loss, want_d = cox_loss_oracle(eta, time, event)
+        loss, d_eta = cox_loss_and_grad(eta, time, event)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(d_eta, want_d, rtol=1e-10, atol=1e-12)
+        assert cox_loss(eta, time, event) == loss
+
+    def test_all_censored_is_zero(self):
+        eta = np.array([0.3, -1.2, 2.0])
+        time = np.array([1.0, 2.0, 2.0])
+        event = np.zeros(3, dtype=int)
+        loss, d_eta = cox_loss_and_grad(eta, time, event)
+        assert loss == 0.0 and cox_loss(eta, time, event) == 0.0
+        np.testing.assert_array_equal(d_eta, np.zeros(3))
+
+    def test_finite_past_exp_underflow(self):
+        # e^{-900 - 0} underflows to 0, leaving the last risk set empty in
+        # floating point
+        eta = np.array([0.0, -450.0, -900.0])
+        time = np.array([1.0, 2.0, 3.0])
+        event = np.ones(3, dtype=int)
+        loss, d_eta = cox_loss_and_grad(eta, time, event)
+        assert np.isfinite(loss) and np.isfinite(cox_loss(eta, time, event))
+        assert np.all(np.isfinite(d_eta))
+
+    def test_value_only_call_does_one_risk_set_sum(self, monkeypatch):
+        import survbench.core as core
+
+        calls = []
+
+        def counted(time, values):
+            calls.append(1)
+            return risk_set_sums(time, values)
+
+        monkeypatch.setattr(core, "risk_set_sums", counted)
+        eta, time, event = np.zeros(4), np.arange(1.0, 5.0), np.ones(4, int)
+        cox_loss(eta, time, event)
+        assert len(calls) == 1
+        cox_loss_and_grad(eta, time, event)
+        assert len(calls) == 3
 
 
 class TestStandardize:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,22 @@ class TestGradient:
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
+def test_gradient_memory_is_linear_in_n_plus_p():
+    # a risk-set sum of the n×p matrix w * X alone takes 15 MiB here
+    rng = np.random.default_rng(0)
+    n, p = 1000, 2000
+    data = SurvivalDataset(rng.standard_normal((n, p)),
+                           rng.uniform(1.0, 10.0, n), rng.integers(0, 2, n))
+    beta = rng.standard_normal(p) * 0.01
+    tracemalloc.start()
+    try:
+        partial_loglik_grad(data, beta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 class TestFitLasso:
     def test_large_penalty_gives_exact_null(self):
         data = sim_data(n=60, p=4, seed=5)
@@ -234,7 +252,9 @@ class TestRiskScore:
                       objective_trace=np.zeros(1))
 
     def test_null_beta_gives_one(self):
-        assert risk_score(self.make_fit([0.0, 0.0]), [3.0, -1.0]) == 1.0
+        scores = risk_score(self.make_fit([0.0, 0.0]), [3.0, -1.0])
+        assert isinstance(scores, np.ndarray) and scores.shape == (1,)
+        np.testing.assert_array_equal(scores, [1.0])
 
     def test_doubling_beta_squares_score(self):
         x = np.array([0.5, -1.2])
