@@ -124,9 +124,12 @@ def select_bandwidth_gl(data: SurvivalDataset, scores, grid,
     return float(ms[best])
 
 
-def survival_from_scores(base: BaselineEstimate, score: float) -> SurvivalCurve:
-    """S(t) = exp(-score * integrated baseline hazard) on the estimate's grid."""
-    if score <= 0:
-        raise ValueError("score must be positive")
-    probs = np.exp(-score * base.cumulative)
+def survival_from_scores(base: BaselineEstimate, scores) -> SurvivalCurve:
+    """S(t) = exp(-score * integrated baseline hazard) on the estimate's
+    grid: one curve for a scalar score, a batch with one row per subject
+    for an array of scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if np.any(scores <= 0):
+        raise ValueError("scores must be positive")
+    probs = np.exp(-scores[..., None] * base.cumulative)
     return SurvivalCurve(grid=base.grid, probs=probs)

@@ -69,13 +69,19 @@ class SurvivalDataset:
                                self.event[idx].copy())
 
 
+_CHECK_ROWS = 256  # curves per monotonicity check; its temporary is _CHECK_ROWS × G
+
+
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """A survival function S(t) tabulated on an increasing time grid.
+    """Survival functions S(t) tabulated on one increasing time grid.
 
-    ``probs[k]`` is S(grid[k]); between grid points the curve is a
-    right-continuous step function, S(t) = 1 left of the grid and
-    S(t) = probs[-1] right of it.
+    ``probs`` of shape (G,) is one subject's curve, ``probs[k]`` = S(grid[k]);
+    shape (n, G) is a batch of n curves on the same grid, one row per
+    subject, with ``len()`` and integer indexing that return one-subject
+    curves. Between grid points a curve is a right-continuous step
+    function, S(t) = 1 left of the grid and S(t) = its last value right of
+    it.
     """
 
     grid: np.ndarray
@@ -83,28 +89,45 @@ class SurvivalCurve:
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if grid.ndim != 1 or probs.ndim != 1 or grid.shape != probs.shape:
-            raise ValueError("grid and probs must be 1-D with equal length")
+        # a view, so freezing it leaves the caller's array writable
+        probs = np.asarray(self.probs, dtype=np.float64).view()
+        if (grid.ndim != 1 or probs.ndim not in (1, 2)
+                or probs.shape[-1] != grid.size):
+            raise ValueError("grid must be 1-D, probs of shape (G,) or (n, G)")
         if grid.size == 0:
             raise ValueError("empty curve")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
-        if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
+        lo, hi = (probs.min(), probs.max()) if probs.size else (0.0, 1.0)
+        if lo < -1e-12 or hi > 1 + 1e-12:
             raise ValueError("survival probabilities must lie in [0, 1]")
-        if np.any(np.diff(probs) > 1e-12):
-            raise ValueError("survival probabilities must be non-increasing")
-        probs = np.clip(probs, 0.0, 1.0)
+        rows = probs.reshape(-1, grid.size)
+        for start in range(0, rows.shape[0], _CHECK_ROWS):
+            if np.any(np.diff(rows[start:start + _CHECK_ROWS], axis=1) > 1e-12):
+                raise ValueError("survival probabilities must be non-increasing")
+        if lo < 0 or hi > 1:
+            probs = np.clip(probs, 0.0, 1.0)
         grid.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "probs", probs)
 
+    def __len__(self) -> int:
+        if self.probs.ndim == 1:
+            raise TypeError("a one-subject curve has no subject axis")
+        return self.probs.shape[0]
+
+    def __getitem__(self, j) -> "SurvivalCurve":
+        """Subject ``j``'s curve of a batch; IndexError past the last one."""
+        return SurvivalCurve(self.grid, self.probs[j])
+
     def at(self, t) -> np.ndarray:
-        """Evaluate S at times ``t`` (scalar or array) by step interpolation."""
+        """Evaluate S at times ``t`` (scalar or array) by step interpolation;
+        a batch gives one row per subject."""
         t = np.asarray(t, dtype=np.float64)
         k = np.searchsorted(self.grid, t, side="right") - 1
-        out = np.where(k < 0, 1.0, self.probs[np.clip(k, 0, self.probs.size - 1)])
+        out = np.where(k < 0, 1.0,
+                       self.probs[..., np.clip(k, 0, self.grid.size - 1)])
         return out if out.ndim else float(out)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -73,60 +72,47 @@ def kaplan_meier(times, indicators) -> KaplanMeier:
     d_sorted = indicators[order].astype(np.float64)
 
     uniq, start = np.unique(t_sorted, return_index=True)
-    n = times.size
-    drop_times, surv, n_risk = [], [], []
-    s = 1.0
-    for j, t in enumerate(uniq):
-        lo = start[j]
-        hi = start[j + 1] if j + 1 < uniq.size else n
-        d = float(d_sorted[lo:hi].sum())
-        if d == 0:
-            continue
-        at_risk = n - lo
-        s *= 1.0 - d / at_risk
-        drop_times.append(t)
-        surv.append(s)
-        n_risk.append(at_risk)
+    d = np.add.reduceat(d_sorted, start)
+    n_risk = (times.size - start).astype(np.float64)
+    drop = d != 0
     return KaplanMeier(
-        times=np.asarray(drop_times, dtype=np.float64),
-        surv=np.asarray(surv, dtype=np.float64),
-        n_risk=np.asarray(n_risk, dtype=np.float64),
+        times=uniq[drop],
+        surv=np.cumprod(1.0 - d[drop] / n_risk[drop]),
+        n_risk=n_risk[drop],
     )
 
 
-_BLOCK = 256  # events per comparison block: the block's work set is _BLOCK × n
+# events per comparison block (its work set is _BLOCK × n), and subjects
+# per block of exact curves
+_BLOCK = 256
 
 
-def _check_lengths(predictions: Sequence[SurvivalCurve], times, events):
-    """Times and events as arrays, after requiring one curve per subject."""
+def _check_lengths(predictions: SurvivalCurve, times, events):
+    """Times and events as arrays, after requiring a batch with one curve
+    per subject."""
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.int64)
-    if times.size == 0 or len(predictions) != times.size:
+    if (not isinstance(predictions, SurvivalCurve)
+            or predictions.probs.ndim != 2 or times.size == 0
+            or predictions.probs.shape[0] != times.size):
         raise ValueError("one predicted curve per subject is required")
     if events.shape != times.shape:
         raise ValueError("times and events must have the same length")
     return times, events
 
 
-def _tabulate(curves: Sequence[SurvivalCurve], t) -> tuple[np.ndarray, np.ndarray]:
+def _tabulate(curves: SurvivalCurve, t) -> tuple[np.ndarray, np.ndarray]:
     """Every curve at the times ``t``, one table column per step they fall on.
 
-    The union of the curves' grids cuts the time axis into steps on which
-    every curve is constant, with a step before the first grid point where
-    S = 1. Returns (table, col) with table[j, col[a]] equal to
-    curves[j].at(t[a]) bit for bit; the table holds n·min(len(t), G + 1)
-    values for a union grid of G points.
+    The batch's grid cuts the time axis into steps on which every curve is
+    constant, with a step before the first grid point where S = 1.
+    Returns (table, col) with table[j, col[a]] equal to curves[j].at(t[a])
+    bit for bit; the table holds n·min(len(t), G + 1) values.
     """
-    grids = {id(curve.grid): curve.grid for curve in curves}
-    knots = np.unique(np.concatenate(list(grids.values())))
-    steps, col = np.unique(np.searchsorted(knots, t, side="right"),
+    steps, col = np.unique(np.searchsorted(curves.grid, t, side="right"),
                            return_inverse=True)
-    left = np.concatenate(([-np.inf], knots))[steps]  # each step's start
-    index = {key: np.searchsorted(grid, left, side="right")
-             for key, grid in grids.items()}
-    table = np.empty((len(curves), steps.size))
-    for j, curve in enumerate(curves):
-        table[j] = np.concatenate(([1.0], curve.probs))[index[id(curve.grid)]]
+    table = curves.probs[:, np.maximum(steps - 1, 0)]
+    table[:, steps == 0] = 1.0
     return table, col
 
 
@@ -161,7 +147,7 @@ def _concordance(table: np.ndarray, col: np.ndarray, times, events):
     return less + 0.5 * tied, int((n - start).sum())
 
 
-def c_index_td(predictions: Sequence[SurvivalCurve], times, events) -> float:
+def c_index_td(predictions: SurvivalCurve, times, events) -> float:
     """Time-dependent concordance over ordered comparable pairs.
 
     Pair (i, j) is comparable when T_i < T_j with subject i an event, or
@@ -211,7 +197,7 @@ def _ipcw(times: np.ndarray, events: np.ndarray, censor_km: KaplanMeier):
     return at
 
 
-def brier_score(predictions: Sequence[SurvivalCurve], times, events, t: float,
+def brier_score(predictions: SurvivalCurve, times, events, t: float,
                 censor_km: KaplanMeier) -> float:
     """IPCW-weighted squared error between survival status at t and the
     predicted S(t|x)."""
@@ -224,7 +210,7 @@ def brier_score(predictions: Sequence[SurvivalCurve], times, events, t: float,
     return float(np.mean(w * (y - table[:, 0]) ** 2))
 
 
-def brier_trace(predictions: Sequence[SurvivalCurve], times, events,
+def brier_trace(predictions: SurvivalCurve, times, events,
                 grid=None):
     """Brier score along a grid (default: 0 plus 100 equispaced points up
     to the largest observed time). Returns (trace rows (t, BS), clamp count)."""
@@ -250,7 +236,7 @@ def integrate_trace(trace: np.ndarray, tau: float) -> float:
     return float(np.trapezoid(v, t) / tau)
 
 
-def integrated_brier(predictions: Sequence[SurvivalCurve], times, events) -> float:
+def integrated_brier(predictions: SurvivalCurve, times, events) -> float:
     """Integrated Brier score: the Brier trace averaged over [0, tau]
     with tau the largest observed time."""
     times, events = _check_lengths(predictions, times, events)
@@ -262,7 +248,7 @@ def integrated_brier(predictions: Sequence[SurvivalCurve], times, events) -> flo
     return integrate_trace(trace, tau)
 
 
-def metric_report(predictions: Sequence[SurvivalCurve], times, events) -> MetricReport:
+def metric_report(predictions: SurvivalCurve, times, events) -> MetricReport:
     """C_td, IBS and the per-time Brier trace for one set of predictions."""
     times, events = _check_lengths(predictions, times, events)
     tau = float(times.max())
@@ -279,9 +265,10 @@ def metric_report(predictions: Sequence[SurvivalCurve], times, events) -> Metric
 def reference_metrics(simulated, test_idx) -> MetricReport:
     """Metrics of the exact data-generating model on a held-out subset.
 
-    The true survival curves are tabulated on the union of the observed
-    test times and the Brier grid, so step interpolation is exact at
-    every evaluation point.
+    The true survival curves are tabulated only where the metrics read
+    them, at the test events' times and on the Brier grid, so step
+    interpolation is exact at every evaluation point. They fill one table
+    a block of ``_BLOCK`` subjects at a time.
     """
     from .simgen import true_survival
 
@@ -290,6 +277,10 @@ def reference_metrics(simulated, test_idx) -> MetricReport:
     times = data.time[test_idx]
     events = data.event[test_idx]
     tau = float(times.max())
-    grid = np.unique(np.concatenate([times, np.linspace(0.0, tau, 101)[1:]]))
-    preds = [true_survival(simulated, data.X[i], grid) for i in test_idx]
-    return metric_report(preds, times, events)
+    grid = np.unique(np.concatenate([times[events == 1],
+                                     np.linspace(0.0, tau, 101)[1:]]))
+    probs = np.empty((test_idx.size, grid.size))
+    for lo in range(0, test_idx.size, _BLOCK):
+        rows = data.X[test_idx[lo:lo + _BLOCK]]
+        probs[lo:lo + _BLOCK] = true_survival(simulated, rows, grid).probs
+    return metric_report(SurvivalCurve(grid, probs), times, events)

@@ -1,11 +1,11 @@
 """Uniform predictor role over the four fitting pipelines.
 
-Every fitted model maps covariate rows to survival curves; the Cox-family
-models also expose scalar risk scores. ``fit_model`` runs the full
-pipeline for one method name (penalty selection, fitting, and for the
-Cox-family models the kernel baseline with data-driven bandwidth), and
-``save_model`` / ``load_model`` give a versioned JSON dump that
-round-trips bit-exactly.
+Every fitted model maps covariate rows to one batch of survival curves;
+the Cox-family models also expose scalar risk scores. ``fit_model`` runs
+the full pipeline for one method name (penalty selection, fitting, and
+for the Cox-family models the kernel baseline with data-driven
+bandwidth), and ``save_model`` / ``load_model`` give a versioned JSON
+dump that round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ class CoxLassoModel:
     def predict_risk(self, X) -> np.ndarray:
         return coxlasso.risk_score(self.fit, X)
 
-    def predict_survival(self, X) -> list:
-        return [survival_from_scores(self.base, float(s))
-                for s in self.predict_risk(X)]
+    def predict_survival(self, X) -> SurvivalCurve:
+        return survival_from_scores(self.base, self.predict_risk(X))
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,8 @@ class CoxnnetModel:
     def predict_risk(self, X) -> np.ndarray:
         return coxnnet_scores(self.fit, X)
 
-    def predict_survival(self, X) -> list:
-        return [survival_from_scores(self.base, float(s))
-                for s in self.predict_risk(X)]
+    def predict_survival(self, X) -> SurvivalCurve:
+        return survival_from_scores(self.base, self.predict_risk(X))
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,9 @@ class DiscreteTimeModel:
 
     fit: NnsurvFit
 
-    def predict_survival(self, X) -> list:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return [nnsurv_survival(self.fit, row) for row in X]
+    def predict_survival(self, X) -> SurvivalCurve:
+        return nnsurv_survival(self.fit,
+                               np.atleast_2d(np.asarray(X, dtype=np.float64)))
 
 
 FittedModel = Union[CoxLassoModel, CoxnnetModel, DiscreteTimeModel]

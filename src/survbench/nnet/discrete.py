@@ -36,6 +36,7 @@ from .mlp import (
 from .train import fit_adam, select_ridge
 
 HAZARD_CLIP = 1e-12
+_PREDICT_BLOCK = 64  # subjects per forward pass: bounds the network's temporaries
 
 
 @dataclass(frozen=True)
@@ -263,17 +264,28 @@ def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,
 
 
 def nnsurv_hazards(fit: NnsurvFit, x) -> np.ndarray:
-    """Predicted discrete hazard in every interval for one covariate row."""
-    x = np.asarray(x, dtype=np.float64).ravel()
+    """Predicted discrete hazard in every interval: shape (L,) for one
+    covariate row, (n, L) for a matrix with one row per subject."""
+    x = np.asarray(x, dtype=np.float64)
+    X = np.atleast_2d(x)
     mids = fit.grid.midpoints
-    feats = np.column_stack([np.repeat(x[None, :], mids.size, axis=0), mids])
-    z = apply_standardization(feats, fit.mean, fit.scale)
-    h, _ = mlp_forward(fit.params, z)
-    return np.clip(h[:, 0], HAZARD_CLIP, 1.0 - HAZARD_CLIP)
+    h = np.empty((X.shape[0], mids.size))
+    for lo in range(0, X.shape[0], _PREDICT_BLOCK):
+        rows = X[lo:lo + _PREDICT_BLOCK]
+        feats = np.column_stack([np.repeat(rows, mids.size, axis=0),
+                                 np.tile(mids, rows.shape[0])])
+        z = apply_standardization(feats, fit.mean, fit.scale)
+        # a stack of one (L, p + 1) matrix per subject, multiplied one at a
+        # time as a one-row call is: one (n·L, p + 1) product rounds otherwise
+        out, _ = mlp_forward(fit.params, z.reshape(rows.shape[0], mids.size, -1))
+        h[lo:lo + _PREDICT_BLOCK] = out[..., 0]
+    np.clip(h, HAZARD_CLIP, 1.0 - HAZARD_CLIP, out=h)
+    return h.reshape(x.shape[:-1] + (mids.size,))
 
 
 def nnsurv_survival(fit: NnsurvFit, x) -> SurvivalCurve:
-    """S(t_l) = prod_{l' <= l} (1 - h_l'), stepped between the cuts."""
+    """S(t_l) = prod_{l' <= l} (1 - h_l'), stepped between the cuts: one
+    curve for a covariate row, a batch for a matrix of rows."""
     h = nnsurv_hazards(fit, x)
-    probs = np.cumprod(1.0 - h)
+    probs = np.cumprod(1.0 - h, axis=-1)
     return SurvivalCurve(grid=fit.grid.cuts[1:], probs=probs)

@@ -82,7 +82,10 @@ def init_mlp(sizes, activations, seed: int, output_bias: bool = True) -> MlpPara
 
 
 def mlp_forward(params: MlpParams, X: np.ndarray):
-    """Layer-wise affine + activation; returns (output, caches for backprop)."""
+    """Layer-wise affine + activation; returns (output, caches for backprop).
+
+    ``X`` may stack input matrices on leading axes; each is multiplied on
+    its own."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not np.all(np.isfinite(X)):
         raise ValueError("network input must be finite")

@@ -184,14 +184,18 @@ def draw_survival_time(family: ModelFamily, baseline: BaselineDist, x, beta, u):
 
 
 def true_survival(simulated: SimulatedDataset, x, grid) -> "SurvivalCurve":
-    """Exact model survival curve S(t|x) on the given time grid."""
+    """Exact model survival curves S(t|x) on the given time grid: one curve
+    for a covariate row ``x``, a batch with one row per subject for a
+    matrix of rows."""
     from .core import SurvivalCurve
 
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing and positive")
-    eta = float(np.asarray(x, dtype=np.float64) @ simulated.true_beta)
-    s = survival_probability(simulated.family, simulated.baseline, eta, grid)
+    # vecdot gives each row the bits of the one-row product x @ beta
+    eta = np.vecdot(np.asarray(x, dtype=np.float64), simulated.true_beta)
+    s = survival_probability(simulated.family, simulated.baseline,
+                             eta[..., None], grid)
     return SurvivalCurve(grid=grid, probs=s)
 
 

@@ -226,8 +226,8 @@ def test_criterion_06_metric_oracles():
         times = rng.integers(1, 5, n).astype(float)
         events = rng.integers(0, 2, n)
         grid = np.linspace(0.5, 6.0, 7)
-        curves = [SurvivalCurve(grid, np.sort(rng.random(7))[::-1])
-                  for _ in range(n)]
+        curves = SurvivalCurve(grid, np.array(
+            [np.sort(rng.random(7))[::-1] for _ in range(n)]))
         try:
             got = c_index_td(curves, times, events)
         except ValueError:
@@ -238,16 +238,15 @@ def test_criterion_06_metric_oracles():
     times = rng.uniform(1, 9, 30)
     events = rng.integers(0, 2, 30)
     events[0] = 1
-    const = [SurvivalCurve(np.array([0.0, 10.0]), np.array([0.4, 0.4]))
-             for _ in range(30)]
+    const = SurvivalCurve(np.array([0.0, 10.0]), np.full((30, 2), 0.4))
     const_ok = c_index_td(const, times, events) == 0.5
 
     # zero-censoring Brier equals the mean squared error
     times = rng.uniform(1, 9, 25)
     events = np.ones(25, dtype=int)
     levels = rng.random(25)
-    curves = [SurvivalCurve(np.array([0.0, 10.0]), np.full(2, v))
-              for v in levels]
+    curves = SurvivalCurve(np.array([0.0, 10.0]),
+                           np.repeat(levels[:, None], 2, axis=1))
     km = kaplan_meier(times, 1 - events)
     brier_ok = True
     for t in (2.0, 4.5, 7.0):
@@ -255,8 +254,7 @@ def test_criterion_06_metric_oracles():
         brier_ok &= abs(brier_score(curves, times, events, t, km) - mse) < 1e-12
 
     # constant trace integrates to itself
-    const_half = [SurvivalCurve(np.array([0.0, 10.0]), np.full(2, 0.5))
-                  for _ in range(25)]
+    const_half = SurvivalCurve(np.array([0.0, 10.0]), np.full((25, 2), 0.5))
     ibs_ok = abs(integrated_brier(const_half, times, events) - 0.25) < 1e-12
 
     ok = exact and const_ok and brier_ok and ibs_ok and time.time() - t0 < 60
@@ -288,7 +286,7 @@ def test_criterion_07_ph_consistency():
     scores = rng.lognormal(size=n)
     grid = np.linspace(0.0, 11.0, 60)
     cumhaz = np.linspace(0.0, 2.0, 60)  # strictly increasing past t=0
-    curves = [SurvivalCurve(grid, np.exp(-s * cumhaz)) for s in scores]
+    curves = SurvivalCurve(grid, np.exp(-scores[:, None] * cumhaz))
     got = c_index_td(curves, times, events)
     want = scalar_concordance(scores, times, events)
     ok = abs(got - want) < 1e-12

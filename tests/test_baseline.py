@@ -161,6 +161,15 @@ class TestSurvivalFromScores:
         b = survival_from_scores(est_scaled, float(5.0 * scores[0]))
         np.testing.assert_allclose(a.probs, b.probs, rtol=1e-12)
 
+    def test_batch_rows_equal_one_score_calls(self):
+        sim, scores = cox_sim(120, seed=11)
+        est = ramlau_hansen(sim.data, scores, 400.0, default_grid(sim.data, 60))
+        batch = survival_from_scores(est, scores)
+        assert batch.probs.shape == (120, 60)
+        for i, s in enumerate(scores):
+            assert np.array_equal(batch[i].probs,
+                                  survival_from_scores(est, float(s)).probs)
+
     def test_nonpositive_score_rejected(self):
         base = BaselineEstimate(grid=np.array([0.0, 1.0]),
                                 alpha_hat=np.zeros(2), bandwidth=1.0,

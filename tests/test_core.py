@@ -63,6 +63,41 @@ class TestSurvivalCurve:
         assert curve.at(10.0) == 0.2
         np.testing.assert_allclose(curve.at([0.5, 2.0]), [1.0, 0.5])
 
+    def test_batch_length_and_indexing(self):
+        probs = np.array([[0.9, 0.5], [0.8, 0.8], [0.7, 0.1]])
+        curves = SurvivalCurve(grid=[1.0, 2.0], probs=probs)
+        assert len(curves) == 3
+        np.testing.assert_array_equal(curves[2].probs, [0.7, 0.1])
+        np.testing.assert_array_equal(curves[-1].probs, [0.7, 0.1])
+        assert [c.at(1.5) for c in curves] == [0.9, 0.8, 0.7]
+        with pytest.raises(IndexError):
+            curves[3]
+        with pytest.raises(TypeError, match="subject axis"):
+            len(curves[0])
+        probs[0, 0] = 0.95  # the caller's array stays writable
+        assert not curves.probs.flags.writeable
+
+    def test_batch_rejects_increasing_row_past_first_block(self):
+        probs = np.full((600, 3), 0.5)
+        probs[555] = [0.2, 0.4, 0.3]
+        with pytest.raises(ValueError, match="non-increasing"):
+            SurvivalCurve(grid=[1.0, 2.0, 3.0], probs=probs)
+
+    def test_batch_rejects_out_of_range(self):
+        probs = np.full((4, 2), 0.5)
+        probs[3, 1] = -0.01
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SurvivalCurve(grid=[1.0, 2.0], probs=probs)
+
+    def test_rounding_past_unit_interval_is_clipped(self):
+        curves = SurvivalCurve(grid=[1.0, 2.0],
+                               probs=[[1.0 + 1e-13, 0.5], [0.5, -1e-13]])
+        np.testing.assert_array_equal(curves.probs, [[1.0, 0.5], [0.5, 0.0]])
+
+    def test_empty_batch_constructs(self):
+        curves = SurvivalCurve(grid=[1.0, 2.0], probs=np.empty((0, 2)))
+        assert len(curves) == 0
+
 
 def risk_set_members(time):
     """Membership matrix M[i, l] = [l in R_i], read off risk_set_sums of

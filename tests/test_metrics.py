@@ -42,6 +42,7 @@ def km_brute_force(times, indicators):
 
 def c_td_brute_force(curves, times, events):
     """Exhaustive ordered-pair enumeration of the time-dependent C-index."""
+    curves = list(curves)  # one-subject curves
     n = len(times)
     num = den = 0.0
     for i in range(n):
@@ -73,7 +74,14 @@ def assert_matches_oracle(curves, times, events):
 def step_curves(values, grid):
     """One flat curve per subject at the given constant level."""
     grid = np.asarray(grid, float)
-    return [SurvivalCurve(grid, np.full(grid.size, v)) for v in values]
+    return SurvivalCurve(grid, np.repeat(np.asarray(values, float)[:, None],
+                                         grid.size, axis=1))
+
+
+def random_curves(rng, n, grid):
+    """A batch of n random non-increasing curves, one rng draw per curve."""
+    return SurvivalCurve(grid, np.array([np.sort(rng.random(grid.size))[::-1]
+                                         for _ in range(n)]))
 
 
 class TestKaplanMeier:
@@ -108,7 +116,7 @@ class TestKaplanMeier:
         km = kaplan_meier(times, events)
         oracle = km_brute_force(times, events)
         for t in [0.5, 1.0, 2.5, 3.0, 5.0, 6.0]:
-            assert km.survival_at(t) == pytest.approx(oracle(t), abs=1e-12)
+            assert km.survival_at(t) == oracle(t)
 
 
 class TestCIndexTd:
@@ -135,9 +143,7 @@ class TestCIndexTd:
         times = np.array([2.0, 1.0, 2.0, 4.0])
         events = np.array([1, 0, 0, 1])
         grid = np.linspace(0.5, 5.0, 8)
-        curves = [
-            SurvivalCurve(grid, np.sort(rng.random(8))[::-1]) for _ in range(4)
-        ]
+        curves = random_curves(rng, 4, grid)
         want = c_td_brute_force(curves, times, events)
         assert c_index_td(curves, times, events) == pytest.approx(want, abs=1e-15)
 
@@ -151,24 +157,7 @@ class TestCIndexTd:
         if not ((events == 1).any()):
             events[0] = 1
         grid = np.linspace(0.5, 6.0, 6)
-        curves = [SurvivalCurve(grid, np.sort(rng.random(6))[::-1])
-                  for _ in range(n)]
-        assert_matches_oracle(curves, times, events)
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_per_subject_grids_match_oracle(self, data):
-        # every curve on its own grid: the table's columns are the steps
-        # of the union grid, and tied levels make prediction ties likely
-        n = data.draw(st.integers(2, 12))
-        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-        times = rng.integers(1, 8, size=n).astype(float)
-        events = rng.integers(0, 2, size=n)
-        curves = []
-        for _ in range(n):
-            grid = np.unique(rng.integers(1, 9, size=rng.integers(1, 5)) * 0.9)
-            levels = rng.choice([0.2, 0.5, 0.8], size=grid.size)
-            curves.append(SurvivalCurve(grid, np.sort(levels)[::-1]))
+        curves = random_curves(rng, n, grid)
         assert_matches_oracle(curves, times, events)
 
     @given(st.data())
@@ -181,8 +170,7 @@ class TestCIndexTd:
         events = rng.integers(0, 2, size=n)
         times[0], events[0] = 1.0, 1
         grid = np.linspace(data.draw(st.sampled_from([2.0, 3.5, 4.0])), 7.0, 4)
-        curves = [SurvivalCurve(grid, np.sort(rng.random(4))[::-1])
-                  for _ in range(n)]
+        curves = random_curves(rng, n, grid)
         assert_matches_oracle(curves, times, events)
 
     @given(st.data())
@@ -194,8 +182,8 @@ class TestCIndexTd:
         times = rng.integers(1, 60, size=n).astype(float)
         events = (rng.random(n) < 0.95).astype(int)
         grid = np.linspace(0.5, 61.0, 12)
-        curves = [SurvivalCurve(grid, np.sort(rng.random(12).round(1))[::-1])
-                  for _ in range(n)]
+        curves = SurvivalCurve(grid, np.array(
+            [np.sort(rng.random(12).round(1))[::-1] for _ in range(n)]))
         assert events.sum() > _BLOCK
         assert_matches_oracle(curves, times, events)
 
@@ -205,9 +193,8 @@ class TestCIndexTd:
         events = rng.integers(0, 2, 30)
         events[0] = 1
         grid = np.linspace(0.5, 11.0, 12)
-        curves = [SurvivalCurve(grid, np.sort(rng.random(12))[::-1])
-                  for _ in range(30)]
-        squared = [SurvivalCurve(grid, c.probs ** 2) for c in curves]
+        curves = random_curves(rng, 30, grid)
+        squared = SurvivalCurve(grid, curves.probs ** 2)
         assert c_index_td(curves, times, events) == pytest.approx(
             c_index_td(squared, times, events), abs=1e-15)
 
@@ -217,11 +204,11 @@ class TestCIndexTd:
         events = rng.integers(0, 2, 20)
         events[:2] = 1
         grid = np.linspace(0.5, 11.0, 10)
-        curves = [SurvivalCurve(grid, np.sort(rng.random(10))[::-1])
-                  for _ in range(20)]
+        curves = random_curves(rng, 20, grid)
         perm = rng.permutation(20)
         a = c_index_td(curves, times, events)
-        b = c_index_td([curves[i] for i in perm], times[perm], events[perm])
+        b = c_index_td(SurvivalCurve(grid, curves.probs[perm]), times[perm],
+                       events[perm])
         assert a == pytest.approx(b, abs=1e-15)
 
 
@@ -278,7 +265,7 @@ class TestIntegratedBrier:
         # indicator curves tabulated on the metric's own evaluation grid,
         # so S(t|x_i) = 1{T_i >= t} at every point the trace touches
         grid = np.linspace(0.0, 4.0, 101)
-        curves = [SurvivalCurve(grid, (t >= grid).astype(float)) for t in times]
+        curves = SurvivalCurve(grid, (times[:, None] >= grid).astype(float))
         assert integrated_brier(curves, times, events) == pytest.approx(0.0,
                                                                         abs=1e-12)
 
@@ -297,8 +284,8 @@ class TestIntegratedBrier:
         curves = step_curves(levels, [0.0, 10.0])
         perm = rng.permutation(20)
         a = integrated_brier(curves, times, events)
-        b = integrated_brier([curves[i] for i in perm], times[perm],
-                             events[perm])
+        b = integrated_brier(SurvivalCurve(curves.grid, curves.probs[perm]),
+                             times[perm], events[perm])
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -333,6 +320,40 @@ class TestReferenceMetrics:
         assert rep.brier_trace.shape[1] == 2
         assert integrate_trace(rep.brier_trace, rep.tau) == pytest.approx(rep.ibs)
 
+    def test_pinned_cox_weibull(self):
+        # recorded when the exact curves were tabulated one subject at a
+        # time on the union of all test times
+        rep = reference_metrics(self.make_sim(0), np.arange(150))
+        assert rep.c_td == 0.6754093609621794
+        assert rep.ibs == 0.11562739686017234
+
+    def test_pinned_ah_lognormal(self):
+        from survbench.simgen import LogNormal
+
+        spec = SimulationSpec(family=ModelFamily.AH,
+                              baseline=LogNormal(7.73, 0.7),
+                              n=300, p=5, k=5, censor_target=0.3, seed=3)
+        rep = reference_metrics(generate(spec), np.arange(100))
+        assert rep.c_td == 0.6389440817485098
+        assert rep.ibs == 0.08689612371344622
+
+    def test_memory_holds_no_union_grid_table(self):
+        # tabulating the exact curves on the union of all 3000 test times,
+        # one subject at a time, peaked at 131 MiB
+        from survbench.simgen import LogNormal
+
+        spec = SimulationSpec(family=ModelFamily.AH,
+                              baseline=LogNormal(7.73, 0.7),
+                              n=3000, p=10, k=10, censor_target=0.3, seed=3)
+        sim = generate(spec)
+        tracemalloc.start()
+        try:
+            reference_metrics(sim, np.arange(3000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 2**20
+
 
 class TestInputChecks:
     """Every public metric rejects a curve count that differs from the
@@ -349,6 +370,23 @@ class TestInputChecks:
     def test_c_index_td_empty(self):
         with pytest.raises(ValueError, match="one predicted curve per subject"):
             c_index_td([], [], [])
+
+    def test_empty_batch(self):
+        empty = SurvivalCurve([0.5, 6.0], np.empty((0, 2)))
+        with pytest.raises(ValueError, match="one predicted curve per subject"):
+            c_index_td(empty, [], [])
+
+    def test_list_of_curves(self):
+        curves = [SurvivalCurve([0.5, 6.0], [v, v])
+                  for v in (0.2, 0.4, 0.6, 0.8, 0.9)]
+        with pytest.raises(ValueError, match="one predicted curve per subject"):
+            c_index_td(curves, self.times, self.events)
+
+    def test_one_subject_curve(self):
+        # five grid points for five subjects: still one curve, not five
+        curve = SurvivalCurve(np.arange(1.0, 6.0), [0.9, 0.7, 0.5, 0.3, 0.1])
+        with pytest.raises(ValueError, match="one predicted curve per subject"):
+            metric_report(curve, self.times, self.events)
 
     def test_events_length_mismatch(self):
         curves = step_curves([0.2, 0.4, 0.6, 0.8, 0.9], [0.5, 6.0])
@@ -380,8 +418,7 @@ def test_metric_report_memory_is_linear_in_n():
     times = rng.uniform(1.0, 100.0, n)
     events = (rng.random(n) < 0.7).astype(int)
     grid = np.linspace(0.5, 101.0, 200)
-    curves = [SurvivalCurve(grid, np.sort(rng.random(200))[::-1])
-              for _ in range(n)]
+    curves = random_curves(rng, n, grid)
     tracemalloc.start()
     try:
         metric_report(curves, times, events)

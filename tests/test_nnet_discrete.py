@@ -177,6 +177,22 @@ class TestFitAndSurvival:
         np.testing.assert_allclose(curve.probs, np.cumprod(1 - h), rtol=1e-12)
         np.testing.assert_array_equal(curve.grid, fit.grid.cuts[1:])
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_batch_rows_equal_one_row_calls(self, depth):
+        spec = SimulationSpec(family=ModelFamily.AH,
+                              baseline=LogNormal(7.73, 0.7),
+                              n=400, p=10, k=10, censor_target=0.3, seed=6)
+        sim = generate(spec)
+        fit = nnsurv_fit(sim.data, self.fast_config(6), depth=depth,
+                         n_intervals=18)
+        X = sim.data.X
+        batch = nnsurv_survival(fit, X)
+        hazards = nnsurv_hazards(fit, X)
+        assert batch.probs.shape == hazards.shape == (400, fit.grid.n_intervals)
+        for i, x in enumerate(X):
+            assert np.array_equal(hazards[i], nnsurv_hazards(fit, x))
+            assert np.array_equal(batch[i].probs, nnsurv_survival(fit, x).probs)
+
     def test_half_hazards_quarter_survival(self):
         fit_like = nnsurv_fit(ah_sim(n=60, seed=4).data, self.fast_config(4),
                               depth=1, n_intervals=2)

@@ -71,3 +71,34 @@ def test_network_training_runs_through_traced_kernels(tracer_module):
         calls = tracer.totals.get(name, (0,))[0]
         assert calls > 0, f"{name} was never called through the tracer"
     assert np.isfinite(sum(entry[1] for entry in tracer.totals.values()))
+
+
+def test_scoring_runs_through_traced_layers(tracer_module):
+    from survbench import metrics
+    from survbench.core import train_test_split
+    from survbench.models import MODEL_NAMES, fit_model
+    from survbench.nnet import TrainConfig
+    from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
+
+    spec = SimulationSpec(family=ModelFamily.COX, baseline=Weibull(2.0, 1.3e-7),
+                          n=90, p=3, k=2, censor_target=0.3, seed=0)
+    sim = generate(spec)
+    train, test, split = train_test_split(sim.data, 2 / 3, seed=0)
+    cfg = TrainConfig(ridge=1.0, epochs=3, min_epochs=1, seed=0)
+    fitted = [fit_model(name, train, seed=0, config=cfg, lasso_cv_folds=2)
+              for name in MODEL_NAMES]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for model in fitted:
+            curves = model.predict_survival(test.X)
+            metrics.metric_report(curves, test.time, test.event)
+        metrics.reference_metrics(sim, split.test)
+    finally:
+        tracer.uninstall()
+    for name in ([f"models.predict.{m}" for m in MODEL_NAMES]
+                 + ["metrics.metric_report", "metrics.c_index_td",
+                    "metrics.brier_trace", "metrics.kaplan_meier",
+                    "metrics.reference_metrics", "simgen.true_survival"]):
+        calls = tracer.totals.get(name, (0,))[0]
+        assert calls > 0, f"{name} was never called through the tracer"

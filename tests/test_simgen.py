@@ -193,6 +193,20 @@ class TestTrueSurvival:
         base.update(kw)
         return generate(SimulationSpec(**base))
 
+    @pytest.mark.parametrize("family, baseline", [
+        (ModelFamily.COX, WEIB),
+        (ModelFamily.AH, LogNormal(7.73, 0.7)),
+        (ModelFamily.AFT, LogNormal(7.73, 0.7)),
+    ])
+    def test_batch_rows_equal_one_row_calls(self, family, baseline):
+        sim = self.sim(family, baseline, n=400, p=10, k=10)
+        grid = np.geomspace(1.0, 2e4, 150)
+        batch = true_survival(sim, sim.data.X, grid)
+        assert batch.probs.shape == (400, 150)
+        for i, x in enumerate(sim.data.X):
+            assert np.array_equal(batch[i].probs,
+                                  true_survival(sim, x, grid).probs)
+
     def test_starts_at_one_and_monotone(self):
         sim = self.sim()
         grid = np.linspace(1.0, 15000.0, 300)
