@@ -99,8 +99,10 @@ class SurvivalCurve:
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
         lo, hi = (probs.min(), probs.max()) if probs.size else (0.0, 1.0)
-        if lo < -1e-12 or hi > 1 + 1e-12:
-            raise ValueError("survival probabilities must lie in [0, 1]")
+        # min and max propagate NaN, which fails both comparisons
+        if not (lo >= -1e-12 and hi <= 1 + 1e-12):
+            raise ValueError("survival probabilities must lie in [0, 1], "
+                             "not NaN")
         rows = probs.reshape(-1, grid.size)
         for start in range(0, rows.shape[0], _CHECK_ROWS):
             if np.any(np.diff(rows[start:start + _CHECK_ROWS], axis=1) > 1e-12):

@@ -82,8 +82,8 @@ def kaplan_meier(times, indicators) -> KaplanMeier:
     )
 
 
-# events per comparison block (its work set is _BLOCK × n), and subjects
-# per block of exact curves
+# events per comparison block: its work set, and the most exact-model
+# values the reference holds at once, is _BLOCK × n
 _BLOCK = 256
 
 
@@ -101,30 +101,36 @@ def _check_lengths(predictions: SurvivalCurve, times, events):
     return times, events
 
 
-def _tabulate(curves: SurvivalCurve, t) -> tuple[np.ndarray, np.ndarray]:
-    """Every curve at the times ``t``, one table column per step they fall on.
+def _tabulate(curves: SurvivalCurve, t,
+              rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Curves at the times ``t``, one table column per step they fall on.
 
     The batch's grid cuts the time axis into steps on which every curve is
-    constant, with a step before the first grid point where S = 1.
-    Returns (table, col) with table[j, col[a]] equal to curves[j].at(t[a])
-    bit for bit; the table holds n·min(len(t), G + 1) values.
+    constant, with a step before the first grid point where S = 1. The
+    table has a row per curve, or per subject of a column of indices
+    ``rows``. Returns (table, col) with table[j, col[a]] equal to row j's
+    curve at t[a] bit for bit; the table has min(len(t), G + 1) columns.
     """
     steps, col = np.unique(np.searchsorted(curves.grid, t, side="right"),
                            return_inverse=True)
-    table = curves.probs[:, np.maximum(steps - 1, 0)]
+    table = curves.probs[rows, np.maximum(steps - 1, 0)]
     table[:, steps == 0] = 1.0
     return table, col
 
 
-def _concordance(table: np.ndarray, col: np.ndarray, times, events):
-    """Pair counts of the time-dependent concordance.
+def _concordance(read, times: np.ndarray,
+                 events: np.ndarray) -> tuple[float, int]:
+    """Time-dependent concordance from a column reader.
 
-    ``table[j, col[i]]`` is subject j's prediction at subject i's time
-    (read for events i only); lower means an earlier expected event.
-    Returns (concordant + 0.5·tied, comparable) over the pairs (i, j) with
-    i an event and T_i < T_j, or T_i = T_j with j censored. In time order
-    with events first at ties, each event's comparable subjects form a
-    suffix, which is scanned for a block of events at a time.
+    ``read(rows, subj)`` gives the predictions of subjects ``rows`` at the
+    times of events ``subj``, one column per event; lower means an earlier
+    expected event. Returns (concordant + 0.5·tied, comparable) over the
+    pairs (i, j) with i an event and T_i < T_j, or T_i = T_j with j
+    censored. In time order with events first at ties, each event's
+    comparable subjects form a suffix. A block of ``_BLOCK`` events reads
+    one column per event, from the block's first event to the end of the
+    order, so the events' own values come with their suffixes; nothing is
+    read when no pair is comparable.
     """
     is_event = events.astype(bool)
     order = np.lexsort((~is_event, times))
@@ -135,16 +141,22 @@ def _concordance(table: np.ndarray, col: np.ndarray, times, events):
     start = (np.searchsorted(event_t, event_t, side="right")
              + np.searchsorted(np.sort(times[~is_event]), event_t, side="left"))
     n = times.size
+    comparable = int((n - start).sum())
+    if comparable == 0:
+        return 0.0, 0
     less = tied = 0
     for lo in range(0, pos.size, _BLOCK):
-        subj = order[pos[lo:lo + _BLOCK]]
+        block_pos = pos[lo:lo + _BLOCK]
+        subj = order[block_pos]
         first = start[lo:lo + _BLOCK]
-        own = table[subj, col[subj]]
-        later = table[np.ix_(order[first[0]:], col[subj])]
-        comparable = np.arange(first[0], n)[:, None] >= first
-        less += int(np.count_nonzero((own < later) & comparable))
-        tied += int(np.count_nonzero((own == later) & comparable))
-    return less + 0.5 * tied, int((n - start).sum())
+        # the block's own events lie ahead of their suffixes, so each
+        # event's own value sits on its row of the same read
+        later = read(order[block_pos[0]:], subj)
+        own = later[block_pos - block_pos[0], np.arange(subj.size)]
+        in_suffix = np.arange(block_pos[0], n)[:, None] >= first
+        less += int(np.count_nonzero((own < later) & in_suffix))
+        tied += int(np.count_nonzero((own == later) & in_suffix))
+    return less + 0.5 * tied, comparable
 
 
 def c_index_td(predictions: SurvivalCurve, times, events) -> float:
@@ -153,15 +165,17 @@ def c_index_td(predictions: SurvivalCurve, times, events) -> float:
     Pair (i, j) is comparable when T_i < T_j with subject i an event, or
     T_i = T_j with i an event and j censored. It is concordant when the
     predicted survival of i at T_i falls below that of j at the same
-    time; ties contribute 0.5. Only the events' times are tabulated, and
-    the pairs are counted in time order without an n×n matrix.
+    time; ties contribute 0.5. The curves are read only at the events'
+    times, a block at a time, and the pairs are counted in time order
+    without an n×n matrix.
     """
     times, events = _check_lengths(predictions, times, events)
-    is_event = events.astype(bool)
-    table, event_col = _tabulate(predictions, times[is_event])
-    col = np.zeros(times.size, dtype=np.intp)
-    col[is_event] = event_col
-    concordant, comparable = _concordance(table, col, times, events)
+
+    def read(rows, subj):
+        table, col = _tabulate(predictions, times[subj], rows[:, None])
+        return np.take(table, col, axis=1)
+
+    concordant, comparable = _concordance(read, times, events)
     if comparable == 0:
         raise ValueError("no comparable pairs")
     return concordant / comparable
@@ -265,22 +279,34 @@ def metric_report(predictions: SurvivalCurve, times, events) -> MetricReport:
 def reference_metrics(simulated, test_idx) -> MetricReport:
     """Metrics of the exact data-generating model on a held-out subset.
 
-    The true survival curves are tabulated only where the metrics read
-    them, at the test events' times and on the Brier grid, so step
-    interpolation is exact at every evaluation point. They fill one table
-    a block of ``_BLOCK`` subjects at a time.
+    The true curves are evaluated only where the metrics read them. C_td
+    takes one block of ``_BLOCK`` events at a time and evaluates
+    ``true_survival`` at the block's distinct event times, only for the
+    subjects from the block's first event on in time order (its events
+    and their comparable suffixes), so at most n·``_BLOCK`` exact values
+    are held; the Brier trace reads one n × 100 batch on its grid. Every
+    value is the exact model at an evaluation point.
     """
     from .simgen import true_survival
 
     test_idx = np.asarray(test_idx, dtype=np.intp)
+    if test_idx.size == 0:
+        raise ValueError("reference_metrics needs at least one test subject")
     data = simulated.data
+    X = data.X[test_idx]
     times = data.time[test_idx]
     events = data.event[test_idx]
+
+    def exact(rows, subj):
+        t, col = np.unique(times[subj], return_inverse=True)
+        return np.take(true_survival(simulated, X[rows], t).probs, col, axis=1)
+
+    concordant, comparable = _concordance(exact, times, events)
+    if comparable == 0:
+        raise ValueError("no comparable pairs")
     tau = float(times.max())
-    grid = np.unique(np.concatenate([times[events == 1],
-                                     np.linspace(0.0, tau, 101)[1:]]))
-    probs = np.empty((test_idx.size, grid.size))
-    for lo in range(0, test_idx.size, _BLOCK):
-        rows = data.X[test_idx[lo:lo + _BLOCK]]
-        probs[lo:lo + _BLOCK] = true_survival(simulated, rows, grid).probs
-    return metric_report(SurvivalCurve(grid, probs), times, events)
+    curves = true_survival(simulated, X, np.linspace(0.0, tau, 101)[1:])
+    trace, clamps = brier_trace(curves, times, events)
+    return MetricReport(c_td=concordant / comparable,
+                        ibs=integrate_trace(trace, tau), brier_trace=trace,
+                        tau=tau, g_clamp_events=clamps)

@@ -97,11 +97,13 @@ def _train_network(zdata: SurvivalDataset, lam: float, config: TrainConfig,
 def _scalar_concordance(scores: np.ndarray, time: np.ndarray,
                         event: np.ndarray) -> float:
     """Harrell concordance of risk scores (higher score, earlier event):
-    the time-dependent pair count on a one-column table of -score; 0.5
-    when no pair is comparable."""
+    the time-dependent pair count on -score, the same at every event's
+    time; 0.5 when no pair is comparable."""
+    neg = -np.asarray(scores, dtype=np.float64)
     concordant, comparable = _concordance(
-        -np.asarray(scores, dtype=np.float64)[:, None],
-        np.zeros(time.size, dtype=np.intp), time, event)
+        lambda rows, subj: np.broadcast_to(neg[rows, None],
+                                           (rows.size, subj.size)),
+        time, event)
     return concordant / comparable if comparable else 0.5
 
 

@@ -89,6 +89,13 @@ class TestSurvivalCurve:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SurvivalCurve(grid=[1.0, 2.0], probs=probs)
 
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [0.8, np.nan]])
+    def test_batch_rejects_nan(self, row):
+        # a batch like this once scored C_td 0.0 and IBS NaN without error
+        probs = np.array([[0.9, 0.4], row, [0.7, 0.2]])
+        with pytest.raises(ValueError, match="NaN"):
+            SurvivalCurve(grid=[1.0, 2.0], probs=probs)
+
     def test_rounding_past_unit_interval_is_clipped(self):
         curves = SurvivalCurve(grid=[1.0, 2.0],
                                probs=[[1.0 + 1e-13, 0.5], [0.5, -1e-13]])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from survbench.core import SurvivalCurve
+from survbench import metrics, simgen
+from survbench.core import SurvivalCurve, SurvivalDataset
 from survbench.metrics import (
     _BLOCK,
     brier_score,
@@ -17,7 +19,14 @@ from survbench.metrics import (
     metric_report,
     reference_metrics,
 )
-from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
+from survbench.simgen import (
+    LogNormal,
+    ModelFamily,
+    SimulationSpec,
+    Weibull,
+    generate,
+    true_survival,
+)
 
 
 def km_brute_force(times, indicators):
@@ -303,8 +312,6 @@ class TestReferenceMetrics:
             assert rep.ibs >= 0.0
 
     def test_crossing_ah_reference_stays_in_range(self):
-        from survbench.simgen import LogNormal
-
         spec = SimulationSpec(family=ModelFamily.AH,
                               baseline=LogNormal(7.73, 0.7),
                               n=300, p=5, k=5, censor_target=0.3, seed=3)
@@ -312,6 +319,47 @@ class TestReferenceMetrics:
         rep = reference_metrics(sim, np.arange(100))
         assert 0.0 <= rep.c_td <= 1.0
         assert rep.ibs >= 0.0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_event_blocks_match_pair_enumeration(self, data):
+        # small blocks put tied event times on both sides of a block edge
+        n = data.draw(st.integers(5, 60), label="n")
+        seed = data.draw(st.integers(0, 10_000), label="seed")
+        if data.draw(st.booleans(), label="cox_weibull"):
+            spec = SimulationSpec(family=ModelFamily.COX,
+                                  baseline=Weibull(2.0, 1.3e-7),
+                                  n=n, p=4, k=2, seed=seed)
+        else:
+            spec = SimulationSpec(family=ModelFamily.AH,
+                                  baseline=LogNormal(7.73, 0.7),
+                                  n=n, p=4, k=2, seed=seed)
+        sim = generate(spec)
+        unit = data.draw(st.sampled_from([0.0, 100.0, 500.0]), label="unit")
+        if unit:
+            sim = dataclasses.replace(sim, data=SurvivalDataset(
+                sim.data.X, np.ceil(sim.data.time / unit) * unit,
+                sim.data.event))
+        rng = np.random.default_rng(seed)
+        idx = rng.permutation(n)[:data.draw(st.integers(2, n), label="m")]
+        X, times, events = (sim.data.X[idx], sim.data.time[idx],
+                            sim.data.event[idx])
+        # the exact curves on the union of the test times and the Brier grid
+        grid = np.unique(np.concatenate(
+            [times, np.linspace(0.0, times.max(), 101)[1:]]))
+        curves = true_survival(sim, X, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK", data.draw(st.integers(2, 7)))
+            try:
+                rep = reference_metrics(sim, idx)
+            except ValueError as err:
+                assert "no comparable pairs" in str(err)
+                with pytest.raises(ZeroDivisionError):
+                    c_td_brute_force(curves, times, events)
+                return
+            union = metric_report(curves, times, events)
+        assert rep.c_td == c_td_brute_force(curves, times, events)
+        assert (rep.c_td, rep.ibs) == (union.c_td, union.ibs)
 
     def test_report_fields_consistent(self):
         sim = self.make_sim(1)
@@ -328,8 +376,6 @@ class TestReferenceMetrics:
         assert rep.ibs == 0.11562739686017234
 
     def test_pinned_ah_lognormal(self):
-        from survbench.simgen import LogNormal
-
         spec = SimulationSpec(family=ModelFamily.AH,
                               baseline=LogNormal(7.73, 0.7),
                               n=300, p=5, k=5, censor_target=0.3, seed=3)
@@ -337,11 +383,19 @@ class TestReferenceMetrics:
         assert rep.c_td == 0.6389440817485098
         assert rep.ibs == 0.08689612371344622
 
-    def test_memory_holds_no_union_grid_table(self):
-        # tabulating the exact curves on the union of all 3000 test times,
-        # one subject at a time, peaked at 131 MiB
-        from survbench.simgen import LogNormal
+    def test_pinned_past_one_block(self):
+        # 499 events among 700 test subjects: two blocks of events; recorded
+        # when the exact curves were tabulated on the union of the event
+        # times and the Brier grid
+        spec = SimulationSpec(family=ModelFamily.AH,
+                              baseline=LogNormal(7.73, 0.7),
+                              n=1000, p=5, k=5, censor_target=0.3, seed=11)
+        rep = reference_metrics(generate(spec), np.arange(700))
+        assert rep.c_td == 0.6797434792896536
+        assert rep.ibs == 0.09495155913514071
 
+    def reference_peak(self):
+        """tracemalloc peak of the reference metrics on 3000 AH subjects."""
         spec = SimulationSpec(family=ModelFamily.AH,
                               baseline=LogNormal(7.73, 0.7),
                               n=3000, p=10, k=10, censor_target=0.3, seed=3)
@@ -352,7 +406,31 @@ class TestReferenceMetrics:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 120 * 2**20
+        return peak
+
+    def test_memory_holds_no_union_grid_table(self):
+        # tabulating the exact curves on the union of all 3000 test times,
+        # one subject at a time, peaked at 131 MiB
+        assert self.reference_peak() < 120 * 2**20
+
+    def test_memory_holds_one_event_block(self):
+        # the table on the event times and the Brier grid, plus C_td's
+        # copy of it, peaked at 110 MiB
+        assert self.reference_peak() < 40 * 2**20
+
+    def test_empty_test_idx(self):
+        with pytest.raises(ValueError, match="at least one test subject"):
+            reference_metrics(self.make_sim(0), [])
+
+    def test_all_censored_fails_before_exact_curves(self, monkeypatch):
+        sim = self.make_sim(0)
+
+        def unreachable(*args):
+            raise AssertionError("an exact curve was evaluated")
+
+        monkeypatch.setattr(simgen, "true_survival", unreachable)
+        with pytest.raises(ValueError, match="no comparable pairs"):
+            reference_metrics(sim, np.flatnonzero(sim.data.event == 0))
 
 
 class TestInputChecks:
