@@ -136,11 +136,8 @@ def _mlp_to_dict(params: MlpParams) -> dict:
 
 
 def _mlp_from_dict(d: dict) -> MlpParams:
-    weights = tuple(np.asarray(w, dtype=np.float64) for w in d["weights"])
-    biases = tuple(None if b is None else np.asarray(b, dtype=np.float64)
-                   for b in d["biases"])
-    return MlpParams(weights=weights, biases=biases,
-                     activations=tuple(d["activations"]))
+    # from_layers checks shapes, activations and finiteness of the file's net
+    return MlpParams.from_layers(d["weights"], d["biases"], d["activations"])
 
 
 def _baseline_to_dict(base: BaselineEstimate) -> dict:

@@ -19,7 +19,7 @@ from .discrete import (
     nnsurv_loss_and_grad,
     nnsurv_survival,
 )
-from .mlp import Adam, MlpParams, init_mlp, mlp_backward, mlp_forward, pack, unpack
+from .mlp import Adam, MlpParams, init_mlp, mlp_backward, mlp_forward
 
 __all__ = [
     "TrainConfig",
@@ -42,6 +42,4 @@ __all__ = [
     "init_mlp",
     "mlp_backward",
     "mlp_forward",
-    "pack",
-    "unpack",
 ]

@@ -31,8 +31,6 @@ from .mlp import (
     init_mlp,
     mlp_backward,
     mlp_forward,
-    pack,
-    pack_grads,
     squared_norm,
     unpack,
 )
@@ -53,7 +51,8 @@ class CoxnnetFit:
 
 def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam: float):
     """Penalized negative partial log-likelihood of the network output and
-    its gradient with respect to every parameter (packed)."""
+    its gradient with respect to every parameter, laid out like
+    ``params.vec``."""
     if lam < 0:
         raise ValueError("ridge weight must be nonnegative")
     theta, caches = mlp_forward(params, data.X)
@@ -63,8 +62,7 @@ def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam: float):
                       RuntimeWarning, stacklevel=2)
     neg_ll, d_theta = cox_loss_and_grad(theta, data.time, data.event)
     loss = neg_ll + lam * squared_norm(params)
-    d_w, d_b = mlp_backward(params, caches, d_theta[:, None])
-    grad = pack_grads(params, d_w, d_b) + 2.0 * lam * pack(params)
+    grad = mlp_backward(params, caches, d_theta[:, None]) + 2.0 * lam * params.vec
     return loss, grad
 
 
@@ -88,7 +86,7 @@ def _train_network(zdata: SurvivalDataset, lam: float, config: TrainConfig,
             return cox_loss(theta[:, 0], val.time, val.event)
 
     vec, trace = fit_adam(
-        pack(params),
+        params.vec,
         lambda vec, batch: coxnnet_loss_and_grad(unpack(params, vec), batch, lam),
         lambda: (train,), held_score, config)
     return unpack(params, vec), trace

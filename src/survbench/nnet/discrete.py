@@ -28,8 +28,6 @@ from .mlp import (
     init_mlp,
     mlp_backward,
     mlp_forward,
-    pack,
-    pack_grads,
     squared_norm,
     unpack,
 )
@@ -103,31 +101,25 @@ def build_time_grid(data: SurvivalDataset, n_intervals: int = 20) -> DiscreteTim
 def duplicate(data: SurvivalDataset, grid: DiscreteTimeGrid) -> DuplicatedBatch:
     """One row per (subject, interval survived); the target is 0 except in
     the subject's final interval, where it equals the event indicator."""
-    mids = grid.midpoints
     last = grid.interval_of(data.time)
-    rows, targets, subject, interval = [], [], [], []
-    for i in range(data.n):
-        li = int(last[i])
-        reps = np.repeat(data.X[i][None, :], li, axis=0)
-        feats = np.column_stack([reps, mids[:li]])
-        rows.append(feats)
-        d = np.zeros(li)
-        d[-1] = data.event[i]
-        targets.append(d)
-        subject.append(np.full(li, i))
-        interval.append(np.arange(1, li + 1))
+    ends = np.cumsum(last)  # one past each subject's final row
+    subject = np.repeat(np.arange(data.n), last)
+    interval = np.arange(subject.size) - (ends - last)[subject] + 1
+    targets = np.zeros(subject.size)
+    targets[ends - 1] = data.event
     return DuplicatedBatch(
-        features=np.concatenate(rows, axis=0),
-        targets=np.concatenate(targets),
-        subject=np.concatenate(subject),
-        interval=np.concatenate(interval),
+        features=np.column_stack([data.X[subject],
+                                  grid.midpoints[interval - 1]]),
+        targets=targets,
+        subject=subject,
+        interval=interval,
     )
 
 
 def nnsurv_loss_and_grad(params: MlpParams, features: np.ndarray,
                          targets: np.ndarray, lam: float):
     """Summed cross-entropy of the sigmoid hazards plus the squared-L2
-    penalty; gradient packed over all parameters.
+    penalty; the gradient is laid out like ``params.vec``.
 
     Hazards are clipped away from {0, 1} before the logs; the gradient is
     zero where the clip is active, matching the computed loss.
@@ -147,8 +139,7 @@ def nnsurv_loss_and_grad(params: MlpParams, features: np.ndarray,
     # mlp_backward multiplies by sigmoid'(z) itself, so pass dz / h(1-h)
     denom = np.where(active, h_raw * (1.0 - h_raw), 1.0)
     d_out = (dz / denom)[:, None]
-    d_w, d_b = mlp_backward(params, caches, d_out)
-    grad = pack_grads(params, d_w, d_b) + 2.0 * lam * pack(params)
+    grad = mlp_backward(params, caches, d_out) + 2.0 * lam * params.vec
     return loss, grad
 
 
@@ -184,10 +175,7 @@ def _train_network(features, targets, subject, depth, lam, config: TrainConfig,
     # start the hazards at the marginal event rate instead of 0.5, so the
     # net begins calibrated and training spends itself on the modulation
     q = float(np.clip(targets.mean(), 1e-6, 1.0 - 1e-6))
-    params = MlpParams(
-        weights=params.weights,
-        biases=params.biases[:-1] + (np.array([np.log(q / (1.0 - q))]),),
-        activations=params.activations)
+    params.biases[-1][0] = np.log(q / (1.0 - q))
 
     subjects = np.unique(subject)
     n_val = int(round(config.val_fraction * subjects.size))
@@ -203,9 +191,10 @@ def _train_network(features, targets, subject, depth, lam, config: TrainConfig,
 
     def batches():
         order = rng.permutation(n_rows)
+        feat, tgt = tr_feat[order], tr_tgt[order]
         for start in range(0, n_rows, config.batch_size):
-            take = order[start:start + config.batch_size]
-            yield tr_feat[take], tr_tgt[take]
+            stop = start + config.batch_size
+            yield feat[start:stop], tgt[start:stop]
 
     held_score = None
     if monitor_val:
@@ -213,7 +202,7 @@ def _train_network(features, targets, subject, depth, lam, config: TrainConfig,
             return _mean_cross_entropy(unpack(params, vec), va_feat, va_tgt)
 
     vec, trace = fit_adam(
-        pack(params),
+        params.vec,
         lambda vec, batch: nnsurv_loss_and_grad(unpack(params, vec), *batch, lam),
         batches, held_score, config)
     return unpack(params, vec), trace

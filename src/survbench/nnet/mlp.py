@@ -1,9 +1,11 @@
 """Minimal dense feed-forward engine with analytic backpropagation.
 
 Everything is float64 and deterministic: parameters initialize from a
-seeded fan-in-scaled uniform, and the Adam update is a pure function of
-the packed parameter vector. The packed representation also makes
-finite-difference checks of any loss trivial.
+seeded fan-in-scaled uniform. Each network's parameters are one flat
+vector, layer by layer, with per-layer views into it; gradients share the
+layout, so the Adam update and finite-difference checks of any loss work
+on plain vectors. Layers are checked where they enter (``init_mlp``,
+``MlpParams.from_layers``), never per training step.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ACTIVATIONS = ("tanh", "relu", "sigmoid", "identity")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -35,27 +40,60 @@ def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
+def _check_layers(weights, biases, activations) -> None:
+    if not (len(weights) == len(biases) == len(activations)):
+        raise ValueError("layer lists must align")
+    for act in activations:
+        if act not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {act!r}")
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        if w.ndim != 2:
+            raise ValueError(f"layer {k}: weights must be a matrix")
+        if b is not None and b.shape != (w.shape[1],):
+            raise ValueError(f"layer {k}: bias shape {b.shape} != ({w.shape[1]},)")
+        if k and w.shape[0] != weights[k - 1].shape[1]:
+            raise ValueError(f"layer {k} input dim does not chain")
+        if not np.all(np.isfinite(w)) or (b is not None and not np.all(np.isfinite(b))):
+            raise ValueError("parameters must be finite")
+
+
+def _views(weights, biases, vec: np.ndarray):
+    """Per-layer views into ``vec``, each weight matrix before its bias."""
+    w_views, b_views = [], []
+    pos = 0
+    for w, b in zip(weights, biases):
+        w_views.append(vec[pos:pos + w.size].reshape(w.shape))
+        pos += w.size
+        if b is None:
+            b_views.append(None)
+        else:
+            b_views.append(vec[pos:pos + b.size])
+            pos += b.size
+    return tuple(w_views), tuple(b_views)
+
+
 @dataclass(frozen=True)
 class MlpParams:
-    """Per-layer weight matrices (in x out), optional biases, activation tags."""
+    """Flat parameter vector with per-layer views into it: weight matrices
+    (in x out), optional biases; and activation tags. Only ``from_layers``
+    checks its input."""
 
+    vec: np.ndarray
     weights: tuple
     biases: tuple  # entry None for layers without a bias
     activations: tuple
 
-    def __post_init__(self):
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
-            raise ValueError("layer lists must align")
-        for act in self.activations:
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if b is not None and b.shape != (w.shape[1],):
-                raise ValueError(f"layer {k}: bias shape {b.shape} != ({w.shape[1]},)")
-            if k and w.shape[0] != self.weights[k - 1].shape[1]:
-                raise ValueError(f"layer {k} input dim does not chain")
-            if not np.all(np.isfinite(w)) or (b is not None and not np.all(np.isfinite(b))):
-                raise ValueError("parameters must be finite")
+    @classmethod
+    def from_layers(cls, weights, biases, activations) -> MlpParams:
+        """Check the layers, then copy them into one flat vector."""
+        weights = tuple(np.asarray(w, dtype=np.float64) for w in weights)
+        biases = tuple(None if b is None else np.asarray(b, dtype=np.float64)
+                       for b in biases)
+        activations = tuple(activations)
+        _check_layers(weights, biases, activations)
+        vec = np.concatenate([part.ravel() for w, b in zip(weights, biases)
+                              for part in (w, b) if part is not None])
+        return cls(vec, *_views(weights, biases, vec), activations)
 
     @property
     def n_layers(self) -> int:
@@ -77,8 +115,14 @@ def init_mlp(sizes, activations, seed: int, output_bias: bool = True) -> MlpPara
         last = k == len(sizes) - 2
         biases.append(None if (last and not output_bias)
                       else rng.uniform(-bound, bound, size=d_out))
-    return MlpParams(weights=tuple(weights), biases=tuple(biases),
-                     activations=tuple(activations))
+    return MlpParams.from_layers(weights, biases, activations)
+
+
+def unpack(template: MlpParams, vec: np.ndarray) -> MlpParams:
+    """The network of ``template``'s shape whose parameters are ``vec``:
+    views, no copy and no check."""
+    return MlpParams(vec, *_views(template.weights, template.biases, vec),
+                     template.activations)
 
 
 def mlp_forward(params: MlpParams, X: np.ndarray):
@@ -101,26 +145,26 @@ def mlp_forward(params: MlpParams, X: np.ndarray):
     return a, caches
 
 
-def mlp_backward(params: MlpParams, caches, d_out: np.ndarray):
-    """Gradients of a scalar loss given d loss / d output.
-
-    Returns ([dW per layer], [db per layer or None]).
-    """
-    d_weights = [None] * params.n_layers
-    d_biases = [None] * params.n_layers
+def mlp_backward(params: MlpParams, caches, d_out: np.ndarray) -> np.ndarray:
+    """Gradient of a scalar loss given d loss / d output, laid out like
+    ``params.vec``."""
+    grad = np.empty_like(params.vec)
+    d_weights, d_biases = _views(params.weights, params.biases, grad)
     delta = np.asarray(d_out, dtype=np.float64)
     for k in range(params.n_layers - 1, -1, -1):
         a_in, z, a_out = caches[k]
         delta = delta * _activate_grad(params.activations[k], z, a_out)
-        d_weights[k] = a_in.T @ delta
-        d_biases[k] = delta.sum(axis=0) if params.biases[k] is not None else None
+        d_weights[k][...] = a_in.T @ delta
+        if d_biases[k] is not None:
+            d_biases[k][...] = delta.sum(axis=0)
         if k:
             delta = delta @ params.weights[k].T
-    return d_weights, d_biases
+    return grad
 
 
 def squared_norm(params: MlpParams) -> float:
-    """Sum of squared entries over every weight matrix and bias vector."""
+    """Sum of squared entries over every weight matrix and bias vector, by
+    layer: ``vec @ vec`` rounds differently and would move the loss trace."""
     total = 0.0
     for w, b in zip(params.weights, params.biases):
         total += float(np.sum(w * w))
@@ -129,47 +173,11 @@ def squared_norm(params: MlpParams) -> float:
     return total
 
 
-def pack(params: MlpParams) -> np.ndarray:
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        if b is not None:
-            parts.append(b)
-    return np.concatenate(parts)
-
-
-def unpack(template: MlpParams, vec: np.ndarray) -> MlpParams:
-    weights, biases = [], []
-    pos = 0
-    for w, b in zip(template.weights, template.biases):
-        weights.append(vec[pos:pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-        if b is None:
-            biases.append(None)
-        else:
-            biases.append(vec[pos:pos + b.size].copy())
-            pos += b.size
-    return MlpParams(weights=tuple(weights), biases=tuple(biases),
-                     activations=template.activations)
-
-
-def pack_grads(params: MlpParams, d_weights, d_biases) -> np.ndarray:
-    parts = []
-    for k in range(params.n_layers):
-        parts.append(d_weights[k].ravel())
-        if params.biases[k] is not None:
-            parts.append(d_biases[k])
-    return np.concatenate(parts)
-
-
 @dataclass
 class Adam:
-    """Per-parameter adaptive step sizes on the packed vector."""
+    """Per-parameter adaptive step sizes on the flat parameter vector."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         self._m = None
@@ -181,8 +189,8 @@ class Adam:
             self._m = np.zeros_like(vec)
             self._v = np.zeros_like(vec)
         self._t += 1
-        self._m = self.beta1 * self._m + (1 - self.beta1) * grad
-        self._v = self.beta2 * self._v + (1 - self.beta2) * grad * grad
-        m_hat = self._m / (1 - self.beta1 ** self._t)
-        v_hat = self._v / (1 - self.beta2 ** self._t)
-        return vec - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._m = ADAM_BETA1 * self._m + (1 - ADAM_BETA1) * grad
+        self._v = ADAM_BETA2 * self._v + (1 - ADAM_BETA2) * grad * grad
+        m_hat = self._m / (1 - ADAM_BETA1 ** self._t)
+        v_hat = self._v / (1 - ADAM_BETA2 ** self._t)
+        return vec - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

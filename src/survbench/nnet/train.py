@@ -1,9 +1,9 @@
 """Training machinery shared by the survival network heads: the Adam
 epoch loop with early stopping, and k-fold selection of the ridge weight.
 
-Both work on the packed parameter vector; each head supplies only what
-differs between them, namely the batches of an epoch with their loss,
-and the held-out score.
+Both work on the network's flat parameter vector (``MlpParams.vec``);
+each head supplies only what differs between them, namely the batches of
+an epoch with their loss, and the held-out score.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from survbench.metrics import (
 )
 from survbench.models import fit_model
 from survbench.nnet import TrainConfig, coxnnet_loss_and_grad, nnsurv_loss_and_grad
-from survbench.nnet.mlp import init_mlp, pack, unpack
+from survbench.nnet.mlp import init_mlp, unpack
 from survbench.simgen import (
     LogNormal,
     ModelFamily,
@@ -49,7 +49,7 @@ def report(number, label, ok, detail=""):
 
 
 def finite_diff(loss_fn, template, eps=1e-6):
-    vec = pack(template)
+    vec = template.vec
     fd = np.zeros_like(vec)
     for j in range(vec.size):
         up, dn = vec.copy(), vec.copy()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,41 @@ class TestSerialization:
         d["kind"] = "mystery"
         with pytest.raises(ValueError, match="kind"):
             model_from_dict(d)
+
+
+def _nan_weight(net):
+    net["weights"][0][0][0] = float("nan")
+
+
+def _unchained_shape(net):
+    net["weights"][1] = net["weights"][1][:-1]
+
+
+def _long_bias(net):
+    net["biases"][0] = net["biases"][0] + [0.0]
+
+
+def _unknown_activation(net):
+    net["activations"][0] = "softplus"
+
+
+class TestLoadChecksNetwork:
+    @pytest.mark.parametrize("name", ["coxnnet", "nnsurv"])
+    @pytest.mark.parametrize("defect, match", [
+        (_nan_weight, "finite"),
+        (_unchained_shape, "chain"),
+        (_long_bias, "bias shape"),
+        (_unknown_activation, "activation"),
+    ])
+    def test_defective_saved_net_rejected(self, name, defect, match, fitted,
+                                          tmp_path):
+        path = tmp_path / f"{name}.json"
+        save_model(fitted[name], path)
+        d = json.loads(path.read_text())
+        defect(d["net"])
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
 
 
 class TestHighDimensionalRobustness:

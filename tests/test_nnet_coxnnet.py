@@ -7,7 +7,7 @@ from scipy import stats
 from survbench.core import SurvivalDataset, risk_set_sums
 from survbench.nnet import TrainConfig, coxnnet_fit, coxnnet_loss_and_grad
 from survbench.nnet.coxnnet import _scalar_concordance, coxnnet_scores
-from survbench.nnet.mlp import MlpParams, init_mlp, pack, unpack
+from survbench.nnet.mlp import MlpParams, init_mlp, unpack
 from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
 
 
@@ -21,7 +21,7 @@ def random_instance(n, p, hidden, seed):
 
 
 def finite_diff_loss(params, data, lam, eps=1e-6):
-    vec = pack(params)
+    vec = params.vec
     fd = np.zeros_like(vec)
     for j in range(vec.size):
         up, dn = vec.copy(), vec.copy()
@@ -38,9 +38,9 @@ class TestLossAndGrad:
         n, p = 8, 3
         data = SurvivalDataset(rng.standard_normal((n, p)),
                                rng.uniform(1, 9, n), rng.integers(0, 2, n))
-        params = MlpParams(weights=(np.zeros((p, 2)), np.zeros((2, 1))),
-                           biases=(np.zeros(2), None),
-                           activations=("tanh", "identity"))
+        params = MlpParams.from_layers(weights=(np.zeros((p, 2)), np.zeros((2, 1))),
+                                       biases=(np.zeros(2), None),
+                                       activations=("tanh", "identity"))
         sizes = risk_set_sums(data.time, np.ones(n))
         want = float(np.sum(np.log(sizes[data.event == 1])))
         loss, _ = coxnnet_loss_and_grad(params, data, 0.0)
@@ -103,7 +103,7 @@ class TestFit:
         cfg = TrainConfig(ridge=1e6, seed=1, epochs=600, min_epochs=600,
                           patience=1000, learning_rate=0.05, val_fraction=0.01)
         fit = coxnnet_fit(sim.data, cfg)
-        assert float(np.max(np.abs(pack(fit.params)))) < 0.01
+        assert float(np.max(np.abs(fit.params.vec))) < 0.01
         np.testing.assert_allclose(fit.train_scores, 1.0, atol=0.01)
 
     def test_loss_decreases_on_smoothed_window(self):

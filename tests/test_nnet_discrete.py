@@ -12,8 +12,9 @@ from survbench.nnet.discrete import (
     nnsurv_loss_and_grad,
     nnsurv_survival,
 )
-from survbench.nnet.mlp import MlpParams, init_mlp, pack, unpack
-from survbench.simgen import LogNormal, ModelFamily, SimulationSpec, generate
+from survbench.nnet.mlp import MlpParams, init_mlp, unpack
+from survbench.nnet.coxnnet import coxnnet_fit, coxnnet_scores
+from survbench.simgen import LogNormal, ModelFamily, SimulationSpec, Weibull, generate
 
 
 def uniform_data(n=50, seed=0):
@@ -89,11 +90,52 @@ class TestDuplicate:
             np.testing.assert_array_equal(rows, np.arange(1, last[i] + 1))
 
 
+def duplicate_oracle(data, grid):
+    """Per-subject construction of the duplicated rows."""
+    mids = grid.midpoints
+    last = grid.interval_of(data.time)
+    rows, targets, subject, interval = [], [], [], []
+    for i in range(data.n):
+        li = int(last[i])
+        rows.append(np.column_stack([np.repeat(data.X[i][None, :], li, axis=0),
+                                     mids[:li]]))
+        d = np.zeros(li)
+        d[-1] = data.event[i]
+        targets.append(d)
+        subject.append(np.full(li, i))
+        interval.append(np.arange(1, li + 1))
+    return (np.concatenate(rows, axis=0), np.concatenate(targets),
+            np.concatenate(subject), np.concatenate(interval))
+
+
+class TestDuplicateOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_equals_per_subject_rows(self, seed, tied):
+        rng = np.random.default_rng(seed)
+        n = 300
+        time = rng.uniform(0.01, 10.0, n)
+        if tied:
+            time = np.ceil(time)  # ten distinct times, ~30 subjects each
+        data = SurvivalDataset(rng.standard_normal((n, 3)), time,
+                               rng.integers(0, 2, n))
+        # the last cut sits below the largest times, so some subjects lie
+        # beyond it and are counted in the final interval
+        cuts = np.concatenate([[0.0], np.quantile(time, [0.2, 0.45, 0.7])])
+        grid = DiscreteTimeGrid(cuts=np.unique(cuts))
+        assert (time > grid.cuts[-1]).any()
+        batch = duplicate(data, grid)
+        got = (batch.features, batch.targets, batch.subject, batch.interval)
+        for a, b in zip(got, duplicate_oracle(data, grid)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
 def constant_half_net(p_in):
     """Zero weights and biases with a sigmoid head: every hazard is 0.5."""
-    return MlpParams(weights=(np.zeros((p_in, 2)), np.zeros((2, 1))),
-                     biases=(np.zeros(2), np.zeros(1)),
-                     activations=("relu", "sigmoid"))
+    return MlpParams.from_layers(weights=(np.zeros((p_in, 2)), np.zeros((2, 1))),
+                                 biases=(np.zeros(2), np.zeros(1)),
+                                 activations=("relu", "sigmoid"))
 
 
 class TestLossAndGrad:
@@ -104,8 +146,9 @@ class TestLossAndGrad:
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_saturated_correct_prediction_near_zero_loss(self):
-        params = MlpParams(weights=(np.zeros((1, 1)),), biases=(np.array([50.0]),),
-                           activations=("sigmoid",))
+        params = MlpParams.from_layers(weights=(np.zeros((1, 1)),),
+                                       biases=(np.array([50.0]),),
+                                       activations=("sigmoid",))
         loss, _ = nnsurv_loss_and_grad(params, np.array([[0.0]]),
                                        np.array([1.0]), 0.0)
         assert loss == pytest.approx(0.0, abs=1e-10)
@@ -118,7 +161,7 @@ class TestLossAndGrad:
         params = init_mlp((3, 3, 1), ("relu", "sigmoid"), seed=seed + 10)
         lam = 0.02
         _, grad = nnsurv_loss_and_grad(params, feats, targets, lam)
-        vec = pack(params)
+        vec = params.vec
         fd = np.zeros_like(vec)
         eps = 1e-6
         for j in range(vec.size):
@@ -148,7 +191,7 @@ class TestFitAndSurvival:
         sim = ah_sim(n=120)
         a = nnsurv_fit(sim.data, self.fast_config(7), depth=1, n_intervals=8)
         b = nnsurv_fit(sim.data, self.fast_config(7), depth=1, n_intervals=8)
-        np.testing.assert_array_equal(pack(a.params), pack(b.params))
+        np.testing.assert_array_equal(a.params.vec, b.params.vec)
 
     def test_depth_two_adds_a_layer(self):
         sim = ah_sim(n=100)
@@ -224,9 +267,9 @@ class TestFitAndSurvival:
                               depth=1, n_intervals=3)
         from dataclasses import replace
         p_in = fit_like.params.weights[0].shape[0]
-        frozen = MlpParams(weights=(np.zeros((p_in, 1)),),
-                           biases=(np.array([-60.0]),),
-                           activations=("sigmoid",))
+        frozen = MlpParams.from_layers(weights=(np.zeros((p_in, 1)),),
+                                       biases=(np.array([-60.0]),),
+                                       activations=("sigmoid",))
         fit = replace(fit_like, params=frozen)
         curve = nnsurv_survival(fit, np.zeros(4))
         np.testing.assert_allclose(curve.probs, 1.0, atol=1e-9)
@@ -295,6 +338,25 @@ PINNED_FITS = {
 }
 
 
+# coxnnet_fit outputs with ridge CV on, recorded before the parameters
+# moved into one flat vector; the Cox head's counterpart of PINNED_FITS.
+PINNED_COXNNET = dict(
+    ridge=7.0,
+    loss_trace=[
+        239.67950627853122, 237.3785986056057, 235.2457939767581,
+        233.27728129615252, 231.46502245552912, 229.79625099702986,
+        228.25604305401208, 226.83035893220207, 225.50781341471577,
+        224.27974093296058, 223.13965853780178, 222.08250928488027,
+        221.1039678110684, 220.20002572318316, 219.3667696668232,
+        218.6001268677645, 217.89562640397426, 217.24836513915574,
+        216.65323890728874, 216.10529351692963, 215.59999096912554,
+        215.13333968136223, 214.70192896153878, 214.30288506176643,
+        213.93373032297856, 213.59218293988818, 213.2760051300072,
+        212.98297542004258, 212.71094410028493, 212.45788942522984],
+    scores=[0.62720370804815, 0.8918943138679383, 1.1879492995575753],
+)
+
+
 class TestPinnedFits:
     @pytest.mark.parametrize("depth", [1, 2])
     def test_cv_fit_matches_recorded(self, depth):
@@ -313,3 +375,19 @@ class TestPinnedFits:
         for i, hazards in enumerate(want["hazards"]):
             np.testing.assert_allclose(nnsurv_hazards(fit, sim.data.X[i]),
                                        hazards, rtol=1e-12)
+
+    def test_coxnnet_cv_fit_matches_recorded(self):
+        spec = SimulationSpec(family=ModelFamily.COX,
+                              baseline=Weibull(2.0, 1.3e-7),
+                              n=90, p=3, k=2, censor_target=0.3, seed=11)
+        sim = generate(spec)
+        cfg = TrainConfig(seed=5, epochs=30, min_epochs=5, patience=4,
+                          cv_folds=2, learning_rate=0.01,
+                          ridge_grid=(1e-2, 1e-1, 1.0))
+        fit = coxnnet_fit(sim.data, cfg)
+        want = PINNED_COXNNET
+        assert fit.ridge == pytest.approx(want["ridge"], rel=1e-12)
+        np.testing.assert_allclose(fit.loss_trace, want["loss_trace"],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(coxnnet_scores(fit, sim.data.X[:3]),
+                                   want["scores"], rtol=1e-12)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from survbench.nnet import TrainConfig, coxnnet, discrete, mlp
 from survbench.nnet.mlp import (
     Adam,
     MlpParams,
     init_mlp,
     mlp_backward,
     mlp_forward,
-    pack,
-    pack_grads,
     unpack,
 )
 
@@ -25,7 +24,7 @@ def finite_diff(loss_fn, template, vec, eps=1e-6):
 
 class TestForward:
     def test_zero_weights_tanh_gives_zero(self):
-        params = MlpParams(
+        params = MlpParams.from_layers(
             weights=(np.zeros((3, 4)), np.zeros((4, 1))),
             biases=(np.zeros(4), np.zeros(1)),
             activations=("tanh", "identity"),
@@ -37,7 +36,8 @@ class TestForward:
         rng = np.random.default_rng(0)
         W = rng.standard_normal((3, 2))
         b = rng.standard_normal(2)
-        params = MlpParams(weights=(W,), biases=(b,), activations=("identity",))
+        params = MlpParams.from_layers(weights=(W,), biases=(b,),
+                                       activations=("identity",))
         X = rng.standard_normal((6, 3))
         out, _ = mlp_forward(params, X)
         np.testing.assert_array_equal(out, X @ W + b)
@@ -87,17 +87,58 @@ class TestBackward:
             return 0.5 * np.sum((out[:, 0] - y) ** 2)
 
         out, caches = mlp_forward(params, X)
-        d_w, d_b = mlp_backward(params, caches, (out[:, 0] - y)[:, None])
-        grad = pack_grads(params, d_w, d_b)
-        fd = finite_diff(loss_fn, params, pack(params))
+        grad = mlp_backward(params, caches, (out[:, 0] - y)[:, None])
+        fd = finite_diff(loss_fn, params, params.vec)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
-    def test_pack_unpack_round_trip(self):
+
+class TestFlatParameters:
+    def test_unpack_views_round_trip(self):
         params = init_mlp((3, 5, 2, 1), ("tanh", "relu", "identity"), seed=2,
                           output_bias=False)
-        vec = pack(params)
-        again = pack(unpack(params, vec))
-        np.testing.assert_array_equal(vec, again)
+        # the views and from_layers' copy agree on the layout
+        again = MlpParams.from_layers(params.weights, params.biases,
+                                      params.activations)
+        np.testing.assert_array_equal(again.vec, params.vec)
+
+        vec = params.vec.copy()
+        views = unpack(params, vec)
+        assert views.vec is vec and views.biases[-1] is None
+        for got, orig in zip(views.weights + views.biases[:-1],
+                             params.weights + params.biases[:-1]):
+            assert np.shares_memory(got, vec)
+            np.testing.assert_array_equal(got, orig)
+
+    def test_layers_checked_once_per_init_never_per_step(self, monkeypatch):
+        from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
+
+        counts = {"check": 0, "init": 0, "step": 0}
+        check, init, step = mlp._check_layers, mlp.init_mlp, Adam.step
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mlp, "_check_layers", counted("check", check))
+        for module in (coxnnet, discrete):
+            monkeypatch.setattr(module, "init_mlp", counted("init", init))
+        monkeypatch.setattr(Adam, "step", counted("step", step))
+
+        spec = SimulationSpec(family=ModelFamily.COX,
+                              baseline=Weibull(2.0, 1.3e-7), n=60, p=3, k=2,
+                              censor_target=0.3, seed=0)
+        data = generate(spec).data
+        cfg = TrainConfig(epochs=4, min_epochs=1, cv_folds=2, batch_size=32,
+                          seed=0)
+        coxnnet.coxnnet_fit(data, cfg)
+        discrete.nnsurv_fit(data, cfg, depth=1, n_intervals=4)
+        # ridge CV trains 3 candidates on each of 2 folds, then the final
+        # fit; every training runs all its epochs (patience > epochs)
+        assert counts["init"] == 2 * (2 * 3 + 1)
+        assert counts["check"] == counts["init"]
+        assert counts["step"] >= cfg.epochs * counts["init"]
 
 
 class TestAdam:
