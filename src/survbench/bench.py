@@ -2,8 +2,8 @@
 
 A grid run simulates each cell, splits it, fits every requested model,
 and scores test-set predictions next to the exact-model reference.
-Rows append to a CSV as they finish, so interrupted runs resume without
-recomputing completed work; all seeds derive deterministically from
+Rows append to a CSV as they finish, so a resumed run computes only the
+rows that are missing or failed; all seeds derive deterministically from
 (base seed, cell index, repetition), which makes reruns bit-stable.
 """
 
@@ -38,6 +38,7 @@ CONFIG_VERSION = 1
 RESULT_COLUMNS = ("family", "baseline", "n", "p", "model", "rep", "seed",
                   "c_td", "ibs", "wall_seconds")
 REFERENCE_MODEL = "reference"
+FAILED_SEED = -1  # seed of a row whose cell failed: NaN metrics, no result
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,10 @@ class ResultRow:
 
     def key(self):
         return (self.family, self.baseline, self.n, self.p, self.model, self.rep)
+
+    @property
+    def failed(self) -> bool:
+        return self.seed == FAILED_SEED
 
     def as_record(self) -> list:
         return [self.family, self.baseline, self.n, self.p, self.model,
@@ -189,22 +194,25 @@ def builtin_config(name: str, repetitions: int = 5,
 # result persistence
 
 def read_results(path) -> list:
-    rows = []
+    """The rows of a results file, one per key: a later row replaces an
+    earlier one of its key (a failed row retried on resume) in place."""
+    rows = {}
     path = Path(path)
     if not path.exists():
-        return rows
+        return []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is not None and tuple(reader.fieldnames) != RESULT_COLUMNS:
             raise ValueError(f"unexpected results header {reader.fieldnames}")
         for rec in reader:
-            rows.append(ResultRow(
+            row = ResultRow(
                 family=rec["family"], baseline=rec["baseline"],
                 n=int(rec["n"]), p=int(rec["p"]), model=rec["model"],
                 rep=int(rec["rep"]), seed=int(rec["seed"]),
                 c_td=float(rec["c_td"]), ibs=float(rec["ibs"]),
-                wall_seconds=float(rec["wall_seconds"])))
-    return rows
+                wall_seconds=float(rec["wall_seconds"]))
+            rows[row.key()] = row
+    return list(rows.values())
 
 
 class _ResultWriter:
@@ -232,10 +240,13 @@ class _ResultWriter:
 # ---------------------------------------------------------------------------
 # grid execution
 
-def _evaluate_cell(spec: SimulationSpec, models, rep: int, base_seed: int,
-                   cell_idx: int, train_fraction: float, train_config=None):
-    """Simulate one (cell, repetition), fit the requested models, and
-    yield finished ResultRows (reference first)."""
+def _evaluate_cell(spec: SimulationSpec, models, wanted, rep: int,
+                   base_seed: int, cell_idx: int, train_fraction: float,
+                   train_config=None):
+    """Simulate one (cell, repetition), then score the reference and fit
+    the models that ``wanted`` names, yielding finished ResultRows
+    (reference first). Each model's seed follows its position in
+    ``models``, so a subset draws the seeds of a full run."""
     from dataclasses import replace
 
     sim_seed = _derived_seed(base_seed, cell_idx, rep, 0)
@@ -245,14 +256,17 @@ def _evaluate_cell(spec: SimulationSpec, models, rep: int, base_seed: int,
     train, test, split = train_test_split(sim.data, train_fraction, split_seed)
     label = _baseline_label(spec.baseline)
 
-    t0 = time.perf_counter()
-    ref = reference_metrics(sim, split.test)
-    yield ResultRow(family=spec.family.value, baseline=label, n=spec.n,
-                    p=spec.p, model=REFERENCE_MODEL, rep=rep, seed=sim_seed,
-                    c_td=ref.c_td, ibs=ref.ibs,
-                    wall_seconds=time.perf_counter() - t0)
+    if REFERENCE_MODEL in wanted:
+        t0 = time.perf_counter()
+        ref = reference_metrics(sim, split.test)
+        yield ResultRow(family=spec.family.value, baseline=label, n=spec.n,
+                        p=spec.p, model=REFERENCE_MODEL, rep=rep, seed=sim_seed,
+                        c_td=ref.c_td, ibs=ref.ibs,
+                        wall_seconds=time.perf_counter() - t0)
 
     for m_idx, name in enumerate(models):
+        if name not in wanted:
+            continue
         model_seed = _derived_seed(base_seed, cell_idx, rep, 2 + m_idx)
         t0 = time.perf_counter()
         model = fit_model(name, train, seed=model_seed, config=train_config)
@@ -268,61 +282,60 @@ def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
              log=print, train_config=None) -> list:
     """Run every (cell, repetition), persisting rows incrementally.
 
-    With ``resume`` (default), rows already in the results file are kept
-    and their work skipped, so an interrupted run picks up where it
-    stopped. Per-cell failures are recorded with NaN metrics and the run
-    continues.
+    With ``resume`` (default), the rows already in the results file are
+    kept and only the missing and failed ones are computed, so an
+    interrupted or partly failed run completes to the rows of a clean
+    one. A cell that raises records its unfinished rows as failed (NaN
+    metrics, seed ``FAILED_SEED``) and the run continues. Without
+    ``resume``, the results file and ``errors.log`` start afresh.
+    Returns one row per key.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     results_path = output_dir / "results.csv"
-    if not resume and results_path.exists():
-        results_path.unlink()
-    done_rows = read_results(results_path)
-    done = {row.key() for row in done_rows}
+    err_path = output_dir / "errors.log"
+    if not resume:
+        results_path.unlink(missing_ok=True)
+        err_path.unlink(missing_ok=True)
+    rows = {row.key(): row for row in read_results(results_path)}
     writer = _ResultWriter(results_path)
-    rows = list(done_rows)
     try:
         for cell_idx, spec in enumerate(config.cells):
             label = _baseline_label(spec.baseline)
             for rep in range(config.repetitions):
-                wanted = [m for m in (REFERENCE_MODEL,) + tuple(config.models)
-                          if (spec.family.value, label, spec.n, spec.p, m, rep)
-                          not in done]
+                wanted = []
+                for name in (REFERENCE_MODEL,) + tuple(config.models):
+                    row = rows.get((spec.family.value, label, spec.n, spec.p,
+                                    name, rep))
+                    if row is None or row.failed:
+                        wanted.append(name)
                 if not wanted:
                     continue
                 log(f"cell {cell_idx} ({spec.family.value} n={spec.n} "
                     f"p={spec.p}) rep {rep}: running {wanted}")
                 try:
-                    for row in _evaluate_cell(spec, config.models, rep,
-                                              config.base_seed, cell_idx,
+                    for row in _evaluate_cell(spec, config.models, set(wanted),
+                                              rep, config.base_seed, cell_idx,
                                               config.train_fraction,
                                               train_config):
-                        if row.key() in done:
-                            continue
                         writer.write(row)
-                        rows.append(row)
-                        done.add(row.key())
+                        rows[row.key()] = row
+                        wanted.remove(row.model)
                 except Exception:
-                    err_path = output_dir / "errors.log"
                     with open(err_path, "a", encoding="utf-8") as fh:
                         fh.write(f"cell {cell_idx} rep {rep}\n")
                         fh.write(traceback.format_exc() + "\n")
-                    for name in (REFERENCE_MODEL,) + tuple(config.models):
-                        key = (spec.family.value, label, spec.n, spec.p, name, rep)
-                        if key in done:
-                            continue
+                    for name in wanted:
                         row = ResultRow(family=spec.family.value, baseline=label,
                                         n=spec.n, p=spec.p, model=name, rep=rep,
-                                        seed=-1, c_td=float("nan"),
+                                        seed=FAILED_SEED, c_td=float("nan"),
                                         ibs=float("nan"), wall_seconds=0.0)
                         writer.write(row)
-                        rows.append(row)
-                        done.add(key)
+                        rows[row.key()] = row
                     log(f"cell {cell_idx} rep {rep} failed; see {err_path}")
     finally:
         writer.close()
-    return rows
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------

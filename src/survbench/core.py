@@ -234,6 +234,16 @@ def apply_standardization(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) ->
     return (X - np.asarray(mean)) / np.asarray(scale)
 
 
+def check_rows(X, p: int) -> np.ndarray:
+    """Covariate rows to predict for, as an (n, p) float matrix; one row
+    may come as a vector. Every predictor checks its rows here, once."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != p or not np.all(np.isfinite(X)):
+        raise ValueError(
+            f"prediction rows must form an (n, {p}) matrix of finite covariates")
+    return X
+
+
 def _stratum_orders(strata: np.ndarray, rng: np.random.Generator) -> list:
     """A random order of the rows of each 0/1 stratum, stratum 0 drawn first.
 

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     SurvivalDataset,
     apply_standardization,
+    check_rows,
     cox_loss,
     cox_loss_and_grad,
     standardize_covariates,
@@ -209,9 +210,6 @@ def cv_lambda(data: SurvivalDataset, nfolds: int, path=None, seed: int = 0,
 def risk_score(fit: CoxFit, x) -> np.ndarray:
     """exp(beta_hat' z) per row of ``x``, with the fit's standardization
     applied; always an array, one entry per row."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != fit.beta_hat.shape[0]:
-        raise ValueError(
-            f"row has {x.shape[1]} covariates, fit expects {fit.beta_hat.shape[0]}")
-    z = apply_standardization(x, fit.mean, fit.scale)
+    z = apply_standardization(check_rows(x, fit.beta_hat.shape[0]),
+                              fit.mean, fit.scale)
     return np.exp(z @ fit.beta_hat)

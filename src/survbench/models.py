@@ -135,9 +135,14 @@ def _mlp_to_dict(params: MlpParams) -> dict:
     }
 
 
-def _mlp_from_dict(d: dict) -> MlpParams:
+def _mlp_from_dict(d: dict, logit_head: bool = False) -> MlpParams:
     # from_layers checks shapes, activations and finiteness of the file's net
-    return MlpParams.from_layers(d["weights"], d["biases"], d["activations"])
+    acts = list(d["activations"])
+    if logit_head and acts and acts[-1] == "sigmoid":
+        # nnsurv files written with a final sigmoid layer hold the same
+        # weights; nnsurv_hazards applies the sigmoid to their logits
+        acts[-1] = "identity"
+    return MlpParams.from_layers(d["weights"], d["biases"], acts)
 
 
 def _baseline_to_dict(base: BaselineEstimate) -> dict:
@@ -206,7 +211,7 @@ def model_from_dict(d: dict) -> FittedModel:
                          loss_trace=np.zeros(0))
         return CoxnnetModel(fit=fit, base=_baseline_from_dict(d["baseline"]))
     if kind == "nnsurv":
-        fit = NnsurvFit(params=_mlp_from_dict(d["net"]),
+        fit = NnsurvFit(params=_mlp_from_dict(d["net"], logit_head=True),
                         grid=DiscreteTimeGrid(cuts=np.asarray(d["cuts"])),
                         mean=np.asarray(d["mean"]), scale=np.asarray(d["scale"]),
                         depth=int(d["depth"]), ridge=float(d["ridge"]),

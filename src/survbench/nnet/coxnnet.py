@@ -18,6 +18,7 @@ import numpy as np
 from ..core import (
     SurvivalDataset,
     apply_standardization,
+    check_rows,
     cox_loss,
     cox_loss_and_grad,
     standardize_covariates,
@@ -150,7 +151,6 @@ def coxnnet_fit(data: SurvivalDataset, config: TrainConfig | None = None) -> Cox
 
 def coxnnet_scores(fit: CoxnnetFit, X) -> np.ndarray:
     """Plug-in risk scores exp(theta(x)) for new covariate rows."""
-    Z = apply_standardization(np.atleast_2d(np.asarray(X, dtype=np.float64)),
-                              fit.mean, fit.scale)
+    Z = apply_standardization(check_rows(X, fit.mean.size), fit.mean, fit.scale)
     theta, _ = mlp_forward(fit.params, Z)
     return np.exp(theta[:, 0])

@@ -2,12 +2,14 @@
 
 Observed time is cut into L intervals; every subject is duplicated into
 one input row per interval survived, with the interval midpoint appended
-as an extra covariate. The network emits the conditional event
-probability (discrete hazard) per row through a sigmoid, trained with
-cross-entropy against the per-interval death indicator plus a squared-L2
-penalty. A one-hidden-layer ReLU net is the shallow variant; the deep
-variant adds a second hidden layer. Survival curves are cumulative
-products of one minus the predicted hazards.
+as an extra covariate (Biganzoli et al. 1998). The network's linear head
+emits each row's hazard logit z, the log-odds of the conditional event
+probability h = sigma(z) (the logistic-hazard form of Gensheimer &
+Narasimhan 2019). Training minimizes the exact cross-entropy
+log(1 + e^z) - d z against the per-interval death indicator d plus a
+squared-L2 penalty. A one-hidden-layer ReLU net is the shallow variant;
+the deep variant adds a second hidden layer. Survival curves are
+cumulative products of one minus the predicted hazards.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from ..core import (
     SurvivalCurve,
     SurvivalDataset,
     apply_standardization,
+    check_rows,
     standardize_covariates,
 )
 from .config import TrainConfig
@@ -116,29 +119,28 @@ def duplicate(data: SurvivalDataset, grid: DiscreteTimeGrid) -> DuplicatedBatch:
     )
 
 
+def _hazard(z: np.ndarray) -> np.ndarray:
+    """sigma(z): the discrete hazard of logit z."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _cross_entropy(z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per-row -[d log h + (1 - d) log(1 - h)] at h = sigma(z), exact at
+    any logit."""
+    return np.logaddexp(0.0, z) - d * z
+
+
 def nnsurv_loss_and_grad(params: MlpParams, features: np.ndarray,
                          targets: np.ndarray, lam: float):
-    """Summed cross-entropy of the sigmoid hazards plus the squared-L2
-    penalty; the gradient is laid out like ``params.vec``.
-
-    Hazards are clipped away from {0, 1} before the logs; the gradient is
-    zero where the clip is active, matching the computed loss.
-    """
+    """Summed cross-entropy of the hazard logits plus the squared-L2
+    penalty; the gradient is laid out like ``params.vec``."""
     if lam < 0:
         raise ValueError("ridge weight must be nonnegative")
-    h_raw, caches = mlp_forward(params, features)
-    h_raw = h_raw[:, 0]
-    h = np.clip(h_raw, HAZARD_CLIP, 1.0 - HAZARD_CLIP)
+    z, caches = mlp_forward(params, features)
+    z = z[:, 0]
     d = np.asarray(targets, dtype=np.float64)
-    ce = -np.sum(d * np.log(h) + (1.0 - d) * np.log1p(-h))
-    loss = float(ce) + lam * squared_norm(params)
-
-    # d ce / d z = h - d through the sigmoid, except where clipped
-    active = (h_raw > HAZARD_CLIP) & (h_raw < 1.0 - HAZARD_CLIP)
-    dz = np.where(active, h_raw - d, 0.0)
-    # mlp_backward multiplies by sigmoid'(z) itself, so pass dz / h(1-h)
-    denom = np.where(active, h_raw * (1.0 - h_raw), 1.0)
-    d_out = (dz / denom)[:, None]
+    loss = float(np.sum(_cross_entropy(z, d))) + lam * squared_norm(params)
+    d_out = (_hazard(z) - d)[:, None]  # d ce / d z
     grad = mlp_backward(params, caches, d_out) + 2.0 * lam * params.vec
     return loss, grad
 
@@ -157,10 +159,8 @@ class NnsurvFit:
 
 
 def _mean_cross_entropy(params, features, targets) -> float:
-    h, _ = mlp_forward(params, features)
-    h = np.clip(h[:, 0], HAZARD_CLIP, 1.0 - HAZARD_CLIP)
-    d = targets
-    return float(-np.mean(d * np.log(h) + (1.0 - d) * np.log1p(-h)))
+    z, _ = mlp_forward(params, features)
+    return float(np.mean(_cross_entropy(z[:, 0], targets)))
 
 
 def _train_network(features, targets, subject, depth, lam, config: TrainConfig,
@@ -170,7 +170,7 @@ def _train_network(features, targets, subject, depth, lam, config: TrainConfig,
     p_in = features.shape[1]
     hidden = config.hidden_for(p_in - 1)
     sizes = (p_in,) + (hidden,) * depth + (1,)
-    acts = ("relu",) * depth + ("sigmoid",)
+    acts = ("relu",) * depth + ("identity",)
     params = init_mlp(sizes, acts, seed=int(rng.integers(2 ** 31)))
     # start the hazards at the marginal event rate instead of 0.5, so the
     # net begins calibrated and training spends itself on the modulation
@@ -255,8 +255,7 @@ def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,
 def nnsurv_hazards(fit: NnsurvFit, x) -> np.ndarray:
     """Predicted discrete hazard in every interval: shape (L,) for one
     covariate row, (n, L) for a matrix with one row per subject."""
-    x = np.asarray(x, dtype=np.float64)
-    X = np.atleast_2d(x)
+    X = check_rows(x, fit.mean.size - 1)
     mids = fit.grid.midpoints
     h = np.empty((X.shape[0], mids.size))
     for lo in range(0, X.shape[0], _PREDICT_BLOCK):
@@ -267,9 +266,9 @@ def nnsurv_hazards(fit: NnsurvFit, x) -> np.ndarray:
         # a stack of one (L, p + 1) matrix per subject, multiplied one at a
         # time as a one-row call is: one (n·L, p + 1) product rounds otherwise
         out, _ = mlp_forward(fit.params, z.reshape(rows.shape[0], mids.size, -1))
-        h[lo:lo + _PREDICT_BLOCK] = out[..., 0]
+        h[lo:lo + _PREDICT_BLOCK] = _hazard(out[..., 0])
     np.clip(h, HAZARD_CLIP, 1.0 - HAZARD_CLIP, out=h)
-    return h.reshape(x.shape[:-1] + (mids.size,))
+    return h.reshape(np.shape(x)[:-1] + (mids.size,))
 
 
 def nnsurv_survival(fit: NnsurvFit, x) -> SurvivalCurve:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "relu", "sigmoid", "identity")
+ACTIVATIONS = ("tanh", "relu", "identity")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -25,8 +25,6 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
         return np.tanh(z)
     if name == "relu":
         return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
     return z
 
 
@@ -35,8 +33,6 @@ def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return 1.0 - a * a
     if name == "relu":
         return (z > 0).astype(np.float64)
-    if name == "sigmoid":
-        return a * (1.0 - a)
     return np.ones_like(z)
 
 
@@ -129,11 +125,8 @@ def mlp_forward(params: MlpParams, X: np.ndarray):
     """Layer-wise affine + activation; returns (output, caches for backprop).
 
     ``X`` may stack input matrices on leading axes; each is multiplied on
-    its own."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if not np.all(np.isfinite(X)):
-        raise ValueError("network input must be finite")
-    a = X
+    its own. Rows are not checked here: callers pass checked ones."""
+    a = np.atleast_2d(np.asarray(X, dtype=np.float64))
     caches = []
     for w, b, act in zip(params.weights, params.biases, params.activations):
         z = a @ w

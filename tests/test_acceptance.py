@@ -87,7 +87,7 @@ def test_criterion_01_gradient_fidelity():
         else:
             feats = rng.standard_normal((n, p))
             targets = rng.integers(0, 2, n).astype(float)
-            params = init_mlp((p, hidden, 1), ("relu", "sigmoid"), seed=trial)
+            params = init_mlp((p, hidden, 1), ("relu", "identity"), seed=trial)
             _, grad = nnsurv_loss_and_grad(params, feats, targets, lam)
             fd = finite_diff(
                 lambda q: nnsurv_loss_and_grad(q, feats, targets, lam)[0],

@@ -195,6 +195,74 @@ class TestRunGrid:
         assert (tmp_path / "errors.log").exists()
 
 
+    def test_resume_computes_only_missing_rows(self, tmp_path, monkeypatch):
+        import survbench.bench as bench_mod
+
+        config = tiny_config(models=("coxl1", "nnsurv"), repetitions=1)
+        out = tmp_path / "run"
+        full = run_grid(config, out, log=lambda *_: None, train_config=FAST)
+        results = out / "results.csv"
+        lines = results.read_text().splitlines(keepends=True)
+        results.write_text("".join(l for l in lines if ",nnsurv," not in l))
+
+        calls = []
+        real_fit, real_ref = bench_mod.fit_model, bench_mod.reference_metrics
+
+        def counting_fit(name, *args, **kwargs):
+            calls.append(name)
+            return real_fit(name, *args, **kwargs)
+
+        def counting_ref(*args):
+            calls.append("reference")
+            return real_ref(*args)
+
+        monkeypatch.setattr(bench_mod, "fit_model", counting_fit)
+        monkeypatch.setattr(bench_mod, "reference_metrics", counting_ref)
+        resumed = run_grid(config, out, log=lambda *_: None, train_config=FAST)
+        assert calls == ["nnsurv"]
+        assert [r.key() for r in resumed] == [r.key() for r in full]
+        for ra, rb in zip(resumed, full):
+            # the refitted nnsurv row keeps its seed from its model position
+            assert (ra.seed, ra.c_td, ra.ibs) == (rb.seed, rb.c_td, rb.ibs)
+
+    def test_failed_row_retried_on_resume(self, tmp_path, monkeypatch):
+        import survbench.bench as bench_mod
+
+        config = tiny_config(models=("coxl1",), repetitions=2)
+        clean = run_grid(config, tmp_path / "clean", log=lambda *_: None,
+                         train_config=FAST)
+
+        real_fit = bench_mod.fit_model
+        calls = {"count": 0}
+
+        def fail_first(name, train, seed=0, config=None):
+            calls["count"] += 1
+            if calls["count"] == 1:
+                raise RuntimeError("injected failure")
+            return real_fit(name, train, seed=seed, config=config)
+
+        out = tmp_path / "run"
+        monkeypatch.setattr(bench_mod, "fit_model", fail_first)
+        first = run_grid(config, out, log=lambda *_: None, train_config=FAST)
+        assert sum(np.isnan(r.c_td) for r in first) == 1
+        monkeypatch.setattr(bench_mod, "fit_model", real_fit)
+        resumed = run_grid(config, out, log=lambda *_: None, train_config=FAST)
+
+        assert not any(np.isnan(r.c_td) for r in resumed)
+        assert [r.key() for r in resumed] == [r.key() for r in clean]
+        for ra, rb in zip(resumed, clean):
+            assert (ra.seed, ra.c_td, ra.ibs) == (rb.seed, rb.c_td, rb.ibs)
+        # the file holds the failed row and its retry; the retry wins
+        assert len((out / "results.csv").read_text().splitlines()) == 1 + 4 + 1
+        assert read_results(out / "results.csv") == resumed
+
+    def test_fresh_run_starts_a_fresh_error_log(self, tmp_path):
+        (tmp_path / "errors.log").write_text("cell 0 rep 0\nold failure\n")
+        run_grid(tiny_config(), tmp_path, resume=False, log=lambda *_: None,
+                 train_config=FAST)
+        assert not (tmp_path / "errors.log").exists()
+
+
 class TestEmitTable:
     def make_rows(self, tmp_path, repetitions=2):
         config = tiny_config(models=("coxl1",), repetitions=repetitions)

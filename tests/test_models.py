@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +133,59 @@ class TestLoadChecksNetwork:
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=match):
             load_model(path)
+
+
+def _nan_row(X):
+    X[1, 0] = np.nan
+    return X
+
+
+def _inf_row(X):
+    X[2, -1] = np.inf
+    return X
+
+
+def _wrong_width(X):
+    return X[:, :-1]
+
+
+def _stacked(X):
+    return np.stack([X, X])
+
+
+class TestPredictionRowChecks:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("defect", [_nan_row, _inf_row, _wrong_width,
+                                        _stacked])
+    def test_bad_rows_rejected(self, name, defect, fitted, sim_small):
+        X = defect(sim_small.data.X[:5].copy())
+        with pytest.raises(ValueError,
+                           match=r"prediction rows must form an \(n, 4\) matrix "
+                                 "of finite covariates"):
+            fitted[name].predict_survival(X)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_one_row_vector_is_one_subject(self, name, fitted, sim_small):
+        X = sim_small.data.X[:3]
+        batch = fitted[name].predict_survival(X)
+        one = fitted[name].predict_survival(X[1])
+        assert len(one) == 1
+        np.testing.assert_array_equal(one.probs[0], batch.probs[1])
+
+
+class TestSavedSigmoidHead:
+    def test_loads_and_predicts_as_saved(self):
+        # an nnsurv_deep model saved while the network ended in a sigmoid
+        # layer, with the curves it predicted then for four rows
+        data = Path(__file__).parent / "data"
+        saved = json.loads((data / "nnsurv_deep_saved_v1.json").read_text())
+        assert saved["net"]["activations"][-1] == "sigmoid"
+        model = load_model(data / "nnsurv_deep_saved_v1.json")
+        assert model.fit.params.activations[-1] == "identity"
+        want = json.loads((data / "nnsurv_deep_saved_v1_curves.json").read_text())
+        curves = model.predict_survival(np.asarray(want["X"]))
+        np.testing.assert_array_equal(curves.grid, want["grid"])
+        np.testing.assert_array_equal(curves.probs, want["probs"])
 
 
 class TestHighDimensionalRobustness:

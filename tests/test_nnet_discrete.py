@@ -132,10 +132,24 @@ class TestDuplicateOracle:
 
 
 def constant_half_net(p_in):
-    """Zero weights and biases with a sigmoid head: every hazard is 0.5."""
+    """Zero weights and biases with a logit head: every hazard is 0.5."""
     return MlpParams.from_layers(weights=(np.zeros((p_in, 2)), np.zeros((2, 1))),
                                  biases=(np.zeros(2), np.zeros(1)),
-                                 activations=("relu", "sigmoid"))
+                                 activations=("relu", "identity"))
+
+
+def central_differences(params, feats, targets, lam, eps=1e-6):
+    """d loss / d params.vec of ``nnsurv_loss_and_grad`` by central
+    differences."""
+    vec = params.vec
+    fd = np.zeros_like(vec)
+    for j in range(vec.size):
+        up, dn = vec.copy(), vec.copy()
+        up[j] += eps
+        dn[j] -= eps
+        fd[j] = (nnsurv_loss_and_grad(unpack(params, up), feats, targets, lam)[0]
+                 - nnsurv_loss_and_grad(unpack(params, dn), feats, targets, lam)[0]) / (2 * eps)
+    return fd
 
 
 class TestLossAndGrad:
@@ -148,28 +162,35 @@ class TestLossAndGrad:
     def test_saturated_correct_prediction_near_zero_loss(self):
         params = MlpParams.from_layers(weights=(np.zeros((1, 1)),),
                                        biases=(np.array([50.0]),),
-                                       activations=("sigmoid",))
+                                       activations=("identity",))
         loss, _ = nnsurv_loss_and_grad(params, np.array([[0.0]]),
                                        np.array([1.0]), 0.0)
         assert loss == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("logit, target", [(40.0, 0.0), (-40.0, 1.0)])
+    def test_saturated_wrong_prediction_keeps_loss_and_gradient(self, logit,
+                                                                target):
+        # clipping the hazard to [1e-12, 1 - 1e-12] would cap this loss at
+        # 27.6 with a zero gradient; on the logit it is log(1 + e^40) ~ 40
+        params = MlpParams.from_layers(weights=(np.ones((1, 1)),),
+                                       biases=(np.array([logit - 1.0]),),
+                                       activations=("identity",))
+        feats, targets = np.array([[1.0]]), np.array([target])
+        loss, grad = nnsurv_loss_and_grad(params, feats, targets, 0.0)
+        assert loss == pytest.approx(40.0, rel=1e-12)
+        assert np.all(np.abs(grad) > 0.5)
+        np.testing.assert_allclose(
+            grad, central_differences(params, feats, targets, 0.0), rtol=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         feats = rng.standard_normal((9, 3))
         targets = rng.integers(0, 2, 9).astype(float)
-        params = init_mlp((3, 3, 1), ("relu", "sigmoid"), seed=seed + 10)
+        params = init_mlp((3, 3, 1), ("relu", "identity"), seed=seed + 10)
         lam = 0.02
         _, grad = nnsurv_loss_and_grad(params, feats, targets, lam)
-        vec = params.vec
-        fd = np.zeros_like(vec)
-        eps = 1e-6
-        for j in range(vec.size):
-            up, dn = vec.copy(), vec.copy()
-            up[j] += eps
-            dn[j] -= eps
-            fd[j] = (nnsurv_loss_and_grad(unpack(params, up), feats, targets, lam)[0]
-                     - nnsurv_loss_and_grad(unpack(params, dn), feats, targets, lam)[0]) / (2 * eps)
+        fd = central_differences(params, feats, targets, lam)
         err = np.abs(grad - fd) / np.maximum(1e-8, np.abs(fd))
         assert np.max(np.where(np.abs(fd) > 1e-10, err, 0.0)) < 1e-5
 
@@ -269,7 +290,7 @@ class TestFitAndSurvival:
         p_in = fit_like.params.weights[0].shape[0]
         frozen = MlpParams.from_layers(weights=(np.zeros((p_in, 1)),),
                                        biases=(np.array([-60.0]),),
-                                       activations=("sigmoid",))
+                                       activations=("identity",))
         fit = replace(fit_like, params=frozen)
         curve = nnsurv_survival(fit, np.zeros(4))
         np.testing.assert_allclose(curve.probs, 1.0, atol=1e-9)
