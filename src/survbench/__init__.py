@@ -28,9 +28,7 @@ from .simgen import (
 from .metrics import (
     KaplanMeier,
     MetricReport,
-    brier_score,
     c_index_td,
-    integrated_brier,
     kaplan_meier,
     metric_report,
     reference_metrics,
@@ -63,9 +61,7 @@ __all__ = [
     "true_survival",
     "KaplanMeier",
     "MetricReport",
-    "brier_score",
     "c_index_td",
-    "integrated_brier",
     "kaplan_meier",
     "metric_report",
     "reference_metrics",

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,8 +247,6 @@ def _evaluate_cell(spec: SimulationSpec, models, wanted, rep: int,
     the models that ``wanted`` names, yielding finished ResultRows
     (reference first). Each model's seed follows its position in
     ``models``, so a subset draws the seeds of a full run."""
-    from dataclasses import replace
-
     sim_seed = _derived_seed(base_seed, cell_idx, rep, 0)
     split_seed = _derived_seed(base_seed, cell_idx, rep, 1)
     spec = replace(spec, seed=sim_seed)

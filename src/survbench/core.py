@@ -65,8 +65,7 @@ class SurvivalDataset:
     def subset(self, idx: np.ndarray) -> "SurvivalDataset":
         """Dataset restricted to the given row indices (copying)."""
         idx = np.asarray(idx, dtype=np.intp)
-        return SurvivalDataset(self.X[idx].copy(), self.time[idx].copy(),
-                               self.event[idx].copy())
+        return SurvivalDataset(self.X[idx], self.time[idx], self.event[idx])
 
 
 _CHECK_ROWS = 256  # curves per monotonicity check; its temporary is _CHECK_ROWS × G

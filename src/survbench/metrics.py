@@ -8,43 +8,40 @@ with the censoring survival function evaluated left-continuously.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SurvivalCurve
+from .simgen import survival_probability, true_survival
 
 
 @dataclass(frozen=True)
 class KaplanMeier:
     """Product-limit estimator tabulated at its drop times.
 
-    ``times`` holds the distinct times with at least one drop, ``surv``
-    the estimate just after each drop, ``n_risk`` the at-risk counts.
+    ``times`` holds the distinct times with at least one drop and ``surv``
+    the estimate just after each drop.
     """
 
     times: np.ndarray
     surv: np.ndarray
-    n_risk: np.ndarray
+
+    def _step(self, t, side: str):
+        """The estimate after the drops that ``searchsorted(..., side)``
+        places at or before t; 1 before the first drop."""
+        k = np.searchsorted(self.times, np.asarray(t, dtype=np.float64),
+                            side=side)
+        out = np.concatenate(([1.0], self.surv))[k]
+        return out if out.ndim else float(out)
 
     def survival_at(self, t):
         """S(t), right-continuous."""
-        t = np.asarray(t, dtype=np.float64)
-        k = np.searchsorted(self.times, t, side="right") - 1
-        out = np.where(k < 0, 1.0,
-                       self.surv[np.clip(k, 0, max(self.surv.size - 1, 0))]
-                       if self.surv.size else 1.0)
-        return out if out.ndim else float(out)
+        return self._step(t, "right")
 
     def survival_at_minus(self, t):
         """Left limit S(t-): drops strictly before t count."""
-        t = np.asarray(t, dtype=np.float64)
-        k = np.searchsorted(self.times, t, side="left") - 1
-        out = np.where(k < 0, 1.0,
-                       self.surv[np.clip(k, 0, max(self.surv.size - 1, 0))]
-                       if self.surv.size else 1.0)
-        return out if out.ndim else float(out)
+        return self._step(t, "left")
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,6 @@ class MetricReport:
     ibs: float
     brier_trace: np.ndarray  # rows of (t, BS(t))
     tau: float
-    g_clamp_events: int = 0
 
 
 def kaplan_meier(times, indicators) -> KaplanMeier:
@@ -75,11 +71,8 @@ def kaplan_meier(times, indicators) -> KaplanMeier:
     d = np.add.reduceat(d_sorted, start)
     n_risk = (times.size - start).astype(np.float64)
     drop = d != 0
-    return KaplanMeier(
-        times=uniq[drop],
-        surv=np.cumprod(1.0 - d[drop] / n_risk[drop]),
-        n_risk=n_risk[drop],
-    )
+    return KaplanMeier(times=uniq[drop],
+                       surv=np.cumprod(1.0 - d[drop] / n_risk[drop]))
 
 
 # events per comparison block: its work set, and the most exact-model
@@ -181,66 +174,35 @@ def c_index_td(predictions: SurvivalCurve, times, events) -> float:
     return concordant / comparable
 
 
-def _ipcw(times: np.ndarray, events: np.ndarray, censor_km: KaplanMeier):
-    """Status and weights of the censoring-adjusted squared error.
+def brier_trace(predictions: SurvivalCurve, times, events, grid=None):
+    """IPCW Brier score along a grid (default: 0 plus 100 equispaced
+    points up to the largest observed time), as rows of (t, BS(t)).
 
-    Returns ``at(t) -> (y, w, clamp_count)``. Events before t weigh
-    1/G(T_i-) and subjects still at risk 1/G(t-); zero censoring-survival
-    values are clamped to the smallest positive estimate so past events
-    keep finite weight. The terms that do not depend on t are computed
-    here, once.
+    BS(t) is the mean over subjects of w·(1{T_i >= t} − S(t|x_i))², with
+    weight 1/G(T_i-) for events before t, 1/G(t-) for subjects still at
+    risk and 0 for subjects censored before t; G is the Kaplan-Meier
+    estimate of the censoring survival. None of these weights divides by
+    zero: G(s-) = 0 needs a time before s at which every subject still at
+    risk is censored, and then no subject is at risk at s and no event
+    lies at or after s.
     """
-    positive = censor_km.surv[censor_km.surv > 0]
-    g_floor = float(positive.min()) if positive.size else 1.0
-    g_ti = np.atleast_1d(censor_km.survival_at_minus(times))
+    times, events = _check_lengths(predictions, times, events)
+    grid = (np.linspace(0.0, float(times.max()), 101) if grid is None
+            else np.asarray(grid, dtype=np.float64))
+    censor_km = kaplan_meier(times, 1 - events)
     is_event = events > 0
-    clamped = is_event & (g_ti <= 0)
     event_w = np.zeros_like(times)
-    event_w[is_event] = events[is_event] / np.where(clamped, g_floor, g_ti)[is_event]
-
-    def at(t: float):
-        y = (times >= t).astype(np.float64)
-        past_event = (y == 0) & is_event
-        clamps = int(np.count_nonzero(past_event & clamped))
-        g_t = float(censor_km.survival_at_minus(t))
-        if g_t <= 0 and y.any():
-            clamps += int(y.sum())
-            g_t = g_floor
-        return y, np.where(past_event, event_w, 0.0) + y / g_t, clamps
-
-    return at
-
-
-def brier_score(predictions: SurvivalCurve, times, events, t: float,
-                censor_km: KaplanMeier) -> float:
-    """IPCW-weighted squared error between survival status at t and the
-    predicted S(t|x)."""
-    times, events = _check_lengths(predictions, times, events)
-    table, _ = _tabulate(predictions, [t])
-    y, w, clamps = _ipcw(times, events, censor_km)(t)
-    if clamps:
-        warnings.warn(f"censoring survival hit 0; clamped {clamps} weight(s)",
-                      RuntimeWarning, stacklevel=2)
-    return float(np.mean(w * (y - table[:, 0]) ** 2))
-
-
-def brier_trace(predictions: SurvivalCurve, times, events,
-                grid=None):
-    """Brier score along a grid (default: 0 plus 100 equispaced points up
-    to the largest observed time). Returns (trace rows (t, BS), clamp count)."""
-    times, events = _check_lengths(predictions, times, events)
-    tau = float(times.max())
-    grid = np.linspace(0.0, tau, 101) if grid is None else np.asarray(
-        grid, dtype=np.float64)
-    at = _ipcw(times, events, kaplan_meier(times, 1 - events))
+    event_w[is_event] = (events[is_event]
+                         / censor_km.survival_at_minus(times[is_event]))
+    g_grid = censor_km.survival_at_minus(grid)
     table, col = _tabulate(predictions, grid)
     rows = []
-    total_clamps = 0
-    for t, c in zip(grid, col):
-        y, w, clamps = at(float(t))
-        total_clamps += clamps
+    for t, g_t, c in zip(grid, g_grid, col):
+        y = (times >= t).astype(np.float64)
+        past_event = (y == 0) & is_event
+        w = np.where(past_event, event_w, 0.0) + y / g_t
         rows.append((float(t), float(np.mean(w * (y - table[:, c]) ** 2))))
-    return np.asarray(rows), total_clamps
+    return np.asarray(rows)
 
 
 def integrate_trace(trace: np.ndarray, tau: float) -> float:
@@ -250,29 +212,16 @@ def integrate_trace(trace: np.ndarray, tau: float) -> float:
     return float(np.trapezoid(v, t) / tau)
 
 
-def integrated_brier(predictions: SurvivalCurve, times, events) -> float:
-    """Integrated Brier score: the Brier trace averaged over [0, tau]
-    with tau the largest observed time."""
-    times, events = _check_lengths(predictions, times, events)
-    tau = float(times.max())
-    trace, clamps = brier_trace(predictions, times, events)
-    if clamps:
-        warnings.warn(f"censoring survival hit 0; clamped {clamps} weight(s)",
-                      RuntimeWarning, stacklevel=2)
-    return integrate_trace(trace, tau)
-
-
 def metric_report(predictions: SurvivalCurve, times, events) -> MetricReport:
     """C_td, IBS and the per-time Brier trace for one set of predictions."""
     times, events = _check_lengths(predictions, times, events)
     tau = float(times.max())
-    trace, clamps = brier_trace(predictions, times, events)
+    trace = brier_trace(predictions, times, events)
     return MetricReport(
         c_td=c_index_td(predictions, times, events),
         ibs=integrate_trace(trace, tau),
         brier_trace=trace,
         tau=tau,
-        g_clamp_events=clamps,
     )
 
 
@@ -280,15 +229,14 @@ def reference_metrics(simulated, test_idx) -> MetricReport:
     """Metrics of the exact data-generating model on a held-out subset.
 
     The true curves are evaluated only where the metrics read them. C_td
-    takes one block of ``_BLOCK`` events at a time and evaluates
-    ``true_survival`` at the block's distinct event times, only for the
-    subjects from the block's first event on in time order (its events
-    and their comparable suffixes), so at most n·``_BLOCK`` exact values
-    are held; the Brier trace reads one n × 100 batch on its grid. Every
-    value is the exact model at an evaluation point.
+    takes one block of ``_BLOCK`` events at a time and evaluates the
+    model's closed-form survival at the block's distinct event times, only
+    for the subjects from the block's first event on in time order (its
+    events and their comparable suffixes), so at most n·``_BLOCK`` exact
+    values are held; the Brier trace reads one ``true_survival`` batch of
+    n × 100 on its grid. Every value is the exact model at an evaluation
+    point.
     """
-    from .simgen import true_survival
-
     test_idx = np.asarray(test_idx, dtype=np.intp)
     if test_idx.size == 0:
         raise ValueError("reference_metrics needs at least one test subject")
@@ -296,17 +244,21 @@ def reference_metrics(simulated, test_idx) -> MetricReport:
     X = data.X[test_idx]
     times = data.time[test_idx]
     events = data.event[test_idx]
+    # each row gets the bits true_survival gives it
+    eta = np.vecdot(X, simulated.true_beta)
 
     def exact(rows, subj):
         t, col = np.unique(times[subj], return_inverse=True)
-        return np.take(true_survival(simulated, X[rows], t).probs, col, axis=1)
+        return np.take(survival_probability(simulated.family,
+                                            simulated.baseline,
+                                            eta[rows, None], t), col, axis=1)
 
     concordant, comparable = _concordance(exact, times, events)
     if comparable == 0:
         raise ValueError("no comparable pairs")
     tau = float(times.max())
     curves = true_survival(simulated, X, np.linspace(0.0, tau, 101)[1:])
-    trace, clamps = brier_trace(curves, times, events)
+    trace = brier_trace(curves, times, events)
     return MetricReport(c_td=concordant / comparable,
                         ibs=integrate_trace(trace, tau), brier_trace=trace,
-                        tau=tau, g_clamp_events=clamps)
+                        tau=tau)

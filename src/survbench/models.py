@@ -11,7 +11,7 @@ dump that round-trips bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -104,7 +104,6 @@ def fit_model(name: str, train: SurvivalDataset, seed: int = 0,
         return CoxLassoModel(fit=fit, base=_cox_family_baseline(train, scores))
     cfg = config or TrainConfig(seed=seed)
     if cfg.seed != seed:
-        from dataclasses import replace
         cfg = replace(cfg, seed=seed)
     if name == "coxnnet":
         fit = coxnnet_fit(train, cfg)

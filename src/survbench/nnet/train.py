@@ -8,6 +8,8 @@ an epoch with their loss, and the held-out score.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .config import TrainConfig
@@ -57,14 +59,24 @@ def select_ridge(candidates, labels: np.ndarray, fold_scorer,
 
     ``fold_scorer(held, seed)`` gets the held-out row mask of a fold and
     the fold's training seed, and returns a function scoring one ridge
-    weight (higher is better), or None to skip a fold it cannot score.
+    weight (higher is better), or None for a fold with no events on one
+    side, which is skipped with a warning. With every fold skipped the
+    first candidate is returned, also with a warning.
     """
     fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
     scores = np.zeros(len(candidates))
+    used_folds = 0
     for fold in range(config.cv_folds):
         score = fold_scorer(labels == fold, int(fold_seeds[fold]))
         if score is None:
+            warnings.warn(f"fold {fold} has no events on one side; skipped",
+                          RuntimeWarning, stacklevel=2)
             continue
+        used_folds += 1
         for j, lam in enumerate(candidates):
             scores[j] += score(lam)
+    if used_folds == 0:
+        warnings.warn("every fold was skipped; using the first ridge "
+                      f"candidate {candidates[0]:g}", RuntimeWarning,
+                      stacklevel=2)
     return float(candidates[int(np.argmax(scores))])

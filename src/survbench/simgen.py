@@ -21,6 +21,8 @@ import numpy as np
 from scipy import optimize
 from scipy.special import gamma, log_ndtr, ndtri_exp
 
+from .core import SurvivalCurve, SurvivalDataset
+
 
 @dataclass(frozen=True)
 class Weibull:
@@ -154,7 +156,7 @@ class SimulationSpec:
 class SimulatedDataset:
     """Generated data plus the ground truth that produced it."""
 
-    data: "SurvivalDataset"
+    data: SurvivalDataset
     true_beta: np.ndarray
     true_event_times: np.ndarray
     family: ModelFamily
@@ -183,12 +185,10 @@ def draw_survival_time(family: ModelFamily, baseline: BaselineDist, x, beta, u):
     return _times_from_eta(family, baseline, eta, u)
 
 
-def true_survival(simulated: SimulatedDataset, x, grid) -> "SurvivalCurve":
+def true_survival(simulated: SimulatedDataset, x, grid) -> SurvivalCurve:
     """Exact model survival curves S(t|x) on the given time grid: one curve
     for a covariate row ``x``, a batch with one row per subject for a
     matrix of rows."""
-    from .core import SurvivalCurve
-
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing and positive")
@@ -285,8 +285,6 @@ def generate(spec: SimulationSpec) -> SimulatedDataset:
     family; censoring times are exponential with rate calibrated so the
     expected censored fraction matches ``spec.censor_target``.
     """
-    from .core import SurvivalDataset
-
     rng = np.random.default_rng(spec.seed)
     X = rng.standard_normal((spec.n, spec.p))
     beta = spec.make_beta()

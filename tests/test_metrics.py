@@ -10,11 +10,9 @@ from survbench import metrics, simgen
 from survbench.core import SurvivalCurve, SurvivalDataset
 from survbench.metrics import (
     _BLOCK,
-    brier_score,
     brier_trace,
     c_index_td,
     integrate_trace,
-    integrated_brier,
     kaplan_meier,
     metric_report,
     reference_metrics,
@@ -87,6 +85,16 @@ def step_curves(values, grid):
                                          grid.size, axis=1))
 
 
+def brier_at(curves, times, events, t):
+    """The Brier score at the one horizon t."""
+    return brier_trace(curves, times, events, grid=[t])[0, 1]
+
+
+def integrated_brier(curves, times, events):
+    """The Brier trace on its default grid, averaged over [0, max time]."""
+    return integrate_trace(brier_trace(curves, times, events), times.max())
+
+
 def random_curves(rng, n, grid):
     """A batch of n random non-increasing curves, one rng draw per curve."""
     return SurvivalCurve(grid, np.array([np.sort(rng.random(grid.size))[::-1]
@@ -126,6 +134,24 @@ class TestKaplanMeier:
         oracle = km_brute_force(times, events)
         for t in [0.5, 1.0, 2.5, 3.0, 5.0, 6.0]:
             assert km.survival_at(t) == oracle(t)
+
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_censoring_left_limit_positive_where_weights_read_it(self, draws):
+        # the IPCW weights divide by G(T_i-) at events and by G(t-) while
+        # someone is at risk (t <= max time), while G(t) itself is 0 at
+        # the max time when everyone left there is censored
+        times = np.array([t for t, _ in draws], float)
+        events = np.array([e for _, e in draws])
+        g = kaplan_meier(times, 1 - events)
+        assert np.all(g.survival_at_minus(times[events == 1]) > 0)
+        at_risk = np.union1d(times, np.arange(0.0, times.max(), 0.5))
+        assert np.all(g.survival_at_minus(at_risk) > 0)
+        curves = step_curves(np.full(times.size, 0.5), [0.5, 5.0])
+        with np.errstate(divide="raise", invalid="raise"):
+            trace = brier_trace(curves, times, events, grid=at_risk)
+        assert np.all(np.isfinite(trace))
 
 
 class TestCIndexTd:
@@ -225,23 +251,21 @@ class TestBrier:
     def test_no_censoring_perfect_predictions(self):
         times = np.array([1.0, 2.0, 3.0])
         events = np.ones(3, dtype=int)
-        km = kaplan_meier(times, 1 - events)
         t = 2.5
         # indicator-valued predictions: S(2.5|x) = 1{T_i >= 2.5}
         curves = step_curves((times >= t).astype(float), [0.5, 4.0])
-        assert brier_score(curves, times, events, t, km) == 0.0
+        assert brier_at(curves, times, events, t) == 0.0
 
     def test_no_censoring_equals_mse(self):
         rng = np.random.default_rng(2)
         times = rng.uniform(1, 10, 40)
         events = np.ones(40, dtype=int)
-        km = kaplan_meier(times, 1 - events)
         levels = rng.random(40)
         curves = step_curves(levels, [0.5, 12.0])
         for t in (2.0, 5.0, 8.0):
             y = (times >= t).astype(float)
             mse = np.mean((y - levels) ** 2)
-            assert brier_score(curves, times, events, t, km) == pytest.approx(
+            assert brier_at(curves, times, events, t) == pytest.approx(
                 mse, abs=1e-12)
 
     def test_three_subject_hand_case(self):
@@ -251,9 +275,8 @@ class TestBrier:
         # = 0.01/0.5; BS = (0.04 + 0 + 0.02)/3 = 0.02.
         times = np.array([2.0, 4.0, 6.0])
         events = np.array([1, 0, 1])
-        km = kaplan_meier(times, 1 - events)
         curves = step_curves([0.2, 0.5, 0.9], [0.5, 7.0])
-        assert brier_score(curves, times, events, 5.0, km) == pytest.approx(
+        assert brier_at(curves, times, events, 5.0) == pytest.approx(
             0.02, abs=1e-12)
 
 
@@ -478,15 +501,6 @@ class TestInputChecks:
     def test_brier_trace(self):
         with pytest.raises(ValueError, match="one predicted curve per subject"):
             brier_trace(self.short, self.times, self.events)
-
-    def test_brier_score(self):
-        km = kaplan_meier(self.times, 1 - self.events)
-        with pytest.raises(ValueError, match="one predicted curve per subject"):
-            brier_score(self.short, self.times, self.events, 2.5, km)
-
-    def test_integrated_brier(self):
-        with pytest.raises(ValueError, match="one predicted curve per subject"):
-            integrated_brier(self.short, self.times, self.events)
 
 
 def test_metric_report_memory_is_linear_in_n():

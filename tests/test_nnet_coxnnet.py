@@ -138,6 +138,23 @@ class TestFit:
         n_events = int(sim.data.event.sum())
         assert fit.ridge in {f * n_events for f in (1e-2, 1e-1)}
 
+    def test_cv_without_scorable_folds_warns(self):
+        # one event: every fold lacks events on its training or held side
+        rng = np.random.default_rng(8)
+        n = 30
+        event = np.zeros(n, dtype=int)
+        event[4] = 1
+        data = SurvivalDataset(rng.standard_normal((n, 3)),
+                               rng.uniform(1, 9, n), event)
+        cfg = TrainConfig(seed=0, epochs=20, min_epochs=5)
+        with pytest.warns(RuntimeWarning) as record:
+            fit = coxnnet_fit(data, cfg)
+        messages = [str(w.message) for w in record]
+        for fold in range(cfg.cv_folds):
+            assert f"fold {fold} has no events on one side; skipped" in messages
+        assert any(m.startswith("every fold was skipped") for m in messages)
+        assert fit.ridge == 1e-2
+
 
 def harrell_brute_force(scores, times, events):
     """Exhaustive ordered-pair enumeration of Harrell's concordance."""

@@ -124,8 +124,9 @@ class TestSelectRidge:
                 return None
             return lambda lam: table[fold, int(lam)]
 
-        choice = select_ridge([0.0, 1.0], labels, scorer, config(cv_folds=2),
-                              np.random.default_rng(0))
+        with pytest.warns(RuntimeWarning, match="fold 0 has no events"):
+            choice = select_ridge([0.0, 1.0], labels, scorer,
+                                  config(cv_folds=2), np.random.default_rng(0))
         assert choice == 1.0
 
     def test_fold_masks_and_seeds(self):
