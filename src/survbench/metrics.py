@@ -181,10 +181,11 @@ def brier_trace(predictions: SurvivalCurve, times, events, grid=None):
     BS(t) is the mean over subjects of w·(1{T_i >= t} − S(t|x_i))², with
     weight 1/G(T_i-) for events before t, 1/G(t-) for subjects still at
     risk and 0 for subjects censored before t; G is the Kaplan-Meier
-    estimate of the censoring survival. None of these weights divides by
+    estimate of the censoring survival. No weight that counts divides by
     zero: G(s-) = 0 needs a time before s at which every subject still at
     risk is censored, and then no subject is at risk at s and no event
-    lies at or after s.
+    lies at or after s. So past the largest time, where G(t-) may be 0,
+    the at-risk term is empty and counts 0.
     """
     times, events = _check_lengths(predictions, times, events)
     grid = (np.linspace(0.0, float(times.max()), 101) if grid is None
@@ -200,7 +201,9 @@ def brier_trace(predictions: SurvivalCurve, times, events, grid=None):
     for t, g_t, c in zip(grid, g_grid, col):
         y = (times >= t).astype(np.float64)
         past_event = (y == 0) & is_event
-        w = np.where(past_event, event_w, 0.0) + y / g_t
+        # y is 0 or 1, so y / G(t-) is y times 1 / G(t-)
+        at_risk_w = 1.0 / g_t if g_t > 0 else 0.0
+        w = np.where(past_event, event_w, 0.0) + y * at_risk_w
         rows.append((float(t), float(np.mean(w * (y - table[:, c]) ** 2))))
     return np.asarray(rows)
 

@@ -50,26 +50,41 @@ class CoxnnetFit:
     loss_trace: np.ndarray
 
 
-def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam: float):
+def _per_network(theta: np.ndarray):
+    """Network outputs (rows, 1), or (C, rows, 1) for a stack, as a (C, rows)
+    array of one linear predictor per network."""
+    return theta[..., 0].reshape(-1, theta.shape[-2])
+
+
+def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam):
     """Penalized negative partial log-likelihood of the network output and
     its gradient with respect to every parameter, laid out like
-    ``params.vec``."""
-    if lam < 0:
+    ``params.vec``. For a stack of networks ``lam`` holds one ridge weight
+    per network and the losses have shape (C,); the Cox kernel runs once
+    per network on its own linear predictor."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if (lam < 0).any():
         raise ValueError("ridge weight must be nonnegative")
     theta, caches = mlp_forward(params, data.X)
-    theta = theta[:, 0]
     if not (data.event == 1).any():
         warnings.warn("all subjects censored; loss reduces to the penalty",
                       RuntimeWarning, stacklevel=2)
-    neg_ll, d_theta = cox_loss_and_grad(theta, data.time, data.event)
-    loss = neg_ll + lam * squared_norm(params)
-    grad = mlp_backward(params, caches, d_theta[:, None]) + 2.0 * lam * params.vec
+    etas = _per_network(theta)
+    neg_ll, d_theta = np.empty(etas.shape[0]), np.empty_like(etas)
+    for c, eta in enumerate(etas):
+        neg_ll[c], d_theta[c] = cox_loss_and_grad(eta, data.time, data.event)
+    loss = neg_ll.reshape(lam.shape) + lam * squared_norm(params)
+    grad = mlp_backward(params, caches, d_theta.reshape(theta.shape))
+    grad += (2.0 * lam)[..., None] * params.vec
     return loss, grad
 
 
-def _train_network(zdata: SurvivalDataset, lam: float, config: TrainConfig,
+def _train_network(zdata: SurvivalDataset, lams, config: TrainConfig,
                    seed: int):
-    """Full-batch Adam with early stopping on a held-out partial likelihood."""
+    """Full-batch Adam with early stopping on a held-out partial
+    likelihood, one network per ridge weight in ``lams``: all start from
+    the same weights. Returns the stack of best iterates and the loss
+    traces."""
     rng = np.random.default_rng(seed)
     hidden = config.hidden_for(zdata.p)
     params = init_mlp((zdata.p, hidden, 1), ("tanh", "identity"),
@@ -82,15 +97,15 @@ def _train_network(zdata: SurvivalDataset, lam: float, config: TrainConfig,
     if monitor_val:
         val = zdata.subset(val_idx)
 
-        def held_score(vec):
-            theta, _ = mlp_forward(unpack(params, vec), val.X)
-            return cox_loss(theta[:, 0], val.time, val.event)
+        def held_score(stack):
+            theta, _ = mlp_forward(stack, val.X)
+            return np.array([cox_loss(eta, val.time, val.event)
+                             for eta in _per_network(theta)])
 
-    vec, trace = fit_adam(
-        params.vec,
-        lambda vec, batch: coxnnet_loss_and_grad(unpack(params, vec), batch, lam),
+    return fit_adam(
+        params, lams,
+        lambda stack, lams, batch: coxnnet_loss_and_grad(stack, batch, lams),
         lambda: (train,), held_score, config)
-    return unpack(params, vec), trace
 
 
 def _scalar_concordance(scores: np.ndarray, time: np.ndarray,
@@ -115,20 +130,19 @@ def _select_ridge(zdata: SurvivalDataset, config: TrainConfig,
     fracs = config.ridge_grid if config.ridge_grid is not None else (1e-2, 1e-1, 1.0)
     labels = stratified_folds(zdata.event, config.cv_folds, rng)
 
+    candidates = [frac * n_events for frac in fracs]
+
     def fold_scorer(held_mask, seed):
         train = zdata.subset(np.flatnonzero(~held_mask))
         held = zdata.subset(np.flatnonzero(held_mask))
         if train.event.sum() == 0 or held.event.sum() == 0:
             return None
+        stack, _ = _train_network(train, candidates, config, seed)
+        theta_held, _ = mlp_forward(stack, held.X)
+        return np.array([_scalar_concordance(eta, held.time, held.event)
+                         for eta in _per_network(theta_held)])
 
-        def score(lam):
-            params, _ = _train_network(train, lam, config, seed)
-            theta_held, _ = mlp_forward(params, held.X)
-            return _scalar_concordance(theta_held[:, 0], held.time, held.event)
-        return score
-
-    return select_ridge([frac * n_events for frac in fracs], labels,
-                        fold_scorer, config, rng)
+    return select_ridge(candidates, labels, fold_scorer, config, rng)
 
 
 def coxnnet_fit(data: SurvivalDataset, config: TrainConfig | None = None) -> CoxnnetFit:
@@ -143,10 +157,12 @@ def coxnnet_fit(data: SurvivalDataset, config: TrainConfig | None = None) -> Cox
         ridge = config.ridge
     else:
         ridge = _select_ridge(zdata, config, rng)
-    params, trace = _train_network(zdata, ridge, config, int(rng.integers(2 ** 31)))
+    stack, traces = _train_network(zdata, [ridge], config,
+                                   int(rng.integers(2 ** 31)))
+    params = unpack(stack, stack.vec[0])
     theta, _ = mlp_forward(params, zdata.X)
     return CoxnnetFit(params=params, mean=mean, scale=scale, ridge=ridge,
-                      train_scores=np.exp(theta[:, 0]), loss_trace=trace)
+                      train_scores=np.exp(theta[:, 0]), loss_trace=traces[0])
 
 
 def coxnnet_scores(fit: CoxnnetFit, X) -> np.ndarray:

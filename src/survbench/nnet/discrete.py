@@ -131,17 +131,21 @@ def _cross_entropy(z: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def nnsurv_loss_and_grad(params: MlpParams, features: np.ndarray,
-                         targets: np.ndarray, lam: float):
+                         targets: np.ndarray, lam):
     """Summed cross-entropy of the hazard logits plus the squared-L2
-    penalty; the gradient is laid out like ``params.vec``."""
-    if lam < 0:
+    penalty; the gradient is laid out like ``params.vec``. For a stack of
+    networks ``lam`` holds one ridge weight per network and the losses
+    have shape (C,)."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if (lam < 0).any():
         raise ValueError("ridge weight must be nonnegative")
     z, caches = mlp_forward(params, features)
-    z = z[:, 0]
+    z = z[..., 0]
     d = np.asarray(targets, dtype=np.float64)
-    loss = float(np.sum(_cross_entropy(z, d))) + lam * squared_norm(params)
-    d_out = (_hazard(z) - d)[:, None]  # d ce / d z
-    grad = mlp_backward(params, caches, d_out) + 2.0 * lam * params.vec
+    loss = np.add.reduce(_cross_entropy(z, d), axis=-1) + lam * squared_norm(params)
+    d_out = (_hazard(z) - d)[..., None]  # d ce / d z
+    grad = mlp_backward(params, caches, d_out)
+    grad += (2.0 * lam)[..., None] * params.vec
     return loss, grad
 
 
@@ -158,14 +162,18 @@ class NnsurvFit:
     loss_trace: np.ndarray
 
 
-def _mean_cross_entropy(params, features, targets) -> float:
+def _mean_cross_entropy(params, features, targets):
+    """Held-out mean cross-entropy, one per network of a stack."""
     z, _ = mlp_forward(params, features)
-    return float(np.mean(_cross_entropy(z[:, 0], targets)))
+    return np.mean(_cross_entropy(z[..., 0], targets), axis=-1)
 
 
-def _train_network(features, targets, subject, depth, lam, config: TrainConfig,
+def _train_network(features, targets, subject, depth, lams, config: TrainConfig,
                    seed: int):
-    """Mini-batch Adam with subject-level validation early stopping."""
+    """Mini-batch Adam with subject-level validation early stopping, one
+    network per ridge weight in ``lams``: all start from the same weights
+    and see the same batches. Returns the stack of best iterates and the
+    loss traces."""
     rng = np.random.default_rng(seed)
     p_in = features.shape[1]
     hidden = config.hidden_for(p_in - 1)
@@ -198,14 +206,13 @@ def _train_network(features, targets, subject, depth, lam, config: TrainConfig,
 
     held_score = None
     if monitor_val:
-        def held_score(vec):
-            return _mean_cross_entropy(unpack(params, vec), va_feat, va_tgt)
+        def held_score(stack):
+            return _mean_cross_entropy(stack, va_feat, va_tgt)
 
-    vec, trace = fit_adam(
-        params.vec,
-        lambda vec, batch: nnsurv_loss_and_grad(unpack(params, vec), *batch, lam),
+    return fit_adam(
+        params, lams,
+        lambda stack, lams, batch: nnsurv_loss_and_grad(stack, *batch, lams),
         batches, held_score, config)
-    return unpack(params, vec), trace
 
 
 def _select_ridge(features, targets, subject, depth, config: TrainConfig,
@@ -216,15 +223,15 @@ def _select_ridge(features, targets, subject, depth, config: TrainConfig,
     labels = labels_by_subject[np.searchsorted(subjects, subject)]
     fracs = config.ridge_grid if config.ridge_grid is not None else (1e-5, 1e-4, 1e-3)
 
-    def fold_scorer(held, seed):
-        def score(lam):
-            params, _ = _train_network(features[~held], targets[~held],
-                                       subject[~held], depth, lam, config, seed)
-            return -_mean_cross_entropy(params, features[held], targets[held])
-        return score
+    candidates = [frac * features.shape[0] for frac in fracs]
 
-    return select_ridge([frac * features.shape[0] for frac in fracs], labels,
-                        fold_scorer, config, rng)
+    def fold_scorer(held, seed):
+        stack, _ = _train_network(features[~held], targets[~held],
+                                  subject[~held], depth, candidates, config,
+                                  seed)
+        return -_mean_cross_entropy(stack, features[held], targets[held])
+
+    return select_ridge(candidates, labels, fold_scorer, config, rng)
 
 
 def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,
@@ -246,10 +253,10 @@ def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,
     else:
         ridge = _select_ridge(feats, batch.targets, batch.subject, depth,
                               config, rng)
-    params, trace = _train_network(feats, batch.targets, batch.subject, depth,
-                                   ridge, config, int(rng.integers(2 ** 31)))
-    return NnsurvFit(params=params, grid=grid, mean=mean, scale=scale,
-                     depth=depth, ridge=ridge, loss_trace=trace)
+    stack, traces = _train_network(feats, batch.targets, batch.subject, depth,
+                                   [ridge], config, int(rng.integers(2 ** 31)))
+    return NnsurvFit(params=unpack(stack, stack.vec[0]), grid=grid, mean=mean,
+                     scale=scale, depth=depth, ridge=ridge, loss_trace=traces[0])
 
 
 def nnsurv_hazards(fit: NnsurvFit, x) -> np.ndarray:

@@ -4,8 +4,12 @@ Everything is float64 and deterministic: parameters initialize from a
 seeded fan-in-scaled uniform. Each network's parameters are one flat
 vector, layer by layer, with per-layer views into it; gradients share the
 layout, so the Adam update and finite-difference checks of any loss work
-on plain vectors. Layers are checked where they enter (``init_mlp``,
-``MlpParams.from_layers``), never per training step.
+on plain vectors. A stack of C networks of one shape is a (C, P) array
+of such vectors: its views carry the leading candidate axis, and the
+forward and backward passes run every network of the stack at once, each
+with the same products and sums it would get alone. Layers are checked
+where they enter (``init_mlp``, ``MlpParams.from_layers``), never per
+training step.
 """
 
 from __future__ import annotations
@@ -21,19 +25,23 @@ ADAM_EPS = 1e-8
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """a = f(z), written over z."""
     if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
+        np.tanh(z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
     return z
 
 
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _backprop_activation(name: str, delta: np.ndarray,
+                         a: np.ndarray) -> np.ndarray:
+    """d loss / d z from d loss / d a through the activation a = f(z),
+    read from a alone (a relu output is positive exactly where z is)."""
     if name == "tanh":
-        return 1.0 - a * a
+        return delta * (1.0 - a * a)
     if name == "relu":
-        return (z > 0).astype(np.float64)
-    return np.ones_like(z)
+        return delta * (a > 0)
+    return delta
 
 
 def _check_layers(weights, biases, activations) -> None:
@@ -53,26 +61,39 @@ def _check_layers(weights, biases, activations) -> None:
             raise ValueError("parameters must be finite")
 
 
-def _views(weights, biases, vec: np.ndarray):
-    """Per-layer views into ``vec``, each weight matrix before its bias."""
-    w_views, b_views = [], []
+def _slices(weights, biases):
+    """(start, stop) of every weight matrix and bias in a flat vector, in
+    layer order, each weight matrix before its bias (None for no bias)."""
+    out = []
     pos = 0
     for w, b in zip(weights, biases):
-        w_views.append(vec[pos:pos + w.size].reshape(w.shape))
-        pos += w.size
-        if b is None:
-            b_views.append(None)
-        else:
-            b_views.append(vec[pos:pos + b.size])
-            pos += b.size
+        w_size = w.shape[-2] * w.shape[-1]
+        b_size = 0 if b is None else b.shape[-1]
+        out.append(((pos, pos + w_size),
+                    None if b is None else (pos + w_size, pos + w_size + b_size)))
+        pos += w_size + b_size
+    return out
+
+
+def _views(weights, biases, vec: np.ndarray):
+    """Per-layer views into ``vec``: (P,) for one network, (C, P) for a
+    stack, whose views gain the leading axis. The layer shapes are read
+    from ``weights`` and ``biases``, which may be a single network's or a
+    stack's."""
+    lead = vec.shape[:-1]
+    w_views, b_views = [], []
+    for w, (w_span, b_span) in zip(weights, _slices(weights, biases)):
+        w_views.append(vec[..., w_span[0]:w_span[1]].reshape(lead + w.shape[-2:]))
+        b_views.append(None if b_span is None else vec[..., b_span[0]:b_span[1]])
     return tuple(w_views), tuple(b_views)
 
 
 @dataclass(frozen=True)
 class MlpParams:
     """Flat parameter vector with per-layer views into it: weight matrices
-    (in x out), optional biases; and activation tags. Only ``from_layers``
-    checks its input."""
+    (in x out), optional biases; and activation tags. A stack of networks
+    has ``vec`` of shape (C, P) and views of shape (C, in, out) and
+    (C, out). Only ``from_layers`` checks its input."""
 
     vec: np.ndarray
     weights: tuple
@@ -115,8 +136,9 @@ def init_mlp(sizes, activations, seed: int, output_bias: bool = True) -> MlpPara
 
 
 def unpack(template: MlpParams, vec: np.ndarray) -> MlpParams:
-    """The network of ``template``'s shape whose parameters are ``vec``:
-    views, no copy and no check."""
+    """The network of ``template``'s shape whose parameters are ``vec``, or
+    the stack of such networks when ``vec`` is (C, P): views, no copy and
+    no check."""
     return MlpParams(vec, *_views(template.weights, template.biases, vec),
                      template.activations)
 
@@ -125,50 +147,57 @@ def mlp_forward(params: MlpParams, X: np.ndarray):
     """Layer-wise affine + activation; returns (output, caches for backprop).
 
     ``X`` may stack input matrices on leading axes; each is multiplied on
-    its own. Rows are not checked here: callers pass checked ones."""
+    its own. A stack of networks runs every one of them on the same ``X``
+    and returns outputs of shape (C, rows, out). Rows are not checked
+    here: callers pass checked ones."""
     a = np.atleast_2d(np.asarray(X, dtype=np.float64))
     caches = []
     for w, b, act in zip(params.weights, params.biases, params.activations):
         z = a @ w
         if b is not None:
-            z = z + b
+            z += b[..., None, :]
         out = _activate(act, z)
-        caches.append((a, z, out))
+        caches.append((a, out))
         a = out
     return a, caches
 
 
 def mlp_backward(params: MlpParams, caches, d_out: np.ndarray) -> np.ndarray:
     """Gradient of a scalar loss given d loss / d output, laid out like
-    ``params.vec``."""
-    grad = np.empty_like(params.vec)
-    d_weights, d_biases = _views(params.weights, params.biases, grad)
+    ``params.vec``: per network of a stack, each from its own rows of
+    ``d_out``."""
+    parts = []  # last layer first, each bias before its weights
     delta = np.asarray(d_out, dtype=np.float64)
     for k in range(params.n_layers - 1, -1, -1):
-        a_in, z, a_out = caches[k]
-        delta = delta * _activate_grad(params.activations[k], z, a_out)
-        d_weights[k][...] = a_in.T @ delta
-        if d_biases[k] is not None:
-            d_biases[k][...] = delta.sum(axis=0)
+        a_in, a_out = caches[k]
+        delta = _backprop_activation(params.activations[k], delta, a_out)
+        if params.biases[k] is not None:
+            parts.append(delta.sum(axis=-2))
+        d_w = a_in.swapaxes(-1, -2) @ delta
+        parts.append(d_w.reshape(d_w.shape[:-2] + (-1,)))
         if k:
-            delta = delta @ params.weights[k].T
-    return grad
+            delta = delta @ params.weights[k].swapaxes(-1, -2)
+    return np.concatenate(parts[::-1], axis=-1)
 
 
-def squared_norm(params: MlpParams) -> float:
-    """Sum of squared entries over every weight matrix and bias vector, by
-    layer: ``vec @ vec`` rounds differently and would move the loss trace."""
+def squared_norm(params: MlpParams):
+    """Sum of squared entries over every weight matrix and bias vector, one
+    pairwise sum per weight matrix and per bias, added in layer order:
+    ``vec @ vec`` rounds differently and would move the loss trace. A float
+    for one network, shape (C,) for a stack."""
+    sq = params.vec * params.vec
     total = 0.0
-    for w, b in zip(params.weights, params.biases):
-        total += float(np.sum(w * w))
-        if b is not None:
-            total += float(np.sum(b * b))
+    for span in _slices(params.weights, params.biases):
+        for part in span:
+            if part is not None:
+                total = total + np.add.reduce(sq[..., part[0]:part[1]], axis=-1)
     return total
 
 
 @dataclass
 class Adam:
-    """Per-parameter adaptive step sizes on the flat parameter vector."""
+    """Per-parameter adaptive step sizes on the flat parameter vector, or
+    on a stack of them, elementwise."""
 
     lr: float = 1e-3
 
@@ -178,12 +207,25 @@ class Adam:
         self._t = 0
 
     def step(self, vec: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Update ``vec`` in place, with the roundings of m = b1 m + (1 - b1) g,
+        v = b2 v + (1 - b2) g g and vec - lr m^ / (sqrt(v^) + eps), and
+        return it."""
         if self._m is None:
             self._m = np.zeros_like(vec)
             self._v = np.zeros_like(vec)
         self._t += 1
-        self._m = ADAM_BETA1 * self._m + (1 - ADAM_BETA1) * grad
-        self._v = ADAM_BETA2 * self._v + (1 - ADAM_BETA2) * grad * grad
-        m_hat = self._m / (1 - ADAM_BETA1 ** self._t)
-        v_hat = self._v / (1 - ADAM_BETA2 ** self._t)
-        return vec - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = self._m, self._v
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * grad
+        g2 = (1 - ADAM_BETA2) * grad
+        g2 *= grad
+        v *= ADAM_BETA2
+        v += g2
+        m_hat = m / (1 - ADAM_BETA1 ** self._t)
+        m_hat *= self.lr
+        v_hat = v / (1 - ADAM_BETA2 ** self._t)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += ADAM_EPS
+        m_hat /= v_hat
+        vec -= m_hat
+        return vec

@@ -1,9 +1,12 @@
 """Training machinery shared by the survival network heads: the Adam
 epoch loop with early stopping, and k-fold selection of the ridge weight.
 
-Both work on the network's flat parameter vector (``MlpParams.vec``);
-each head supplies only what differs between them, namely the batches of
-an epoch with their loss, and the held-out score.
+Both work on a stack of flat parameter vectors (``MlpParams.vec`` of
+shape (C, P)): every ridge candidate of a CV fold starts from the same
+initial weights and sees the same batches, so the candidates train
+together, one forward/backward pass and one Adam step per batch. Each
+head supplies only what differs between them, namely the batches of an
+epoch with their loss, and the held-out score.
 """
 
 from __future__ import annotations
@@ -13,43 +16,62 @@ import warnings
 import numpy as np
 
 from .config import TrainConfig
-from .mlp import Adam
+from .mlp import Adam, MlpParams, unpack
 
 
-def fit_adam(vec: np.ndarray, loss_and_grad, batches, held_score,
+def fit_adam(template: MlpParams, lams, loss_and_grad, batches, held_score,
              config: TrainConfig):
-    """Adam over ``config.epochs`` epochs, keeping the best-scoring iterate.
+    """Adam over ``config.epochs`` epochs for a stack of networks of
+    ``template``'s shape, one per ridge weight in ``lams``, each starting
+    from ``template``'s parameters; keeps each one's best-scoring iterate.
 
-    ``batches()`` yields the batches of one epoch and ``loss_and_grad(vec,
-    batch)`` returns the batch loss and its gradient. After each epoch's
-    updates ``held_score(vec)`` scores the parameters (lower is better);
-    with ``held_score`` None the epoch's summed training loss stands in.
-    Training stops once the score has not improved for ``config.patience``
-    epochs, but never before ``config.min_epochs``.
+    ``batches()`` yields the batches of one epoch, and
+    ``loss_and_grad(stack, lams, batch)`` returns the (C,) batch losses and
+    the gradient of the stack; one Adam step per batch moves the whole
+    stack, in place. After each epoch's updates ``held_score(stack)``
+    scores every network (lower is better); with ``held_score`` None the
+    epoch's summed training losses stand in. A candidate stops once its
+    score has not improved for ``config.patience`` epochs, but never before
+    ``config.min_epochs``. It stays in the stack, held at its best iterate
+    from the next step on, but is no longer traced, scored or checked for
+    a finite loss; training ends when every candidate has stopped.
 
-    Returns the best iterate and the per-epoch training loss.
+    Returns the stack of best iterates and each candidate's per-epoch
+    training loss.
     """
+    lams = np.asarray(lams, dtype=np.float64)
+    stack = unpack(template, np.tile(template.vec, (lams.size, 1)))
+    vec = stack.vec
     opt = Adam(lr=config.learning_rate)
-    best_vec, best_score, since_best = vec.copy(), np.inf, 0
-    trace = []
+    best_vec, best_score = vec.copy(), np.full(lams.size, np.inf)
+    since_best = np.zeros(lams.size, dtype=int)
+    active = np.ones(lams.size, dtype=bool)
+    stopped = np.flatnonzero(~active)
+    traces = [[] for _ in lams]
     for epoch in range(config.epochs):
-        epoch_loss = 0.0
+        epoch_loss = np.zeros(lams.size)
         for batch in batches():
-            loss, grad = loss_and_grad(vec, batch)
-            if not np.isfinite(loss):
+            loss, grad = loss_and_grad(stack, lams, batch)
+            if not np.isfinite(loss[active]).all():
                 raise RuntimeError("training loss became non-finite")
             epoch_loss += loss
-            vec = opt.step(vec, grad)
-        trace.append(epoch_loss)
-        score = held_score(vec) if held_score is not None else epoch_loss
-        if score < best_score - 1e-10:
-            best_score, best_vec, since_best = score, vec.copy(), 0
-        else:
-            since_best += 1
-            # the early-epoch validation signal is too noisy to act on
-            if since_best >= config.patience and epoch >= config.min_epochs:
-                break
-    return best_vec, np.asarray(trace)
+            opt.step(vec, grad)
+            if stopped.size:
+                vec[stopped] = best_vec[stopped]
+        score = held_score(stack) if held_score is not None else epoch_loss
+        for c in np.flatnonzero(active):
+            traces[c].append(epoch_loss[c])
+            if score[c] < best_score[c] - 1e-10:
+                best_score[c], best_vec[c], since_best[c] = score[c], vec[c], 0
+            else:
+                since_best[c] += 1
+                # the early-epoch validation signal is too noisy to act on
+                active[c] = not (since_best[c] >= config.patience
+                                 and epoch >= config.min_epochs)
+        stopped = np.flatnonzero(~active)
+        if stopped.size == lams.size:
+            break
+    return unpack(template, best_vec), [np.asarray(trace) for trace in traces]
 
 
 def select_ridge(candidates, labels: np.ndarray, fold_scorer,
@@ -58,23 +80,22 @@ def select_ridge(candidates, labels: np.ndarray, fold_scorer,
     ``config.cv_folds`` folds of ``labels``; the first one on ties.
 
     ``fold_scorer(held, seed)`` gets the held-out row mask of a fold and
-    the fold's training seed, and returns a function scoring one ridge
-    weight (higher is better), or None for a fold with no events on one
-    side, which is skipped with a warning. With every fold skipped the
-    first candidate is returned, also with a warning.
+    the fold's training seed, and returns the held-out scores of every
+    candidate, shape (C,) (higher is better), or None for a fold with no
+    events on one side, which is skipped with a warning. With every fold
+    skipped the first candidate is returned, also with a warning.
     """
     fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
     scores = np.zeros(len(candidates))
     used_folds = 0
     for fold in range(config.cv_folds):
-        score = fold_scorer(labels == fold, int(fold_seeds[fold]))
-        if score is None:
+        fold_scores = fold_scorer(labels == fold, int(fold_seeds[fold]))
+        if fold_scores is None:
             warnings.warn(f"fold {fold} has no events on one side; skipped",
                           RuntimeWarning, stacklevel=2)
             continue
         used_folds += 1
-        for j, lam in enumerate(candidates):
-            scores[j] += score(lam)
+        scores += fold_scores
     if used_folds == 0:
         warnings.warn("every fold was skipped; using the first ridge "
                       f"candidate {candidates[0]:g}", RuntimeWarning,

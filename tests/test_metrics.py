@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -141,17 +142,36 @@ class TestKaplanMeier:
     def test_censoring_left_limit_positive_where_weights_read_it(self, draws):
         # the IPCW weights divide by G(T_i-) at events and by G(t-) while
         # someone is at risk (t <= max time), while G(t) itself is 0 at
-        # the max time when everyone left there is censored
+        # the max time when everyone left there is censored; past the max
+        # time no one is at risk, and only the events' weights count
         times = np.array([t for t, _ in draws], float)
         events = np.array([e for _, e in draws])
         g = kaplan_meier(times, 1 - events)
         assert np.all(g.survival_at_minus(times[events == 1]) > 0)
         at_risk = np.union1d(times, np.arange(0.0, times.max(), 0.5))
         assert np.all(g.survival_at_minus(at_risk) > 0)
-        curves = step_curves(np.full(times.size, 0.5), [0.5, 5.0])
+        past = times.max() + np.array([0.5, 1.0, 3.0])
+        curves = step_curves(np.full(times.size, 0.5), [0.5, 9.0])
         with np.errstate(divide="raise", invalid="raise"):
-            trace = brier_trace(curves, times, events, grid=at_risk)
+            trace = brier_trace(curves, times, events,
+                                grid=np.concatenate([at_risk, past]))
         assert np.all(np.isfinite(trace))
+        event_w = np.zeros(times.size)
+        event_w[events == 1] = 1.0 / g.survival_at_minus(times[events == 1])
+        np.testing.assert_allclose(trace[at_risk.size:, 1],
+                                   0.25 * np.mean(event_w), rtol=1e-12)
+
+    @pytest.mark.parametrize("events, want", [((1, 0), (0.25, 0.125)),
+                                              ((1, 1), (0.25, 0.25))])
+    def test_past_the_largest_time_no_one_is_at_risk(self, events, want):
+        # with the largest time censored G(3-) = 0, and the empty at-risk
+        # term must count 0, not 0/0
+        curves = step_curves([0.5, 0.5], [0.5, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = brier_trace(curves, np.array([1.0, 2.0]), np.array(events),
+                                grid=[1.5, 3.0])
+        np.testing.assert_array_equal(trace, [[1.5, want[0]], [3.0, want[1]]])
 
 
 class TestCIndexTd:

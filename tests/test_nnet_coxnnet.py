@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from survbench.core import SurvivalDataset, risk_set_sums
+from survbench.core import SurvivalDataset, risk_set_sums, standardize_covariates
 from survbench.nnet import TrainConfig, coxnnet_fit, coxnnet_loss_and_grad
-from survbench.nnet.coxnnet import _scalar_concordance, coxnnet_scores
+from survbench.nnet.coxnnet import (
+    _scalar_concordance,
+    _train_network,
+    coxnnet_scores,
+)
 from survbench.nnet.mlp import MlpParams, init_mlp, unpack
 from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
 
@@ -154,6 +158,39 @@ class TestFit:
             assert f"fold {fold} has no events on one side; skipped" in messages
         assert any(m.startswith("every fold was skipped") for m in messages)
         assert fit.ridge == 1e-2
+
+
+class TestStackedCandidates:
+    def test_each_candidate_trains_as_it_would_alone(self):
+        # small patience and min_epochs: the candidates stop at different
+        # epochs, and a stopped one must not move the others
+        data = small_sim(n=120, p=4, seed=3).data
+        Z, _, _ = standardize_covariates(data.X)
+        zdata = SurvivalDataset(Z, data.time, data.event)
+        cfg = TrainConfig(seed=0, epochs=80, min_epochs=3, patience=3,
+                          learning_rate=0.01)
+        lams = [0.0, 3.0, 30.0]
+        stack, traces = _train_network(zdata, lams, cfg, 7)
+        assert stack.vec.shape[0] == 3
+        assert len({trace.size for trace in traces}) == 3
+        for c, lam in enumerate(lams):
+            alone, alone_traces = _train_network(zdata, [lam], cfg, 7)
+            np.testing.assert_array_equal(stack.vec[c], alone.vec[0])
+            np.testing.assert_array_equal(traces[c], alone_traces[0])
+
+    def test_stacked_loss_is_each_networks_loss(self):
+        data, params = random_instance(n=12, p=3, hidden=2, seed=1)
+        others = [init_mlp((3, 2, 1), ("tanh", "identity"), seed=s,
+                           output_bias=False) for s in (5, 6)]
+        nets = [params] + others
+        stack = unpack(params, np.stack([net.vec for net in nets]))
+        lams = np.array([0.0, 0.5, 2.0])
+        loss, grad = coxnnet_loss_and_grad(stack, data, lams)
+        assert loss.shape == (3,) and grad.shape == stack.vec.shape
+        for c, (net, lam) in enumerate(zip(nets, lams)):
+            want_loss, want_grad = coxnnet_loss_and_grad(net, data, float(lam))
+            assert loss[c] == want_loss
+            np.testing.assert_array_equal(grad[c], want_grad)
 
 
 def harrell_brute_force(scores, times, events):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from survbench.core import SurvivalDataset
+from survbench.core import SurvivalDataset, standardize_covariates
 from survbench.nnet import TrainConfig
 from survbench.nnet.discrete import (
     DiscreteTimeGrid,
+    _train_network,
     build_time_grid,
     duplicate,
     nnsurv_fit,
@@ -316,6 +317,31 @@ class TestTiedTimes:
         grid = build_time_grid(data, 12)
         qs = np.quantile(data.time, np.linspace(0.0, 1.0, 13)[1:])
         np.testing.assert_array_equal(grid.cuts, np.concatenate([[0.0], qs]))
+
+
+class TestStackedCandidates:
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_each_candidate_trains_as_it_would_alone(self, depth):
+        # small patience and min_epochs: the candidates stop at different
+        # epochs, and a stopped one must not move the others
+        spec = SimulationSpec(family=ModelFamily.AH,
+                              baseline=LogNormal(7.73, 0.7), n=120, p=4, k=2,
+                              censor_target=0.3, seed=3)
+        data = generate(spec).data
+        batch = duplicate(data, build_time_grid(data, 6))
+        feats, _, _ = standardize_covariates(batch.features)
+        cfg = TrainConfig(seed=0, epochs=80, min_epochs=3, patience=3,
+                          batch_size=64, learning_rate=0.01)
+        lams = [0.0, 3.0, 30.0]
+        stack, traces = _train_network(feats, batch.targets, batch.subject,
+                                       depth, lams, cfg, 7)
+        assert stack.vec.shape[0] == 3
+        assert len({trace.size for trace in traces}) > 1
+        for c, lam in enumerate(lams):
+            alone, alone_traces = _train_network(
+                feats, batch.targets, batch.subject, depth, [lam], cfg, 7)
+            np.testing.assert_array_equal(stack.vec[c], alone.vec[0])
+            np.testing.assert_array_equal(traces[c], alone_traces[0])
 
 
 # nnsurv_fit outputs with ridge CV on, recorded before the network heads
