@@ -83,7 +83,7 @@ def ramlau_hansen(data: SurvivalDataset, scores, bandwidth: float,
                       RuntimeWarning, stacklevel=2)
         alpha = np.zeros(grid.size)
     else:
-        mean_risk_score = risk_set_sums(data.time, scores) / data.n
+        mean_risk_score = risk_set_sums(data.risk_index.later, scores) / data.n
         weights = 1.0 / (data.n * mean_risk_score[events])
         u = (grid[:, None] - data.time[None, events]) / bandwidth
         alpha = epanechnikov(u) @ weights / bandwidth

@@ -9,8 +9,47 @@ operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class TimeOrder:
+    """Subjects sorted by a key, largest first and stable on ties, with the
+    sorted position that closes each sorted position's tie group.
+
+    A cumulative sum down ``order``, read at ``group_end``, sums a value
+    over every subject whose key is at least the subject's own.
+    """
+
+    order: np.ndarray
+    group_end: np.ndarray
+
+    @classmethod
+    def descending(cls, key) -> "TimeOrder":
+        key = np.asarray(key, dtype=np.float64)
+        order = np.argsort(-key, kind="stable")
+        k_s = key[order]
+        group_id = np.concatenate([[0], np.cumsum(np.diff(k_s) != 0)])
+        last_of_group = np.concatenate([np.nonzero(np.diff(k_s))[0],
+                                        [key.shape[0] - 1]])
+        return cls(order, last_of_group[group_id])
+
+
+@dataclass(frozen=True)
+class RiskSetIndex:
+    """Both time orders of one set of observed times: ``later`` sums over
+    { l : T_l >= T_i } (the risk set of i), ``earlier`` over
+    { l : T_l <= T_i }."""
+
+    later: TimeOrder
+    earlier: TimeOrder
+
+    @classmethod
+    def of(cls, time) -> "RiskSetIndex":
+        time = np.asarray(time, dtype=np.float64)
+        return cls(TimeOrder.descending(time), TimeOrder.descending(-time))
 
 
 @dataclass(frozen=True)
@@ -62,8 +101,14 @@ class SurvivalDataset:
     def p(self) -> int:
         return self.X.shape[1]
 
+    @cached_property
+    def risk_index(self) -> RiskSetIndex:
+        """The time orders the Cox kernel reads, sorted once per dataset."""
+        return RiskSetIndex.of(self.time)
+
     def subset(self, idx: np.ndarray) -> "SurvivalDataset":
-        """Dataset restricted to the given row indices (copying)."""
+        """Dataset restricted to the given row indices (copying); it builds
+        its own ``risk_index``."""
         idx = np.asarray(idx, dtype=np.intp)
         return SurvivalDataset(self.X[idx], self.time[idx], self.event[idx])
 
@@ -151,60 +196,108 @@ class Split:
         object.__setattr__(self, "test", test)
 
 
-def risk_set_sums(time: np.ndarray, values: np.ndarray) -> np.ndarray:
+def risk_set_sums(order: TimeOrder, values) -> np.ndarray:
     """For each subject i, the sum of ``values`` over { l : T_l >= T_i }.
 
-    ``values`` may be (n,) or (n, p); sums come back in subject order.
-    Tied times are mutually at risk.
+    ``order`` is the times' order, a ``RiskSetIndex``'s ``later``
+    (its ``earlier`` sums over { l : T_l <= T_i } instead). ``values`` may
+    be (n,) or (n, p); sums come back in subject order. Tied times are
+    mutually at risk.
     """
-    time = np.asarray(time, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    n = time.shape[0]
-    order = np.argsort(-time, kind="stable")
-    t_s = time[order]
-    cum = np.cumsum(values[order], axis=0)
-    group_id = np.concatenate([[0], np.cumsum(np.diff(t_s) != 0)])
-    last_of_group = np.concatenate([np.nonzero(np.diff(t_s))[0], [n - 1]])
-    sums_sorted = cum[last_of_group[group_id]]
+    return _accumulate_in_order(order, np.asarray(values, dtype=np.float64),
+                                np.cumsum)
+
+
+def _accumulate_in_order(order: TimeOrder, values: np.ndarray, accumulate):
+    """``accumulate`` (a cumulative reduction along axis 0) down ``order``,
+    read at each tie group's end, returned in subject order."""
+    sums_sorted = accumulate(values[order.order], axis=0)[order.group_end]
     out = np.empty_like(sums_sorted)
-    out[order] = sums_sorted
+    out[order.order] = sums_sorted
     return out
 
 
-def _cox_partial_likelihood(eta, time, event, with_derivative: bool):
+# Within this gap between the largest linear predictor and the latest-time
+# subject's, one shift by the largest keeps every risk-set sum above e^-600,
+# far from subnormal, and the derivative's sums of 1 / S_j finite; past it
+# each risk set is shifted by its own maximum.
+_ONE_SHIFT_SPAN = 600.0
+
+
+def _cox_partial_likelihood(eta, time, event, with_derivative: bool,
+                            index: RiskSetIndex | None):
     """Negative Cox partial log-likelihood of linear predictors ``eta``,
     -sum_i delta_i [eta_i - log sum_{l in R_i} exp(eta_l)], with Breslow
-    risk sets (ties mutually at risk) and a log-sum-exp shift.
+    risk sets (ties mutually at risk); one value per row of a (C, n) stack.
 
     With ``with_derivative``, also d(-pll)/d eta_i = e^{eta_i} q_i - delta_i,
     where q_i sums delta_j / S_j over the events j with T_j <= T_i and
     S_j = sum_{l in R_j} e^{eta_l}.
     """
     eta = np.asarray(eta, dtype=np.float64)
-    shift = float(eta.max()) if eta.size else 0.0
-    w = np.exp(eta - shift)
-    # the self-term keeps every sum positive mathematically; guard the
-    # underflow case so extreme line-search trials stay comparable
-    denom = np.maximum(risk_set_sums(time, w), 1e-300)
-    events = event == 1
-    loss = float(np.sum(np.log(denom[events]) + shift - eta[events]))
+    events = np.asarray(event) == 1
+    index = RiskSetIndex.of(time) if index is None else index
+    etas = np.atleast_2d(eta)
+    shift = etas.max(axis=1, keepdims=True)
+    # the latest-time subject is in every risk set, so its term bounds every
+    # risk-set sum from below
+    one_shift = etas[:, index.later.order[0]] >= shift[:, 0] - _ONE_SHIFT_SPAN
+    if not one_shift.all():
+        if eta.ndim == 1:
+            return _cox_running_shift(eta, events, index, with_derivative)
+        # each row scored alone, so it gets the bits of a one-row call
+        rows = [_cox_partial_likelihood(row, time, event, with_derivative,
+                                        index) for row in etas]
+        if not with_derivative:
+            return np.array(rows)
+        return np.array([r[0] for r in rows]), np.stack([r[1] for r in rows])
+    w = np.exp(etas - shift)
+    # C-ordered (C, n) rows (compress keeps that order; a boolean index does
+    # not), so each loss is a pairwise sum along a contiguous axis, as a
+    # 1-D sum is; a sum across strided rows would run sequentially
+    denom = np.ascontiguousarray(risk_set_sums(index.later, w.T).T)
+    loss = np.sum(np.log(denom.compress(events, axis=1)) + shift
+                  - etas.compress(events, axis=1), axis=1)
+    if eta.ndim == 1:
+        loss = float(loss[0])
     if not with_derivative:
         return loss
     inv = np.where(events, 1.0 / denom, 0.0)
-    d_eta = w * risk_set_sums(-time, inv) - events.astype(np.float64)
-    return loss, d_eta
+    d_eta = (w * risk_set_sums(index.earlier, inv.T).T
+             - events.astype(np.float64))
+    return loss, d_eta.reshape(eta.shape)
 
 
-def cox_loss(eta, time, event) -> float:
+def _cox_running_shift(eta, events, index: RiskSetIndex,
+                       with_derivative: bool):
+    """The kernel for one (n,) ``eta`` whose spread defeats one shift: log S_i
+    comes from a running log-sum-exp down the time order, which shifts each
+    partial sum by its own running maximum, and every derivative term
+    e^{eta_l} / S_j = e^{eta_l - log S_j} is formed in log space, so none
+    underflows."""
+    log_denom = _accumulate_in_order(index.later, eta, np.logaddexp.accumulate)
+    loss = float(np.sum(log_denom[events] - eta[events]))
+    if not with_derivative:
+        return loss
+    log_q = _accumulate_in_order(index.earlier,
+                                 np.where(events, -log_denom, -np.inf),
+                                 np.logaddexp.accumulate)
+    return loss, np.exp(eta + log_q) - events.astype(np.float64)
+
+
+def cox_loss(eta, time, event, index: RiskSetIndex | None = None):
     """Negative Cox partial log-likelihood of linear predictors ``eta``;
-    0 when no event is observed."""
-    return _cox_partial_likelihood(eta, time, event, with_derivative=False)
+    0 when no event is observed. A (C, n) ``eta`` stacks C candidates'
+    predictors and gives C losses. ``index`` is ``RiskSetIndex.of(time)``,
+    usually a dataset's ``risk_index``; without it the times are sorted
+    here."""
+    return _cox_partial_likelihood(eta, time, event, False, index)
 
 
-def cox_loss_and_grad(eta, time, event):
-    """``(cox_loss, d cox_loss / d eta)``; the derivative has one entry per
-    subject and is zero when no event is observed."""
-    return _cox_partial_likelihood(eta, time, event, with_derivative=True)
+def cox_loss_and_grad(eta, time, event, index: RiskSetIndex | None = None):
+    """``(cox_loss, d cox_loss / d eta)``; the derivative has the shape of
+    ``eta`` and is zero when no event is observed."""
+    return _cox_partial_likelihood(eta, time, event, True, index)
 
 
 def standardize_covariates(X: np.ndarray):

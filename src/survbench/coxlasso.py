@@ -53,14 +53,15 @@ def partial_loglik(data: SurvivalDataset, beta) -> float:
     """Cox partial log-likelihood
     sum_i delta_i [beta'x_i - log sum_{l in R_i} exp(beta'x_l)]."""
     beta = _check_beta(data, beta)
-    return -cox_loss(data.X @ beta, data.time, data.event)
+    return -cox_loss(data.X @ beta, data.time, data.event, data.risk_index)
 
 
 def partial_loglik_grad(data: SurvivalDataset, beta) -> np.ndarray:
     """Score vector sum_i delta_i [x_i - weighted risk-set mean of x], by
     the chain rule through the linear predictor: -X' d(-pll)/d eta."""
     beta = _check_beta(data, beta)
-    _, d_eta = cox_loss_and_grad(data.X @ beta, data.time, data.event)
+    _, d_eta = cox_loss_and_grad(data.X @ beta, data.time, data.event,
+                                 data.risk_index)
     return -(d_eta @ data.X)
 
 
@@ -170,7 +171,8 @@ def cv_lambda(data: SurvivalDataset, nfolds: int, path=None, seed: int = 0,
     Uses the Verweij-van Houwelingen criterion: for each fold, the
     difference between the full-data and train-fold partial likelihoods
     at the train-fold solution. Folds whose train or held-out part has no
-    events are skipped with a warning.
+    events are skipped with a warning; with every fold skipped the first
+    (largest) penalty is returned, also with a warning.
     """
     if nfolds < 2:
         raise ValueError("need at least two folds")
@@ -202,7 +204,8 @@ def cv_lambda(data: SurvivalDataset, nfolds: int, path=None, seed: int = 0,
             beta = fit.beta_hat
             scores[j] += partial_loglik(zfull, beta) - partial_loglik(ztrain, beta)
     if used_folds == 0:
-        raise ValueError("every fold was skipped; cannot cross-validate")
+        warnings.warn("every fold was skipped; using the first (largest) "
+                      f"penalty {path[0]:g}", RuntimeWarning, stacklevel=2)
     # path runs from the largest penalty down; prefer the sparser model on ties
     return float(path[int(np.argmax(scores))])
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survbench.core import (
+    RiskSetIndex,
     SurvivalCurve,
     SurvivalDataset,
     apply_standardization,
@@ -106,10 +107,15 @@ class TestSurvivalCurve:
         assert len(curves) == 0
 
 
+def later(time):
+    """The risk-set order of ``time``: sums over { l : T_l >= T_i }."""
+    return RiskSetIndex.of(time).later
+
+
 def risk_set_members(time):
     """Membership matrix M[i, l] = [l in R_i], read off risk_set_sums of
     one-hot rows."""
-    return risk_set_sums(time, np.eye(len(time))) == 1.0
+    return risk_set_sums(later(time), np.eye(len(time))) == 1.0
 
 
 class TestRiskSets:
@@ -119,11 +125,12 @@ class TestRiskSets:
 
     def test_sizes_on_distinct_times(self):
         # enumerating the definition on times (1, 2, 3)
-        sizes = risk_set_sums([1.0, 2.0, 3.0], np.ones(3))
+        sizes = risk_set_sums(later([1.0, 2.0, 3.0]), np.ones(3))
         np.testing.assert_array_equal(sizes, [3.0, 2.0, 1.0])
 
     def test_single_subject_self_membership(self):
-        np.testing.assert_array_equal(risk_set_sums([5.0], [2.5]), [2.5])
+        np.testing.assert_array_equal(risk_set_sums(later([5.0]), [2.5]),
+                                      [2.5])
 
     def test_ties_mutually_at_risk(self):
         members = risk_set_members([2.0, 2.0, 1.0])
@@ -148,11 +155,81 @@ class TestRiskSets:
         time = np.asarray(times, dtype=float)
         values = np.random.default_rng(seed).standard_normal((time.size, 2))
         want = np.array([values[time >= t].sum(axis=0) for t in time])
-        np.testing.assert_allclose(risk_set_sums(time, values), want,
+        np.testing.assert_allclose(risk_set_sums(later(time), values), want,
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(risk_set_sums(time, values[:, 0]),
+        np.testing.assert_allclose(risk_set_sums(later(time), values[:, 0]),
                                    want[:, 0], rtol=1e-12, atol=1e-12)
 
+
+
+def sorted_per_call(time, values):
+    """risk_set_sums with its own argsort and tie groups on every call."""
+    time = np.asarray(time, dtype=float)
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(-time, kind="stable")
+    t_s = time[order]
+    cum = np.cumsum(values[order], axis=0)
+    group_id = np.concatenate([[0], np.cumsum(np.diff(t_s) != 0)])
+    last_of_group = np.concatenate([np.nonzero(np.diff(t_s))[0],
+                                    [time.size - 1]])
+    out = np.empty_like(cum)
+    out[order] = cum[last_of_group[group_id]]
+    return out
+
+
+class TestRiskSetIndex:
+    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1,
+                    max_size=30), st.integers(0, 2 ** 31))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_indexed_sums_equal_sorting_per_call(self, times, seed):
+        # integer times in 1..4 make most subjects share a time
+        rng = np.random.default_rng(seed)
+        time = np.asarray(times, dtype=float)
+        index = RiskSetIndex.of(time)
+        for shape in ((time.size,), (time.size, 5), (time.size, 3)):
+            values = rng.standard_normal(shape)
+            np.testing.assert_array_equal(
+                risk_set_sums(index.later, values),
+                sorted_per_call(time, values))
+            np.testing.assert_array_equal(
+                risk_set_sums(index.earlier, values),
+                sorted_per_call(-time, values))
+
+    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1,
+                    max_size=30), st.integers(0, 2 ** 31))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_stacked_kernel_equals_one_call_per_row(self, times, seed):
+        rng = np.random.default_rng(seed)
+        time = np.asarray(times, dtype=float)
+        event = rng.integers(0, 2, time.size)
+        etas = rng.normal(0.0, 3.0, (3, time.size))
+        index = make_data(time, event).risk_index
+        loss, d_eta = cox_loss_and_grad(etas, time, event, index)
+        np.testing.assert_array_equal(cox_loss(etas, time, event, index), loss)
+        for c, eta in enumerate(etas):
+            want_loss, want_d = cox_loss_and_grad(eta, time, event)
+            assert loss[c] == want_loss
+            np.testing.assert_array_equal(d_eta[c], want_d)
+
+    def test_stack_past_one_shift_scores_each_row_alone(self):
+        time = np.array([1.0, 2.0, 2.0, 3.0])
+        event = np.array([1, 1, 0, 1])
+        etas = np.array([[0.5, -0.2, 1.0, 0.1], [0.0, -300.0, -600.0, -900.0]])
+        loss, d_eta = cox_loss_and_grad(etas, time, event)
+        for c, eta in enumerate(etas):
+            want_loss, want_d = cox_loss_and_grad(eta, time, event)
+            assert loss[c] == want_loss
+            np.testing.assert_array_equal(d_eta[c], want_d)
+
+    def test_subset_builds_its_own_index(self):
+        data = make_data([3.0, 1.0, 2.0, 2.0], [1, 0, 1, 1])
+        index = data.risk_index
+        assert data.risk_index is index
+        part = data.subset([3, 0])
+        assert part.risk_index is not index
+        np.testing.assert_array_equal(part.risk_index.later.order, [1, 0])
+        np.testing.assert_array_equal(risk_set_sums(part.risk_index.later,
+                                                    [1.0, 1.0]), [2.0, 1.0])
 
 
 def cox_loss_oracle(eta, time, event):
@@ -168,6 +245,19 @@ def cox_loss_oracle(eta, time, event):
         loss -= eta[i] - np.log(s_i)
         for l in risk:
             d_eta[l] += np.exp(eta[l]) / s_i
+    return loss, d_eta
+
+
+def log_space_oracle(eta, time, event):
+    """-pll and its eta-derivative with each risk set shifted by its own
+    maximum: O(n^2), no cumulative sums, every term formed in log space."""
+    loss, d_eta = 0.0, -event.astype(float)
+    for i in np.flatnonzero(event == 1):
+        risk = np.flatnonzero(time >= time[i])
+        top = eta[risk].max()
+        log_s = top + np.log(np.sum(np.exp(eta[risk] - top)))
+        loss += log_s - eta[i]
+        d_eta[risk] += np.exp(eta[risk] - log_s)
     return loss, d_eta
 
 
@@ -196,23 +286,48 @@ class TestCoxLoss:
         np.testing.assert_array_equal(d_eta, np.zeros(3))
 
     def test_finite_past_exp_underflow(self):
-        # e^{-900 - 0} underflows to 0, leaving the last risk set empty in
-        # floating point
-        eta = np.array([0.0, -450.0, -900.0])
-        time = np.array([1.0, 2.0, 3.0])
-        event = np.ones(3, dtype=int)
-        loss, d_eta = cox_loss_and_grad(eta, time, event)
-        assert np.isfinite(loss) and np.isfinite(cox_loss(eta, time, event))
-        assert np.all(np.isfinite(d_eta))
+        # e^{-900} underflows to 0, so one shift by the largest eta would
+        # leave the latest risk sets empty in floating point; eta falls with
+        # time, so the latest risk set holds only the smallest values
+        rng = np.random.default_rng(0)
+        cases = [(np.array([0.0, -450.0, -900.0]), np.array([1.0, 2.0, 3.0]),
+                  np.ones(3, dtype=int)),
+                 # -pll = log(1 + e^{-900}) + log(e^{-900}) + 900, about 0
+                 (np.array([0.0, -900.0]), np.array([1.0, 2.0]),
+                  np.array([1, 1]))]
+        for spread in (450.0, 900.0):
+            for _ in range(3):
+                time = rng.integers(1, 6, 12).astype(float)
+                event = rng.integers(0, 2, 12)
+                event[np.argmax(time)] = 1
+                eta = (-spread * (time - 1.0) / 4.0
+                       + rng.uniform(-1.0, 1.0, 12))
+                cases.append((eta, time, event))
+        for eta, time, event in cases:
+            want_loss, want_d = log_space_oracle(eta, time, event)
+            loss, d_eta = cox_loss_and_grad(eta, time, event)
+            assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(d_eta, want_d, rtol=1e-10, atol=1e-12)
+            assert cox_loss(eta, time, event) == loss
+
+    def test_lists_score_as_arrays(self):
+        eta, time, event = [0.3, -900.0, 1.1], [1, 2, 2], [1, 1, 0]
+        want = cox_loss_and_grad(np.asarray(eta), np.asarray(time, float),
+                                 np.asarray(event))
+        got = cox_loss_and_grad(eta, time, event)
+        assert got[0] == want[0] and cox_loss(eta, time, event) == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+        assert cox_loss([0, -900], [1, 2], [1, 1]) == cox_loss(
+            np.array([0.0, -900.0]), np.array([1.0, 2.0]), np.array([1, 1]))
 
     def test_value_only_call_does_one_risk_set_sum(self, monkeypatch):
         import survbench.core as core
 
         calls = []
 
-        def counted(time, values):
+        def counted(order, values):
             calls.append(1)
-            return risk_set_sums(time, values)
+            return risk_set_sums(order, values)
 
         monkeypatch.setattr(core, "risk_set_sums", counted)
         eta, time, event = np.zeros(4), np.arange(1.0, 5.0), np.ones(4, int)

@@ -236,12 +236,16 @@ class TestCvLambda:
                 hits += 1
         assert hits >= 7
 
-    def test_all_folds_skipped_errors(self):
+    def test_all_folds_skipped_warns_and_takes_largest_penalty(self):
+        # the networks' ridge selection falls back the same way
         data = sim_data(n=20, seed=13)
         no_events = SurvivalDataset(data.X, data.time, np.zeros(20, dtype=int))
-        with pytest.raises(ValueError, match="every fold"):
-            with pytest.warns(RuntimeWarning):
-                cv_lambda(no_events, 2, path=[0.1], seed=0)
+        with pytest.warns(RuntimeWarning) as caught:
+            lam = cv_lambda(no_events, 2, path=[0.3, 0.1], seed=0)
+        assert [str(w.message).split(";")[0] for w in caught] == [
+            "fold 0 has no events on one side", "fold 1 has no events on one side",
+            "every fold was skipped"]
+        assert lam == 0.3
 
 
 class TestRiskScore:

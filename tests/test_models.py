@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,3 +246,68 @@ class TestTieHeavyTimes:
         assert 2 <= model.fit.grid.n_intervals <= 27
         curves = model.predict_survival(test.X[:20])
         assert all(np.all(np.isfinite(c.probs)) for c in curves)
+
+
+class TestTooFewEvents:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_one_event_in_forty_fits_and_scores(self, name):
+        # every CV fold of coxl1 and coxnnet lacks an event on one side, so
+        # both fall back to their first candidate with the same warning
+        from survbench.core import SurvivalDataset
+        from survbench.metrics import metric_report
+
+        spec = SimulationSpec(family=ModelFamily.COX,
+                              baseline=Weibull(2.0, 1.3e-7),
+                              n=100, p=4, k=4, censor_target=0.3, seed=0)
+        data = generate(spec).data
+        first_event = np.flatnonzero(data.event[:40])[0]
+        train = SurvivalDataset(data.X[:40], data.time[:40],
+                                (np.arange(40) == first_event).astype(int))
+        test = data.subset(np.arange(40, 100))
+        cfg = TrainConfig(epochs=20, min_epochs=5, patience=5, cv_folds=2,
+                          seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_model(name, train, seed=0, config=cfg,
+                              lasso_cv_folds=2)
+        if name in ("coxl1", "coxnnet"):
+            assert any("every fold was skipped" in str(w.message)
+                       for w in caught)
+        report = metric_report(model.predict_survival(test.X), test.time,
+                               test.event)
+        assert np.isfinite(report.c_td) and np.isfinite(report.ibs)
+
+
+class TestOneSortPerDataset:
+    def test_coxl1_builds_each_dataset_index_once(self, sim_small,
+                                                  monkeypatch):
+        from functools import cached_property
+
+        import survbench.core as core
+
+        built, sorts, kernel_calls = [], [], []
+        build = core.SurvivalDataset.risk_index.func
+        of = core.RiskSetIndex.of.__func__
+        sums = core.risk_set_sums
+
+        def counted_build(data):
+            built.append(data)  # held, so no id is reused
+            return build(data)
+
+        def counted_sums(order, values):
+            kernel_calls.append(1)
+            return sums(order, values)
+
+        prop = cached_property(counted_build)
+        prop.__set_name__(core.SurvivalDataset, "risk_index")
+        monkeypatch.setattr(core.SurvivalDataset, "risk_index", prop)
+        monkeypatch.setattr(core.RiskSetIndex, "of", classmethod(
+            lambda cls, time: sorts.append(1) or of(cls, time)))
+        monkeypatch.setattr(core, "risk_set_sums", counted_sums)
+        data = sim_small.data  # a fresh dataset: no index cached yet
+        fit_model("coxl1", core.SurvivalDataset(data.X, data.time, data.event),
+                  seed=3, lasso_cv_folds=2)
+        assert len({id(d) for d in built}) == len(built)
+        # lambda_max, two per fold, the final fit and the baseline
+        assert len(built) == len(sorts) == 2 * 2 + 3
+        assert len(kernel_calls) > 100 * len(built)

@@ -4,14 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from survbench.core import SurvivalDataset, risk_set_sums, standardize_covariates
+from survbench.core import (
+    SurvivalDataset,
+    cox_loss_and_grad,
+    risk_set_sums,
+    standardize_covariates,
+)
 from survbench.nnet import TrainConfig, coxnnet_fit, coxnnet_loss_and_grad
 from survbench.nnet.coxnnet import (
     _scalar_concordance,
     _train_network,
     coxnnet_scores,
 )
-from survbench.nnet.mlp import MlpParams, init_mlp, unpack
+from survbench.nnet.mlp import (
+    MlpParams,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
+    squared_norm,
+    unpack,
+)
 from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
 
 
@@ -45,7 +57,7 @@ class TestLossAndGrad:
         params = MlpParams.from_layers(weights=(np.zeros((p, 2)), np.zeros((2, 1))),
                                        biases=(np.zeros(2), None),
                                        activations=("tanh", "identity"))
-        sizes = risk_set_sums(data.time, np.ones(n))
+        sizes = risk_set_sums(data.risk_index.later, np.ones(n))
         want = float(np.sum(np.log(sizes[data.event == 1])))
         loss, _ = coxnnet_loss_and_grad(params, data, 0.0)
         assert loss == pytest.approx(want, rel=1e-12)
@@ -71,6 +83,24 @@ class TestLossAndGrad:
         penalty += 2.0 * sum(float(np.sum(b * b)) for b in params.biases
                              if b is not None)
         assert loss == pytest.approx(penalty, rel=1e-12)
+
+    def test_stack_equals_one_kernel_call_per_candidate(self):
+        data, params = random_instance(n=50, p=3, hidden=4, seed=8)
+        rng = np.random.default_rng(8)
+        stack = unpack(params, params.vec
+                       + rng.normal(0.0, 0.5, (3, params.vec.size)))
+        lams = np.array([0.0, 0.1, 2.0])
+        loss, grad = coxnnet_loss_and_grad(stack, data, lams)
+        theta, caches = mlp_forward(stack, data.X)
+        want_loss, d_theta = np.empty(3), np.empty(theta.shape[:2])
+        for c in range(3):
+            want_loss[c], d_theta[c] = cox_loss_and_grad(
+                theta[c, :, 0], data.time, data.event)
+        want_loss += lams * squared_norm(stack)
+        want_grad = mlp_backward(stack, caches, d_theta[..., None])
+        want_grad += 2.0 * lams[:, None] * stack.vec
+        np.testing.assert_array_equal(loss, want_loss)
+        np.testing.assert_array_equal(grad, want_grad)
 
     def test_negative_ridge_rejected(self):
         data, params = random_instance(n=5, p=2, hidden=2, seed=4)
