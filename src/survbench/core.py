@@ -224,11 +224,11 @@ def _accumulate_in_order(order: TimeOrder, values: np.ndarray, accumulate):
 _ONE_SHIFT_SPAN = 600.0
 
 
-def _cox_partial_likelihood(eta, time, event, with_derivative: bool,
-                            index: RiskSetIndex | None):
+def _cox_partial_likelihood(eta, index: RiskSetIndex, event,
+                            with_derivative: bool):
     """Negative Cox partial log-likelihood of linear predictors ``eta``,
     -sum_i delta_i [eta_i - log sum_{l in R_i} exp(eta_l)], with Breslow
-    risk sets (ties mutually at risk); one value per row of a (C, n) stack.
+    risk sets (ties mutually at risk) read off ``index``.
 
     With ``with_derivative``, also d(-pll)/d eta_i = e^{eta_i} q_i - delta_i,
     where q_i sums delta_j / S_j over the events j with T_j <= T_i and
@@ -236,41 +236,24 @@ def _cox_partial_likelihood(eta, time, event, with_derivative: bool,
     """
     eta = np.asarray(eta, dtype=np.float64)
     events = np.asarray(event) == 1
-    index = RiskSetIndex.of(time) if index is None else index
-    etas = np.atleast_2d(eta)
-    shift = etas.max(axis=1, keepdims=True)
+    shift = float(eta.max())
     # the latest-time subject is in every risk set, so its term bounds every
     # risk-set sum from below
-    one_shift = etas[:, index.later.order[0]] >= shift[:, 0] - _ONE_SHIFT_SPAN
-    if not one_shift.all():
-        if eta.ndim == 1:
-            return _cox_running_shift(eta, events, index, with_derivative)
-        # each row scored alone, so it gets the bits of a one-row call
-        rows = [_cox_partial_likelihood(row, time, event, with_derivative,
-                                        index) for row in etas]
-        if not with_derivative:
-            return np.array(rows)
-        return np.array([r[0] for r in rows]), np.stack([r[1] for r in rows])
-    w = np.exp(etas - shift)
-    # C-ordered (C, n) rows (compress keeps that order; a boolean index does
-    # not), so each loss is a pairwise sum along a contiguous axis, as a
-    # 1-D sum is; a sum across strided rows would run sequentially
-    denom = np.ascontiguousarray(risk_set_sums(index.later, w.T).T)
-    loss = np.sum(np.log(denom.compress(events, axis=1)) + shift
-                  - etas.compress(events, axis=1), axis=1)
-    if eta.ndim == 1:
-        loss = float(loss[0])
+    if eta[index.later.order[0]] < shift - _ONE_SHIFT_SPAN:
+        return _cox_running_shift(eta, events, index, with_derivative)
+    w = np.exp(eta - shift)
+    denom = risk_set_sums(index.later, w)
+    loss = float(np.sum(np.log(denom[events]) + shift - eta[events]))
     if not with_derivative:
         return loss
     inv = np.where(events, 1.0 / denom, 0.0)
-    d_eta = (w * risk_set_sums(index.earlier, inv.T).T
-             - events.astype(np.float64))
-    return loss, d_eta.reshape(eta.shape)
+    d_eta = w * risk_set_sums(index.earlier, inv) - events.astype(np.float64)
+    return loss, d_eta
 
 
 def _cox_running_shift(eta, events, index: RiskSetIndex,
                        with_derivative: bool):
-    """The kernel for one (n,) ``eta`` whose spread defeats one shift: log S_i
+    """The kernel for an ``eta`` whose spread defeats one shift: log S_i
     comes from a running log-sum-exp down the time order, which shifts each
     partial sum by its own running maximum, and every derivative term
     e^{eta_l} / S_j = e^{eta_l - log S_j} is formed in log space, so none
@@ -285,19 +268,17 @@ def _cox_running_shift(eta, events, index: RiskSetIndex,
     return loss, np.exp(eta + log_q) - events.astype(np.float64)
 
 
-def cox_loss(eta, time, event, index: RiskSetIndex | None = None):
+def cox_loss(eta, index: RiskSetIndex, event) -> float:
     """Negative Cox partial log-likelihood of linear predictors ``eta``;
-    0 when no event is observed. A (C, n) ``eta`` stacks C candidates'
-    predictors and gives C losses. ``index`` is ``RiskSetIndex.of(time)``,
-    usually a dataset's ``risk_index``; without it the times are sorted
-    here."""
-    return _cox_partial_likelihood(eta, time, event, False, index)
+    0 when no event is observed. ``index`` is ``RiskSetIndex.of(time)`` of
+    the observed times, usually a dataset's ``risk_index``."""
+    return _cox_partial_likelihood(eta, index, event, with_derivative=False)
 
 
-def cox_loss_and_grad(eta, time, event, index: RiskSetIndex | None = None):
-    """``(cox_loss, d cox_loss / d eta)``; the derivative has the shape of
-    ``eta`` and is zero when no event is observed."""
-    return _cox_partial_likelihood(eta, time, event, True, index)
+def cox_loss_and_grad(eta, index: RiskSetIndex, event):
+    """``(cox_loss, d cox_loss / d eta)``; the derivative has one entry per
+    subject and is zero when no event is observed."""
+    return _cox_partial_likelihood(eta, index, event, with_derivative=True)
 
 
 def standardize_covariates(X: np.ndarray):

@@ -53,15 +53,14 @@ def partial_loglik(data: SurvivalDataset, beta) -> float:
     """Cox partial log-likelihood
     sum_i delta_i [beta'x_i - log sum_{l in R_i} exp(beta'x_l)]."""
     beta = _check_beta(data, beta)
-    return -cox_loss(data.X @ beta, data.time, data.event, data.risk_index)
+    return -cox_loss(data.X @ beta, data.risk_index, data.event)
 
 
 def partial_loglik_grad(data: SurvivalDataset, beta) -> np.ndarray:
     """Score vector sum_i delta_i [x_i - weighted risk-set mean of x], by
     the chain rule through the linear predictor: -X' d(-pll)/d eta."""
     beta = _check_beta(data, beta)
-    _, d_eta = cox_loss_and_grad(data.X @ beta, data.time, data.event,
-                                 data.risk_index)
+    _, d_eta = cox_loss_and_grad(data.X @ beta, data.risk_index, data.event)
     return -(d_eta @ data.X)
 
 

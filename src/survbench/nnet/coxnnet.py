@@ -60,8 +60,8 @@ def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam):
     """Penalized negative partial log-likelihood of the network output and
     its gradient with respect to every parameter, laid out like
     ``params.vec``. For a stack of networks ``lam`` holds one ridge weight
-    per network and the losses have shape (C,); one pass of the Cox kernel
-    scores every network's linear predictor."""
+    per network and the losses have shape (C,); the Cox kernel runs once
+    per network on its own linear predictor."""
     lam = np.asarray(lam, dtype=np.float64)
     if (lam < 0).any():
         raise ValueError("ridge weight must be nonnegative")
@@ -69,8 +69,11 @@ def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam):
     if not (data.event == 1).any():
         warnings.warn("all subjects censored; loss reduces to the penalty",
                       RuntimeWarning, stacklevel=2)
-    neg_ll, d_theta = cox_loss_and_grad(_per_network(theta), data.time,
-                                        data.event, data.risk_index)
+    etas = _per_network(theta)
+    neg_ll, d_theta = np.empty(etas.shape[0]), np.empty_like(etas)
+    for c, eta in enumerate(etas):
+        neg_ll[c], d_theta[c] = cox_loss_and_grad(eta, data.risk_index,
+                                                  data.event)
     loss = neg_ll.reshape(lam.shape) + lam * squared_norm(params)
     grad = mlp_backward(params, caches, d_theta.reshape(theta.shape))
     grad += (2.0 * lam)[..., None] * params.vec
@@ -97,8 +100,8 @@ def _train_network(zdata: SurvivalDataset, lams, config: TrainConfig,
 
         def held_score(stack):
             theta, _ = mlp_forward(stack, val.X)
-            return cox_loss(_per_network(theta), val.time, val.event,
-                            val.risk_index)
+            return np.array([cox_loss(eta, val.risk_index, val.event)
+                             for eta in _per_network(theta)])
 
     return fit_adam(
         params, lams,

@@ -198,28 +198,24 @@ class TestRiskSetIndex:
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1,
                     max_size=30), st.integers(0, 2 ** 31))
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_stacked_kernel_equals_one_call_per_row(self, times, seed):
+    def test_indexed_kernel_equals_sorting_per_call(self, times, seed):
+        # the kernel on a dataset's index keeps the bits of the one-shift
+        # kernel that sorted the times on every call
         rng = np.random.default_rng(seed)
         time = np.asarray(times, dtype=float)
         event = rng.integers(0, 2, time.size)
-        etas = rng.normal(0.0, 3.0, (3, time.size))
+        eta = rng.normal(0.0, 3.0, time.size)
+        events = event == 1
+        shift = eta.max()
+        w = np.exp(eta - shift)
+        denom = sorted_per_call(time, w)
+        want_loss = float(np.sum(np.log(denom[events]) + shift - eta[events]))
+        inv = np.where(events, 1.0 / denom, 0.0)
+        want_d = w * sorted_per_call(-time, inv) - events.astype(float)
         index = make_data(time, event).risk_index
-        loss, d_eta = cox_loss_and_grad(etas, time, event, index)
-        np.testing.assert_array_equal(cox_loss(etas, time, event, index), loss)
-        for c, eta in enumerate(etas):
-            want_loss, want_d = cox_loss_and_grad(eta, time, event)
-            assert loss[c] == want_loss
-            np.testing.assert_array_equal(d_eta[c], want_d)
-
-    def test_stack_past_one_shift_scores_each_row_alone(self):
-        time = np.array([1.0, 2.0, 2.0, 3.0])
-        event = np.array([1, 1, 0, 1])
-        etas = np.array([[0.5, -0.2, 1.0, 0.1], [0.0, -300.0, -600.0, -900.0]])
-        loss, d_eta = cox_loss_and_grad(etas, time, event)
-        for c, eta in enumerate(etas):
-            want_loss, want_d = cox_loss_and_grad(eta, time, event)
-            assert loss[c] == want_loss
-            np.testing.assert_array_equal(d_eta[c], want_d)
+        loss, d_eta = cox_loss_and_grad(eta, index, event)
+        assert loss == want_loss and cox_loss(eta, index, event) == want_loss
+        np.testing.assert_array_equal(d_eta, want_d)
 
     def test_subset_builds_its_own_index(self):
         data = make_data([3.0, 1.0, 2.0, 2.0], [1, 0, 1, 1])
@@ -272,17 +268,18 @@ class TestCoxLoss:
         event = rng.integers(0, 2, time.size)
         eta = rng.normal(0.0, 2.0, time.size)
         want_loss, want_d = cox_loss_oracle(eta, time, event)
-        loss, d_eta = cox_loss_and_grad(eta, time, event)
+        loss, d_eta = cox_loss_and_grad(eta, RiskSetIndex.of(time), event)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(d_eta, want_d, rtol=1e-10, atol=1e-12)
-        assert cox_loss(eta, time, event) == loss
+        assert cox_loss(eta, RiskSetIndex.of(time), event) == loss
 
     def test_all_censored_is_zero(self):
         eta = np.array([0.3, -1.2, 2.0])
         time = np.array([1.0, 2.0, 2.0])
         event = np.zeros(3, dtype=int)
-        loss, d_eta = cox_loss_and_grad(eta, time, event)
-        assert loss == 0.0 and cox_loss(eta, time, event) == 0.0
+        index = RiskSetIndex.of(time)
+        loss, d_eta = cox_loss_and_grad(eta, index, event)
+        assert loss == 0.0 and cox_loss(eta, index, event) == 0.0
         np.testing.assert_array_equal(d_eta, np.zeros(3))
 
     def test_finite_past_exp_underflow(self):
@@ -305,20 +302,21 @@ class TestCoxLoss:
                 cases.append((eta, time, event))
         for eta, time, event in cases:
             want_loss, want_d = log_space_oracle(eta, time, event)
-            loss, d_eta = cox_loss_and_grad(eta, time, event)
+            loss, d_eta = cox_loss_and_grad(eta, RiskSetIndex.of(time), event)
             assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(d_eta, want_d, rtol=1e-10, atol=1e-12)
-            assert cox_loss(eta, time, event) == loss
+            assert cox_loss(eta, RiskSetIndex.of(time), event) == loss
 
     def test_lists_score_as_arrays(self):
-        eta, time, event = [0.3, -900.0, 1.1], [1, 2, 2], [1, 1, 0]
-        want = cox_loss_and_grad(np.asarray(eta), np.asarray(time, float),
-                                 np.asarray(event))
-        got = cox_loss_and_grad(eta, time, event)
-        assert got[0] == want[0] and cox_loss(eta, time, event) == want[0]
+        eta, event = [0.3, -900.0, 1.1], [1, 1, 0]
+        index = RiskSetIndex.of([1, 2, 2])
+        want = cox_loss_and_grad(np.asarray(eta), index, np.asarray(event))
+        got = cox_loss_and_grad(eta, index, event)
+        assert got[0] == want[0] and cox_loss(eta, index, event) == want[0]
         np.testing.assert_array_equal(got[1], want[1])
-        assert cox_loss([0, -900], [1, 2], [1, 1]) == cox_loss(
-            np.array([0.0, -900.0]), np.array([1.0, 2.0]), np.array([1, 1]))
+        pair = RiskSetIndex.of([1, 2])
+        assert cox_loss([0, -900], pair, [1, 1]) == cox_loss(
+            np.array([0.0, -900.0]), pair, np.array([1, 1]))
 
     def test_value_only_call_does_one_risk_set_sum(self, monkeypatch):
         import survbench.core as core
@@ -331,9 +329,9 @@ class TestCoxLoss:
 
         monkeypatch.setattr(core, "risk_set_sums", counted)
         eta, time, event = np.zeros(4), np.arange(1.0, 5.0), np.ones(4, int)
-        cox_loss(eta, time, event)
+        cox_loss(eta, RiskSetIndex.of(time), event)
         assert len(calls) == 1
-        cox_loss_and_grad(eta, time, event)
+        cox_loss_and_grad(eta, RiskSetIndex.of(time), event)
         assert len(calls) == 3
 
 

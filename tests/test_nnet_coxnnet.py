@@ -95,7 +95,7 @@ class TestLossAndGrad:
         want_loss, d_theta = np.empty(3), np.empty(theta.shape[:2])
         for c in range(3):
             want_loss[c], d_theta[c] = cox_loss_and_grad(
-                theta[c, :, 0], data.time, data.event)
+                theta[c, :, 0], data.risk_index, data.event)
         want_loss += lams * squared_norm(stack)
         want_grad = mlp_backward(stack, caches, d_theta[..., None])
         want_grad += 2.0 * lams[:, None] * stack.vec
