@@ -8,6 +8,7 @@ operations are pure functions.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -291,11 +292,12 @@ def standardize_covariates(X: np.ndarray):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be a 2-D matrix with at least one column")
-    mean = X.mean(axis=0)
-    if X.shape[0] > 1:
-        sd = X.std(axis=0, ddof=1)
-    else:
-        sd = np.zeros(X.shape[1])
+    # moments of each column scaled by the power of two of its largest |x|:
+    # exact, and no square overflows; a single row has sd 0 (ddof 0)
+    _, exp2 = np.frexp(np.abs(X).max(axis=0))
+    scaled = np.ldexp(X, -exp2)
+    mean = np.ldexp(scaled.mean(axis=0), exp2)
+    sd = np.ldexp(scaled.std(axis=0, ddof=int(X.shape[0] > 1)), exp2)
     scale = np.where(sd > 0, sd, 1.0)
     Z = (X - mean) / scale
     return Z, mean, scale
@@ -347,6 +349,33 @@ def stratified_folds(strata: np.ndarray, nfolds: int,
     for order in _stratum_orders(strata, rng):
         labels[order] = np.arange(order.size) % nfolds
     return labels
+
+
+def cross_validate(candidates, labels: np.ndarray, event, nfolds: int,
+                   fold_scores) -> float:
+    """The candidate with the highest held-out score summed over the
+    ``nfolds`` folds of ``labels``; the first one on ties.
+
+    ``fold_scores(fold, held)`` gets a fold's number and held-out row mask
+    and returns the held-out score of every candidate, shape (C,) (higher
+    is better). A fold whose training or held-out rows hold no event in
+    ``event`` (one entry per row) is skipped with a warning; with every
+    fold skipped the first candidate is returned, also with a warning.
+    """
+    scores = np.zeros(len(candidates))
+    used_folds = 0
+    for fold in range(nfolds):
+        held = labels == fold
+        if not (event[held].any() and event[~held].any()):
+            warnings.warn(f"fold {fold} has no events on one side; skipped",
+                          RuntimeWarning, stacklevel=3)
+            continue
+        used_folds += 1
+        scores += fold_scores(fold, held)
+    if used_folds == 0:
+        warnings.warn("every fold was skipped; using the first candidate "
+                      f"{candidates[0]:g}", RuntimeWarning, stacklevel=3)
+    return float(candidates[int(np.argmax(scores))])
 
 
 def train_test_split(data: SurvivalDataset, fraction: float, seed: int):

@@ -10,7 +10,6 @@ zeros for inactive coordinates.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ from .core import (
     check_rows,
     cox_loss,
     cox_loss_and_grad,
+    cross_validate,
     standardize_covariates,
     stratified_folds,
 )
@@ -163,50 +163,37 @@ def fit_lasso(data: SurvivalDataset, lam: float, tol: float = 1e-7,
                   objective_trace=trace, converged=converged)
 
 
-def cv_lambda(data: SurvivalDataset, nfolds: int, path=None, seed: int = 0,
-              tol: float = 1e-7, max_iter: int = 10_000) -> float:
-    """Pick the penalty maximizing the cross-validated partial likelihood.
-
-    Uses the Verweij-van Houwelingen criterion: for each fold, the
-    difference between the full-data and train-fold partial likelihoods
-    at the train-fold solution. Folds whose train or held-out part has no
-    events are skipped with a warning; with every fold skipped the first
-    (largest) penalty is returned, also with a warning.
-    """
+def cv_lambda(data: SurvivalDataset, nfolds: int, path, seed: int = 0,
+              tol: float = 1e-7) -> float:
+    """The penalty of ``path`` with the highest Verweij-van Houwelingen
+    cross-validated partial likelihood: per fold, the full-data minus the
+    train-fold partial likelihood at the train-fold solution, along the
+    path warm-started from its largest penalty. ``core.cross_validate``
+    runs the folds; the largest penalty wins ties and every-fold skips."""
     if nfolds < 2:
         raise ValueError("need at least two folds")
-    path = lambda_path(data) if path is None else np.asarray(path, float)
+    path = np.asarray(path, dtype=np.float64)
     if path.size == 0:
         raise ValueError("empty penalty path")
-
     labels = stratified_folds(data.event, nfolds,
                               np.random.default_rng(seed))
-    scores = np.zeros(path.size)
-    used_folds = 0
-    for fold in range(nfolds):
-        train_idx = np.flatnonzero(labels != fold)
-        held = np.flatnonzero(labels == fold)
-        if data.event[train_idx].sum() == 0 or data.event[held].sum() == 0:
-            warnings.warn(f"fold {fold} has no events on one side; skipped",
-                          RuntimeWarning, stacklevel=2)
-            continue
-        used_folds += 1
-        train = data.subset(train_idx)
+
+    def fold_scores(fold, held):
+        train = data.subset(np.flatnonzero(~held))
         Z, mean, scale = standardize_covariates(train.X)
         ztrain = SurvivalDataset(Z, train.time, train.event)
         zfull = SurvivalDataset(apply_standardization(data.X, mean, scale),
                                 data.time, data.event)
         beta = np.zeros(data.p)
+        scores = np.empty(path.size)
         for j, lam in enumerate(path):
-            fit = fit_lasso(ztrain, lam, tol=tol, max_iter=max_iter,
-                            beta0=beta, standardized=True)
-            beta = fit.beta_hat
-            scores[j] += partial_loglik(zfull, beta) - partial_loglik(ztrain, beta)
-    if used_folds == 0:
-        warnings.warn("every fold was skipped; using the first (largest) "
-                      f"penalty {path[0]:g}", RuntimeWarning, stacklevel=2)
+            beta = fit_lasso(ztrain, lam, tol=tol, beta0=beta,
+                             standardized=True).beta_hat
+            scores[j] = partial_loglik(zfull, beta) - partial_loglik(ztrain, beta)
+        return scores
+
     # path runs from the largest penalty down; prefer the sparser model on ties
-    return float(path[int(np.argmax(scores))])
+    return cross_validate(path, labels, data.event, nfolds, fold_scores)
 
 
 def risk_score(fit: CoxFit, x) -> np.ndarray:

@@ -43,6 +43,13 @@ class TrainConfig:
             raise ValueError("invalid early-stopping settings")
         if self.ridge is not None and self.ridge < 0:
             raise ValueError("ridge weight must be nonnegative")
+        if self.cv_folds < 2:
+            raise ValueError("cross-validation needs at least two folds")
+        if self.ridge_grid is not None and (
+                len(self.ridge_grid) == 0 or min(self.ridge_grid) < 0):
+            raise ValueError("ridge_grid must hold nonnegative weights")
+        if self.hidden is not None and self.hidden < 1:
+            raise ValueError("hidden width must be at least 1")
 
     def hidden_for(self, p: int) -> int:
         return self.hidden if self.hidden is not None else default_hidden(p)

@@ -21,6 +21,7 @@ from ..core import (
     check_rows,
     cox_loss,
     cox_loss_and_grad,
+    cross_validate,
     standardize_covariates,
     stratified_folds,
     stratified_cut,
@@ -35,7 +36,7 @@ from .mlp import (
     squared_norm,
     unpack,
 )
-from .train import fit_adam, select_ridge
+from .train import fit_adam
 
 
 @dataclass(frozen=True)
@@ -130,20 +131,21 @@ def _select_ridge(zdata: SurvivalDataset, config: TrainConfig,
     n_events = int(zdata.event.sum())
     fracs = config.ridge_grid if config.ridge_grid is not None else (1e-2, 1e-1, 1.0)
     labels = stratified_folds(zdata.event, config.cv_folds, rng)
+    fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
 
     candidates = [frac * n_events for frac in fracs]
 
-    def fold_scorer(held_mask, seed):
+    def fold_scores(fold, held_mask):
         train = zdata.subset(np.flatnonzero(~held_mask))
         held = zdata.subset(np.flatnonzero(held_mask))
-        if train.event.sum() == 0 or held.event.sum() == 0:
-            return None
-        stack, _ = _train_network(train, candidates, config, seed)
+        stack, _ = _train_network(train, candidates, config,
+                                  int(fold_seeds[fold]))
         theta_held, _ = mlp_forward(stack, held.X)
         return np.array([_scalar_concordance(eta, held.time, held.event)
                          for eta in _per_network(theta_held)])
 
-    return select_ridge(candidates, labels, fold_scorer, config, rng)
+    return cross_validate(candidates, labels, zdata.event, config.cv_folds,
+                          fold_scores)
 
 
 def coxnnet_fit(data: SurvivalDataset, config: TrainConfig | None = None) -> CoxnnetFit:

@@ -23,6 +23,7 @@ from ..core import (
     SurvivalDataset,
     apply_standardization,
     check_rows,
+    cross_validate,
     standardize_covariates,
 )
 from .config import TrainConfig
@@ -34,7 +35,7 @@ from .mlp import (
     squared_norm,
     unpack,
 )
-from .train import fit_adam, select_ridge
+from .train import fit_adam
 
 HAZARD_CLIP = 1e-12
 _PREDICT_BLOCK = 64  # subjects per forward pass: bounds the network's temporaries
@@ -221,17 +222,20 @@ def _select_ridge(features, targets, subject, depth, config: TrainConfig,
     subjects = np.unique(subject)
     labels_by_subject = rng.permutation(subjects.size) % config.cv_folds
     labels = labels_by_subject[np.searchsorted(subjects, subject)]
+    fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
     fracs = config.ridge_grid if config.ridge_grid is not None else (1e-5, 1e-4, 1e-3)
 
     candidates = [frac * features.shape[0] for frac in fracs]
 
-    def fold_scorer(held, seed):
+    def fold_scores(fold, held):
         stack, _ = _train_network(features[~held], targets[~held],
                                   subject[~held], depth, candidates, config,
-                                  seed)
+                                  int(fold_seeds[fold]))
         return -_mean_cross_entropy(stack, features[held], targets[held])
 
-    return select_ridge(candidates, labels, fold_scorer, config, rng)
+    # a duplicated row's target is its subject's event in the final interval
+    return cross_validate(candidates, labels, targets, config.cv_folds,
+                          fold_scores)
 
 
 def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,

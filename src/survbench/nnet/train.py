@@ -1,7 +1,7 @@
 """Training machinery shared by the survival network heads: the Adam
-epoch loop with early stopping, and k-fold selection of the ridge weight.
+epoch loop with early stopping.
 
-Both work on a stack of flat parameter vectors (``MlpParams.vec`` of
+It works on a stack of flat parameter vectors (``MlpParams.vec`` of
 shape (C, P)): every ridge candidate of a CV fold starts from the same
 initial weights and sees the same batches, so the candidates train
 together, one forward/backward pass and one Adam step per batch. Each
@@ -10,8 +10,6 @@ epoch with their loss, and the held-out score.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -72,32 +70,3 @@ def fit_adam(template: MlpParams, lams, loss_and_grad, batches, held_score,
         if stopped.size == lams.size:
             break
     return unpack(template, best_vec), [np.asarray(trace) for trace in traces]
-
-
-def select_ridge(candidates, labels: np.ndarray, fold_scorer,
-                 config: TrainConfig, rng: np.random.Generator) -> float:
-    """The ridge candidate with the highest held-out score summed over the
-    ``config.cv_folds`` folds of ``labels``; the first one on ties.
-
-    ``fold_scorer(held, seed)`` gets the held-out row mask of a fold and
-    the fold's training seed, and returns the held-out scores of every
-    candidate, shape (C,) (higher is better), or None for a fold with no
-    events on one side, which is skipped with a warning. With every fold
-    skipped the first candidate is returned, also with a warning.
-    """
-    fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
-    scores = np.zeros(len(candidates))
-    used_folds = 0
-    for fold in range(config.cv_folds):
-        fold_scores = fold_scorer(labels == fold, int(fold_seeds[fold]))
-        if fold_scores is None:
-            warnings.warn(f"fold {fold} has no events on one side; skipped",
-                          RuntimeWarning, stacklevel=2)
-            continue
-        used_folds += 1
-        scores += fold_scores
-    if used_folds == 0:
-        warnings.warn("every fold was skipped; using the first ridge "
-                      f"candidate {candidates[0]:g}", RuntimeWarning,
-                      stacklevel=2)
-    return float(candidates[int(np.argmax(scores))])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from survbench.core import (
     apply_standardization,
     cox_loss,
     cox_loss_and_grad,
+    cross_validate,
     risk_set_sums,
     standardize_covariates,
     stratified_folds,
@@ -359,6 +362,27 @@ class TestStandardize:
         Z, mean, scale = standardize_covariates(X)
         np.testing.assert_array_equal(apply_standardization(X, mean, scale), Z)
 
+    def test_bits_match_the_unscaled_moments(self):
+        # scaling a column by a power of two is exact on ordinary data
+        rng = np.random.default_rng(5)
+        for k in range(100):
+            X = (rng.standard_normal((20, 4)) * 10.0 ** rng.uniform(-6, 6, 4)
+                 + (k % 2) * rng.uniform(-5, 5, 4))
+            Z, mean, scale = standardize_covariates(X)
+            want_mean, want_scale = X.mean(axis=0), X.std(axis=0, ddof=1)
+            np.testing.assert_array_equal(mean, want_mean)
+            np.testing.assert_array_equal(scale, want_scale)
+            np.testing.assert_array_equal(Z, (X - want_mean) / want_scale)
+
+    @pytest.mark.parametrize("factor", [1e160, 1e300])
+    def test_columns_near_the_float_limit_keep_their_shape(self, factor):
+        # an unscaled sum of squares overflows here, and the sd with it
+        X = np.random.default_rng(6).standard_normal((40, 3))
+        Z, _, _ = standardize_covariates(X)
+        Z_big, _, scale = standardize_covariates(X * factor)
+        assert np.all(np.isfinite(scale))
+        np.testing.assert_allclose(Z_big, Z, rtol=0, atol=2e-15)
+
 
 class TestSplit:
     def test_stratified_counts(self):
@@ -468,3 +492,73 @@ class TestSplitterRecordedDraws:
             train, [0, 1, 2, 4, 5, 6, 7, 9, 10, 12, 13, 16])
         np.testing.assert_array_equal(val, [3, 8, 11, 14, 15])
         assert int(rng.integers(2 ** 31)) == 57096725
+
+
+def recorded_folds(candidates, labels, event, nfolds, table):
+    """``cross_validate`` with fold scores read from ``table`` (one row per
+    fold); returns the choice, the folds scored and the warnings."""
+    scored = []
+
+    def fold_scores(fold, held):
+        scored.append(fold)
+        np.testing.assert_array_equal(held, labels == fold)
+        return table[fold]
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        choice = cross_validate(candidates, labels, event, nfolds, fold_scores)
+    return choice, scored, [str(w.message) for w in caught]
+
+
+class TestCrossValidate:
+    def test_sums_folds_and_keeps_first_best(self):
+        # per-fold scores (rows: folds, columns: candidates); candidates 1
+        # and 2 tie on the sum, so the first of them wins
+        table = np.array([[0.1, 0.5, 0.2], [0.3, 0.2, 0.5]])
+        choice, scored, _ = recorded_folds([0.0, 1.0, 2.0],
+                                           np.array([0, 1, 0, 1]),
+                                           np.ones(4), 2, table)
+        assert choice == 1.0 and scored == [0, 1]
+
+    def test_skipped_fold_does_not_count(self):
+        # fold 0 holds no event; counted, its scores would pick candidate 0
+        table = np.array([[0.9, 0.1], [0.2, 0.3], [0.1, 0.1]])
+        choice, scored, messages = recorded_folds(
+            [0.0, 1.0], np.array([0, 0, 1, 1, 2, 2]),
+            np.array([0, 0, 1, 0, 1, 0]), 3, table)
+        assert choice == 1.0 and scored == [1, 2]
+        assert messages == ["fold 0 has no events on one side; skipped"]
+
+    def test_fold_masks(self):
+        labels = np.array([2, 0, 1, 0, 2, 1])
+        _, scored, _ = recorded_folds([1.0], labels, np.ones(6), 3,
+                                      np.zeros((3, 1)))
+        assert scored == [0, 1, 2]
+
+    def test_negated_loss_keeps_argmin_tie_rule(self):
+        losses = np.array([0.4, 0.2, 0.2, 0.3])
+        choice, _, _ = recorded_folds([0.0, 1.0, 2.0, 3.0], np.array([0, 1]),
+                                      np.ones(2), 2, np.stack([-losses] * 2))
+        assert choice == float(np.argmin(losses))
+
+    @pytest.mark.parametrize("event, scored", [
+        # held-out side without an event: fold 0
+        ([0, 0, 1, 0, 1, 0], [1, 2]),
+        # training side without an event: fold 0 holds every event, which
+        # leaves folds 1 and 2 none on their held-out side
+        ([1, 1, 0, 0, 0, 0], []),
+        ([1, 0, 0, 1, 0, 1], [0, 1, 2]),
+    ])
+    def test_skips_a_fold_without_events_on_one_side(self, event, scored):
+        choice, got, messages = recorded_folds(
+            [0.5, 1.5], np.array([0, 0, 1, 1, 2, 2]), np.array(event), 3,
+            np.tile([0.0, 1.0], (3, 1)))
+        assert got == scored
+        skipped = [f"fold {fold} has no events on one side; skipped"
+                   for fold in range(3) if fold not in scored]
+        if scored:
+            assert messages == skipped and choice == 1.5
+        else:
+            assert messages == skipped + [
+                "every fold was skipped; using the first candidate 0.5"]
+            assert choice == 0.5

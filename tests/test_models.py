@@ -251,8 +251,8 @@ class TestTieHeavyTimes:
 class TestTooFewEvents:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_one_event_in_forty_fits_and_scores(self, name):
-        # every CV fold of coxl1 and coxnnet lacks an event on one side, so
-        # both fall back to their first candidate with the same warning
+        # every CV fold lacks an event on one side, so all four models fall
+        # back to their first candidate with the same warning
         from survbench.core import SurvivalDataset
         from survbench.metrics import metric_report
 
@@ -270,9 +270,8 @@ class TestTooFewEvents:
             warnings.simplefilter("always")
             model = fit_model(name, train, seed=0, config=cfg,
                               lasso_cv_folds=2)
-        if name in ("coxl1", "coxnnet"):
-            assert any("every fold was skipped" in str(w.message)
-                       for w in caught)
+        assert any("every fold was skipped" in str(w.message)
+                   for w in caught)
         report = metric_report(model.predict_survival(test.X), test.time,
                                test.event)
         assert np.isfinite(report.c_td) and np.isfinite(report.ibs)

@@ -9,10 +9,13 @@ from survbench.core import (
     cox_loss_and_grad,
     risk_set_sums,
     standardize_covariates,
+    stratified_folds,
 )
 from survbench.nnet import TrainConfig, coxnnet_fit, coxnnet_loss_and_grad
+from survbench.nnet import coxnnet as coxnnet_module
 from survbench.nnet.coxnnet import (
     _scalar_concordance,
+    _select_ridge,
     _train_network,
     coxnnet_scores,
 )
@@ -188,6 +191,24 @@ class TestFit:
             assert f"fold {fold} has no events on one side; skipped" in messages
         assert any(m.startswith("every fold was skipped") for m in messages)
         assert fit.ridge == 1e-2
+
+    def test_fold_seeds_drawn_after_the_labels(self, monkeypatch):
+        data = small_sim(n=60, p=3, seed=2).data
+        Z, _, _ = standardize_covariates(data.X)
+        zdata = SurvivalDataset(Z, data.time, data.event)
+        cfg = TrainConfig(seed=0, epochs=3, min_epochs=1, patience=1,
+                          cv_folds=3)
+        seeds = []
+
+        def recording(train, lams, config, seed):
+            seeds.append(seed)
+            return _train_network(train, lams, config, seed)
+
+        monkeypatch.setattr(coxnnet_module, "_train_network", recording)
+        _select_ridge(zdata, cfg, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        stratified_folds(zdata.event, 3, rng)
+        assert seeds == list(rng.integers(2 ** 31, size=3))
 
 
 class TestStackedCandidates:

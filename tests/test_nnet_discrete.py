@@ -3,8 +3,10 @@ import pytest
 
 from survbench.core import SurvivalDataset, standardize_covariates
 from survbench.nnet import TrainConfig
+from survbench.nnet import discrete as discrete_module
 from survbench.nnet.discrete import (
     DiscreteTimeGrid,
+    _select_ridge,
     _train_network,
     build_time_grid,
     duplicate,
@@ -342,6 +344,27 @@ class TestStackedCandidates:
                 feats, batch.targets, batch.subject, depth, [lam], cfg, 7)
             np.testing.assert_array_equal(stack.vec[c], alone.vec[0])
             np.testing.assert_array_equal(traces[c], alone_traces[0])
+
+
+class TestSelectRidge:
+    def test_fold_seeds_drawn_after_the_labels(self, monkeypatch):
+        data = uniform_data(n=40, seed=2)
+        batch = duplicate(data, build_time_grid(data, 5))
+        feats, _, _ = standardize_covariates(batch.features)
+        cfg = TrainConfig(seed=0, epochs=3, min_epochs=1, patience=1,
+                          cv_folds=3)
+        seeds = []
+
+        def recording(*args):
+            seeds.append(args[-1])
+            return _train_network(*args)
+
+        monkeypatch.setattr(discrete_module, "_train_network", recording)
+        _select_ridge(feats, batch.targets, batch.subject, 1, cfg,
+                      np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        rng.permutation(data.n)
+        assert seeds == list(rng.integers(2 ** 31, size=3))
 
 
 # nnsurv_fit outputs with ridge CV on, recorded before the network heads

@@ -3,7 +3,7 @@ import pytest
 
 from survbench.nnet import TrainConfig
 from survbench.nnet.mlp import MlpParams
-from survbench.nnet.train import fit_adam, select_ridge
+from survbench.nnet.train import fit_adam
 
 TARGET = np.array([1.0, -2.0, 0.5])
 
@@ -216,58 +216,15 @@ class TestStackedCandidates:
                      config(epochs=10, patience=2))
 
 
-class TestSelectRidge:
-    def test_sums_folds_and_keeps_first_best(self):
-        # per-fold scores (rows: folds, columns: candidates); candidates 1
-        # and 2 tie on the sum, so the first of them wins
-        table = np.array([[0.1, 0.5, 0.2], [0.3, 0.2, 0.5]])
-        labels = np.array([0, 1, 0, 1])
 
-        def scorer(held, seed):
-            fold = int(labels[held][0])
-            return table[fold]
-
-        choice = select_ridge([0.0, 1.0, 2.0], labels, scorer,
-                              config(cv_folds=2), np.random.default_rng(0))
-        assert choice == 1.0
-
-    def test_skipped_fold_does_not_count(self):
-        table = np.array([[0.9, 0.1], [0.2, 0.3]])
-        labels = np.array([0, 0, 1, 1])
-
-        def scorer(held, seed):
-            fold = int(labels[held][0])
-            if fold == 0:
-                return None
-            return table[fold]
-
-        with pytest.warns(RuntimeWarning, match="fold 0 has no events"):
-            choice = select_ridge([0.0, 1.0], labels, scorer,
-                                  config(cv_folds=2), np.random.default_rng(0))
-        assert choice == 1.0
-
-    def test_fold_masks_and_seeds(self):
-        labels = np.array([2, 0, 1, 0, 2, 1])
-        calls = []
-
-        def scorer(held, seed):
-            calls.append((held.copy(), seed))
-            return np.zeros(1)
-
-        select_ridge([1.0], labels, scorer, config(cv_folds=3),
-                     np.random.default_rng(4))
-        want_seeds = np.random.default_rng(4).integers(2 ** 31, size=3)
-        for fold, (held, seed) in enumerate(calls):
-            np.testing.assert_array_equal(held, labels == fold)
-            assert seed == want_seeds[fold]
-        assert len(calls) == 3
-
-    def test_negated_loss_keeps_argmin_tie_rule(self):
-        losses = [0.4, 0.2, 0.2, 0.3]
-
-        def scorer(held, seed):
-            return -np.asarray(losses)
-
-        choice = select_ridge([0.0, 1.0, 2.0, 3.0], np.array([0, 1]), scorer,
-                              config(cv_folds=2), np.random.default_rng(1))
-        assert choice == float(np.argmin(losses))
+class TestTrainConfigBoundary:
+    @pytest.mark.parametrize("bad, match", [
+        (dict(cv_folds=1), "two folds"),
+        (dict(cv_folds=0), "two folds"),
+        (dict(ridge_grid=()), "ridge_grid"),
+        (dict(ridge_grid=(1e-3, -1e-4)), "ridge_grid"),
+        (dict(hidden=0), "hidden"),
+    ])
+    def test_rejects_what_training_cannot_run(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**bad)
