@@ -389,7 +389,8 @@ def load_csv(path) -> SurvivalDataset:
     """Read a dataset CSV: a header with reserved ``time`` and ``event``
     columns, every other column a numeric covariate. Rows are validated
     individually and rejected with their line number."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8"
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -285,21 +285,27 @@ def cox_loss_and_grad(eta, index: RiskSetIndex, event):
 def standardize_covariates(X: np.ndarray):
     """Center and scale columns to mean 0 / sample sd 1 (n-1 denominator).
 
-    Constant columns map to all zeros. Returns ``(Z, mean, scale)`` where
+    Constant columns map to all zeros, and so does a column whose sd is
+    at most 16·eps·max|x|: its spread is that of a few roundings of its
+    largest value, not a signal. Returns ``(Z, mean, scale)`` where
     ``scale`` is 1 for constant columns so the stored transform
-    ``(X - mean) / scale`` reproduces Z on any data of the same shape.
+    ``(X - mean) / scale`` reproduces Z on any data of the same shape, up
+    to that rounding spread in a near-constant column.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be a 2-D matrix with at least one column")
     # moments of each column scaled by the power of two of its largest |x|:
     # exact, and no square overflows; a single row has sd 0 (ddof 0)
-    _, exp2 = np.frexp(np.abs(X).max(axis=0))
+    top = np.abs(X).max(axis=0)
+    _, exp2 = np.frexp(top)
     scaled = np.ldexp(X, -exp2)
     mean = np.ldexp(scaled.mean(axis=0), exp2)
     sd = np.ldexp(scaled.std(axis=0, ddof=int(X.shape[0] > 1)), exp2)
-    scale = np.where(sd > 0, sd, 1.0)
+    constant = sd <= 16 * np.finfo(np.float64).eps * top
+    scale = np.where(constant, 1.0, sd)
     Z = (X - mean) / scale
+    Z[:, constant] = 0.0
     return Z, mean, scale
 
 

@@ -21,7 +21,6 @@ from ..core import (
     check_rows,
     cox_loss,
     cox_loss_and_grad,
-    cross_validate,
     standardize_covariates,
     stratified_folds,
     stratified_cut,
@@ -34,9 +33,8 @@ from .mlp import (
     mlp_backward,
     mlp_forward,
     squared_norm,
-    unpack,
 )
-from .train import fit_adam
+from .train import fit_adam, fit_network
 
 
 @dataclass(frozen=True)
@@ -123,49 +121,32 @@ def _scalar_concordance(scores: np.ndarray, time: np.ndarray,
     return concordant / comparable if comparable else 0.5
 
 
-def _select_ridge(zdata: SurvivalDataset, config: TrainConfig,
-                  rng: np.random.Generator) -> float:
-    """k-fold CV over the ridge grid, scored by held-out rank concordance
-    of the network scores (a far lower-variance signal than the held-out
-    partial likelihood at these sample sizes)."""
-    n_events = int(zdata.event.sum())
-    fracs = config.ridge_grid if config.ridge_grid is not None else (1e-2, 1e-1, 1.0)
-    labels = stratified_folds(zdata.event, config.cv_folds, rng)
-    fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
-
-    candidates = [frac * n_events for frac in fracs]
-
-    def fold_scores(fold, held_mask):
-        train = zdata.subset(np.flatnonzero(~held_mask))
-        held = zdata.subset(np.flatnonzero(held_mask))
-        stack, _ = _train_network(train, candidates, config,
-                                  int(fold_seeds[fold]))
-        theta_held, _ = mlp_forward(stack, held.X)
-        return np.array([_scalar_concordance(eta, held.time, held.event)
-                         for eta in _per_network(theta_held)])
-
-    return cross_validate(candidates, labels, zdata.event, config.cv_folds,
-                          fold_scores)
-
-
 def coxnnet_fit(data: SurvivalDataset, config: TrainConfig | None = None) -> CoxnnetFit:
     """Standardize, pick the ridge weight (CV unless fixed), train, and
     return the network with its plug-in scores exp(theta_i)."""
     config = config or TrainConfig()
     Z, mean, scale = standardize_covariates(data.X)
     zdata = SurvivalDataset(Z, data.time, data.event)
-    rng = np.random.default_rng(config.seed)
 
-    if config.ridge is not None:
-        ridge = config.ridge
-    else:
-        ridge = _select_ridge(zdata, config, rng)
-    stack, traces = _train_network(zdata, [ridge], config,
-                                   int(rng.integers(2 ** 31)))
-    params = unpack(stack, stack.vec[0])
+    def train(rows, lams, seed):
+        part = zdata if rows is None else zdata.subset(np.flatnonzero(rows))
+        return _train_network(part, lams, config, seed)
+
+    def held_scores(stack, held_mask):
+        # rank concordance: a far lower-variance signal than the held-out
+        # partial likelihood at these sample sizes
+        held = zdata.subset(np.flatnonzero(held_mask))
+        theta_held, _ = mlp_forward(stack, held.X)
+        return np.array([_scalar_concordance(eta, held.time, held.event)
+                         for eta in _per_network(theta_held)])
+
+    ridge, params, trace = fit_network(
+        config, int(zdata.event.sum()), (1e-2, 1e-1, 1.0), zdata.event,
+        lambda rng: stratified_folds(zdata.event, config.cv_folds, rng),
+        train, held_scores)
     theta, _ = mlp_forward(params, zdata.X)
     return CoxnnetFit(params=params, mean=mean, scale=scale, ridge=ridge,
-                      train_scores=np.exp(theta[:, 0]), loss_trace=traces[0])
+                      train_scores=np.exp(theta[:, 0]), loss_trace=trace)
 
 
 def coxnnet_scores(fit: CoxnnetFit, X) -> np.ndarray:

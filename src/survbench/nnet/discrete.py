@@ -23,8 +23,8 @@ from ..core import (
     SurvivalDataset,
     apply_standardization,
     check_rows,
-    cross_validate,
     standardize_covariates,
+    stratified_cut,
 )
 from .config import TrainConfig
 from .mlp import (
@@ -33,9 +33,8 @@ from .mlp import (
     mlp_backward,
     mlp_forward,
     squared_norm,
-    unpack,
 )
-from .train import fit_adam
+from .train import fit_adam, fit_network
 
 HAZARD_CLIP = 1e-12
 _PREDICT_BLOCK = 64  # subjects per forward pass: bounds the network's temporaries
@@ -187,9 +186,9 @@ def _train_network(features, targets, subject, depth, lams, config: TrainConfig,
     params.biases[-1][0] = np.log(q / (1.0 - q))
 
     subjects = np.unique(subject)
-    n_val = int(round(config.val_fraction * subjects.size))
-    val_subjects = rng.permutation(subjects)[:n_val]
-    val_mask = np.isin(subject, val_subjects)
+    val_idx, _ = stratified_cut(np.zeros(subjects.size), config.val_fraction,
+                                rng)
+    val_mask = np.isin(subject, subjects[val_idx])
     monitor_val = val_mask.sum() >= 3 and (~val_mask).sum() >= 3
     if not monitor_val:
         val_mask = np.zeros(features.shape[0], dtype=bool)
@@ -216,31 +215,10 @@ def _train_network(features, targets, subject, depth, lams, config: TrainConfig,
         batches, held_score, config)
 
 
-def _select_ridge(features, targets, subject, depth, config: TrainConfig,
-                  rng: np.random.Generator) -> float:
-    """Subject-level k-fold CV on held-out mean cross-entropy."""
-    subjects = np.unique(subject)
-    labels_by_subject = rng.permutation(subjects.size) % config.cv_folds
-    labels = labels_by_subject[np.searchsorted(subjects, subject)]
-    fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
-    fracs = config.ridge_grid if config.ridge_grid is not None else (1e-5, 1e-4, 1e-3)
-
-    candidates = [frac * features.shape[0] for frac in fracs]
-
-    def fold_scores(fold, held):
-        stack, _ = _train_network(features[~held], targets[~held],
-                                  subject[~held], depth, candidates, config,
-                                  int(fold_seeds[fold]))
-        return -_mean_cross_entropy(stack, features[held], targets[held])
-
-    # a duplicated row's target is its subject's event in the final interval
-    return cross_validate(candidates, labels, targets, config.cv_folds,
-                          fold_scores)
-
-
 def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,
                depth: int = 1, n_intervals: int = 20) -> NnsurvFit:
-    """Duplicate, standardize (midpoint column included), train.
+    """Duplicate, standardize (midpoint column included), train; the ridge
+    is chosen by held-out cross-entropy on subject-level folds.
 
     ``depth`` 1 is the shallow variant, 2 the deep one.
     """
@@ -250,17 +228,23 @@ def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,
     grid = build_time_grid(data, n_intervals)
     batch = duplicate(data, grid)
     feats, mean, scale = standardize_covariates(batch.features)
-    rng = np.random.default_rng(config.seed)
+    targets, subject = batch.targets, batch.subject
 
-    if config.ridge is not None:
-        ridge = config.ridge
-    else:
-        ridge = _select_ridge(feats, batch.targets, batch.subject, depth,
-                              config, rng)
-    stack, traces = _train_network(feats, batch.targets, batch.subject, depth,
-                                   [ridge], config, int(rng.integers(2 ** 31)))
-    return NnsurvFit(params=unpack(stack, stack.vec[0]), grid=grid, mean=mean,
-                     scale=scale, depth=depth, ridge=ridge, loss_trace=traces[0])
+    def train(rows, lams, seed):
+        keep = slice(None) if rows is None else rows
+        return _train_network(feats[keep], targets[keep], subject[keep],
+                              depth, lams, config, seed)
+
+    def held_scores(stack, held):
+        return -_mean_cross_entropy(stack, feats[held], targets[held])
+
+    # a duplicated row's target is its subject's event in the final interval
+    ridge, params, trace = fit_network(
+        config, batch.n_rows, (1e-5, 1e-4, 1e-3), targets,
+        lambda rng: (rng.permutation(data.n) % config.cv_folds)[subject],
+        train, held_scores)
+    return NnsurvFit(params=params, grid=grid, mean=mean, scale=scale,
+                     depth=depth, ridge=ridge, loss_trace=trace)
 
 
 def nnsurv_hazards(fit: NnsurvFit, x) -> np.ndarray:

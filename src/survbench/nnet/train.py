@@ -1,5 +1,5 @@
-"""Training machinery shared by the survival network heads: the Adam
-epoch loop with early stopping.
+"""Training machinery shared by the survival network heads: the whole
+fit (``fit_network``) and the Adam epoch loop with early stopping.
 
 It works on a stack of flat parameter vectors (``MlpParams.vec`` of
 shape (C, P)): every ridge candidate of a CV fold starts from the same
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import cross_validate
 from .config import TrainConfig
 from .mlp import Adam, MlpParams, unpack
 
@@ -70,3 +71,36 @@ def fit_adam(template: MlpParams, lams, loss_and_grad, batches, held_score,
         if stopped.size == lams.size:
             break
     return unpack(template, best_vec), [np.asarray(trace) for trace in traces]
+
+
+def fit_network(config: TrainConfig, scale, default_grid, event, fold_labels,
+                train, held_scores):
+    """Choose a network's ridge weight by CV (unless ``config.ridge`` is
+    set) and train the final fit; returns the ridge, network and trace.
+
+    One generator seeded by ``config.seed`` draws the fold labels
+    ``fold_labels(rng)``, one seed per fold, then the final fit's seed
+    (only the last with the ridge fixed). The candidates are ``scale``
+    times ``config.ridge_grid`` or ``default_grid``. ``train(rows, lams,
+    seed)`` trains a stack on the rows of mask ``rows`` (all when None);
+    ``held_scores(stack, held)`` scores it on the held-out rows (higher
+    is better); ``event`` has one entry per row, for skipping folds.
+    """
+    rng = np.random.default_rng(config.seed)
+    if config.ridge is not None:
+        ridge = config.ridge
+    else:
+        labels = fold_labels(rng)
+        fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
+        fracs = (config.ridge_grid if config.ridge_grid is not None
+                 else default_grid)
+        candidates = [frac * scale for frac in fracs]
+
+        def fold_scores(fold, held):
+            stack, _ = train(~held, candidates, int(fold_seeds[fold]))
+            return held_scores(stack, held)
+
+        ridge = cross_validate(candidates, labels, event, config.cv_folds,
+                               fold_scores)
+    stack, traces = train(None, [ridge], int(rng.integers(2 ** 31)))
+    return ridge, unpack(stack, stack.vec[0]), traces[0]

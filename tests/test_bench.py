@@ -38,6 +38,15 @@ class TestDatasetCsv:
         np.testing.assert_allclose(data.time, [1.5, 2.5, 4.0])
         np.testing.assert_array_equal(data.event, [1, 0, 1])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+        path = tmp_path / "bom.csv"
+        path.write_bytes("time,event,x1\n1.5,1,0.2\n2.5,0,-0.3\n"
+                         .encode("utf-8-sig"))
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.time, [1.5, 2.5])
+        np.testing.assert_array_equal(data.X[:, 0], [0.2, -0.3])
+
     def test_bad_event_names_the_row(self, tmp_path):
         lines = ["time,event,x1"] + [f"{i}.0,1,0.0" for i in range(1, 6)]
         lines.append("6.0,2,0.0")  # line 7 in the file

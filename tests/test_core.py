@@ -344,6 +344,34 @@ class TestStandardize:
         np.testing.assert_array_equal(Z, np.zeros((3, 1)))
         assert scale[0] == 1.0
 
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, -2.9, 123456.789, 3e300])
+    @pytest.mark.parametrize("n", [3, 7, 40])
+    def test_constant_column_with_a_rounded_mean_zeroed(self, value, n):
+        # the mean of n copies of 0.1 rounds away from 0.1, which leaves
+        # every row the same tiny residue and an sd of that residue's size
+        Z, _, scale = standardize_covariates(np.full((n, 1), value))
+        np.testing.assert_array_equal(Z, np.zeros((n, 1)))
+        assert scale[0] == 1.0
+
+    @pytest.mark.parametrize("delta", [2.0 ** -52, -(2.0 ** -53), 1e-15])
+    def test_near_constant_column_is_constant(self, delta):
+        # one row a few ulps off: an sd of ~1e-17 would otherwise blow that
+        # row up to a one-subject indicator of height sqrt(n) - 1/sqrt(n)
+        X = np.random.default_rng(7).standard_normal((40, 2))
+        X[:, 1] = 1.0
+        Z_const, mean, scale = standardize_covariates(X)
+        X[5, 1] += delta
+        Z, _, scale_near = standardize_covariates(X)
+        np.testing.assert_array_equal(Z, Z_const)
+        np.testing.assert_array_equal(scale_near, scale)
+        assert scale[1] == 1.0 and mean[1] == 1.0
+
+    def test_spread_above_the_tolerance_is_kept(self):
+        X = np.ones((40, 1))
+        X[5, 0] += 1e-13
+        Z, _, scale = standardize_covariates(X)
+        assert 0 < scale[0] < 1e-13 and Z[5, 0] > 6
+
     def test_two_point_column_sample_sd(self):
         # mean 1, sample sd sqrt(2) with the n-1 denominator
         Z, _, _ = standardize_covariates(np.array([[0.0], [2.0]]))

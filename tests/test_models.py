@@ -277,6 +277,26 @@ class TestTooFewEvents:
         assert np.isfinite(report.c_td) and np.isfinite(report.ibs)
 
 
+class TestNearConstantColumn:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_one_ulp_column_fits_as_a_constant_one(self, name):
+        from survbench.core import SurvivalDataset
+
+        data = generate(SimulationSpec(
+            family=ModelFamily.COX, baseline=Weibull(2.0, 1.3e-7), n=40, p=3,
+            k=3, censor_target=0.3, seed=1)).data
+        X = np.column_stack([data.X, np.ones(data.n)])
+        near = X.copy()
+        near[::4, -1] = 1.0 + 2.0 ** -52  # every fourth row: some of them train
+        cfg = TrainConfig(ridge=1.0, epochs=20, min_epochs=5, patience=5,
+                          seed=0)
+        curves = [fit_model(name, SurvivalDataset(x, data.time, data.event),
+                            seed=0, config=cfg, lasso_cv_folds=2)
+                  .predict_survival(X) for x in (X, near)]
+        np.testing.assert_array_equal(curves[1].grid, curves[0].grid)
+        np.testing.assert_array_equal(curves[1].probs, curves[0].probs)
+
+
 class TestOneSortPerDataset:
     def test_coxl1_builds_each_dataset_index_once(self, sim_small,
                                                   monkeypatch):

@@ -15,7 +15,6 @@ from survbench.nnet import TrainConfig, coxnnet_fit, coxnnet_loss_and_grad
 from survbench.nnet import coxnnet as coxnnet_module
 from survbench.nnet.coxnnet import (
     _scalar_concordance,
-    _select_ridge,
     _train_network,
     coxnnet_scores,
 )
@@ -193,22 +192,27 @@ class TestFit:
         assert fit.ridge == 1e-2
 
     def test_fold_seeds_drawn_after_the_labels(self, monkeypatch):
+        # one stream from config.seed: the event-stratified fold labels,
+        # one seed per fold, then the final fit's seed on every subject
         data = small_sim(n=60, p=3, seed=2).data
-        Z, _, _ = standardize_covariates(data.X)
-        zdata = SurvivalDataset(Z, data.time, data.event)
-        cfg = TrainConfig(seed=0, epochs=3, min_epochs=1, patience=1,
+        cfg = TrainConfig(seed=4, epochs=3, min_epochs=1, patience=1,
                           cv_folds=3)
-        seeds = []
+        calls = []
 
         def recording(train, lams, config, seed):
-            seeds.append(seed)
+            calls.append((train.time, seed))
             return _train_network(train, lams, config, seed)
 
         monkeypatch.setattr(coxnnet_module, "_train_network", recording)
-        _select_ridge(zdata, cfg, np.random.default_rng(4))
+        coxnnet_fit(data, cfg)
         rng = np.random.default_rng(4)
-        stratified_folds(zdata.event, 3, rng)
-        assert seeds == list(rng.integers(2 ** 31, size=3))
+        labels = stratified_folds(data.event, 3, rng)
+        seeds = list(rng.integers(2 ** 31, size=3)) + [rng.integers(2 ** 31)]
+        assert [seed for _, seed in calls] == seeds
+        for fold in range(3):
+            np.testing.assert_array_equal(calls[fold][0],
+                                          data.time[labels != fold])
+        np.testing.assert_array_equal(calls[3][0], data.time)
 
 
 class TestStackedCandidates:

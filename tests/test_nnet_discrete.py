@@ -6,7 +6,6 @@ from survbench.nnet import TrainConfig
 from survbench.nnet import discrete as discrete_module
 from survbench.nnet.discrete import (
     DiscreteTimeGrid,
-    _select_ridge,
     _train_network,
     build_time_grid,
     duplicate,
@@ -348,23 +347,27 @@ class TestStackedCandidates:
 
 class TestSelectRidge:
     def test_fold_seeds_drawn_after_the_labels(self, monkeypatch):
+        # one stream from config.seed: the subject fold labels, one seed
+        # per fold, then the final fit's seed on every subject
         data = uniform_data(n=40, seed=2)
-        batch = duplicate(data, build_time_grid(data, 5))
-        feats, _, _ = standardize_covariates(batch.features)
-        cfg = TrainConfig(seed=0, epochs=3, min_epochs=1, patience=1,
+        cfg = TrainConfig(seed=4, epochs=3, min_epochs=1, patience=1,
                           cv_folds=3)
-        seeds = []
+        calls = []
 
         def recording(*args):
-            seeds.append(args[-1])
+            calls.append((np.unique(args[2]), args[-1]))
             return _train_network(*args)
 
         monkeypatch.setattr(discrete_module, "_train_network", recording)
-        _select_ridge(feats, batch.targets, batch.subject, 1, cfg,
-                      np.random.default_rng(4))
+        nnsurv_fit(data, cfg, n_intervals=5)
         rng = np.random.default_rng(4)
-        rng.permutation(data.n)
-        assert seeds == list(rng.integers(2 ** 31, size=3))
+        labels = rng.permutation(data.n) % 3
+        seeds = list(rng.integers(2 ** 31, size=3)) + [rng.integers(2 ** 31)]
+        assert [seed for _, seed in calls] == seeds
+        for fold in range(3):
+            np.testing.assert_array_equal(calls[fold][0],
+                                          np.flatnonzero(labels != fold))
+        np.testing.assert_array_equal(calls[3][0], np.arange(data.n))
 
 
 # nnsurv_fit outputs with ridge CV on, recorded before the network heads

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from survbench.nnet import TrainConfig
-from survbench.nnet.mlp import MlpParams
-from survbench.nnet.train import fit_adam
+from survbench.nnet.mlp import MlpParams, unpack
+from survbench.nnet.train import fit_adam, fit_network
 
 TARGET = np.array([1.0, -2.0, 0.5])
 
@@ -228,3 +228,64 @@ class TestTrainConfigBoundary:
     def test_rejects_what_training_cannot_run(self, bad, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**bad)
+
+
+class FakeHead:
+    """A head for ``fit_network``: a network's single weight is its ridge
+    weight, its held-out score is script[fold][candidate], and every call
+    is recorded."""
+
+    def __init__(self, script=None):
+        self.script, self.trained, self.labelled = script, [], []
+
+    def fold_labels(self, rng):
+        self.labelled.append(True)
+        return np.arange(6) % 2
+
+    def train(self, rows, lams, seed):
+        self.trained.append((None if rows is None else rows.copy(),
+                             list(lams), seed))
+        template = MlpParams.from_layers([np.zeros((1, 1))], [None],
+                                         ["identity"])
+        stack = unpack(template, np.array(lams, float)[:, None])
+        return stack, [np.full(2, lam) for lam in lams]
+
+    def held_scores(self, stack, held):
+        return np.asarray(self.script[len(self.trained) - 1], float)
+
+
+def fit_fake(head, **kw):
+    cfg = TrainConfig(cv_folds=2, seed=9, **kw)
+    return fit_network(cfg, 10, (1.0, 2.0, 3.0), np.ones(6), head.fold_labels,
+                       head.train, head.held_scores)
+
+
+class TestFitNetwork:
+    def test_fixed_ridge_draws_only_the_final_seed(self):
+        head = FakeHead()
+        ridge, net, trace = fit_fake(head, ridge=0.5)
+        assert head.labelled == []
+        assert len(head.trained) == 1
+        rows, lams, seed = head.trained[0]
+        assert rows is None and lams == [0.5] and ridge == 0.5
+        assert seed == np.random.default_rng(9).integers(2 ** 31)
+        np.testing.assert_array_equal(net.vec, [0.5])
+        np.testing.assert_array_equal(trace, [0.5, 0.5])
+
+    @pytest.mark.parametrize("grid, want", [(None, 20.0), ((0.5, 0.1), 1.0)])
+    def test_cv_scales_the_grid_and_trains_the_winner(self, grid, want):
+        # summed over the two folds, candidate 1 wins in both cases; the
+        # fake labeller draws nothing, so the fold seeds come first
+        head = FakeHead([(0.0, 2.0, 1.0), (1.0, 0.0, 0.5)] if grid is None
+                        else [(0.0, 1.0), (0.5, 0.0)])
+        ridge, net, _ = fit_fake(head, ridge_grid=grid)
+        assert head.labelled == [True] and ridge == want
+        candidates = [10 * f for f in (grid or (1.0, 2.0, 3.0))]
+        rng = np.random.default_rng(9)
+        seeds = list(rng.integers(2 ** 31, size=2)) + [rng.integers(2 ** 31)]
+        held = np.arange(6) % 2
+        for fold, (rows, lams, seed) in enumerate(head.trained[:2]):
+            np.testing.assert_array_equal(rows, held != fold)
+            assert lams == candidates and seed == seeds[fold]
+        assert head.trained[2][1:] == ([want], seeds[2])
+        np.testing.assert_array_equal(net.vec, [want])
