@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ValueError("experiment grid is empty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must lie strictly between 0 and 1")
         for name in self.models:
             if name not in MODEL_NAMES:
                 raise ValueError(f"unknown model {name!r}")
@@ -220,11 +222,11 @@ class _ResultWriter:
 
     def __init__(self, path):
         self.path = Path(path)
-        new = not self.path.exists()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", newline="", encoding="utf-8")
         self._writer = csv.writer(self._fh)
-        if new:
+        # a run killed before its header reached disk leaves an empty file
+        if self._fh.tell() == 0:
             self._writer.writerow(RESULT_COLUMNS)
             self._fh.flush()
 

@@ -5,12 +5,13 @@ risk sets, ties mutually at risk, log-sum-exp stabilization), applied to
 the linear predictor X beta. Fitting minimizes the negative partial
 log-likelihood plus an L1 penalty by proximal gradient descent with
 backtracking, which keeps the objective monotone and produces exact
-zeros for inactive coordinates.
+zeros for inactive coordinates. ``fit_lasso`` and ``lambda_max`` work on
+the covariates they are given; ``coxl1_fit`` standardizes once for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,10 +26,12 @@ from .core import (
     stratified_folds,
 )
 
+LASSO_TOL = 1e-6  # relative objective change that ends each coxl1 fit
+
 
 @dataclass(frozen=True)
 class CoxFit:
-    """Result of one penalized fit, on the standardized covariate scale."""
+    """Result of one penalized fit; ``beta_hat`` acts on (x - mean) / scale."""
 
     beta_hat: np.ndarray
     lam: float
@@ -119,12 +122,9 @@ def proximal_gradient(value_fn, grad_fn, lam: float, beta0: np.ndarray,
 
 
 def lambda_max(data: SurvivalDataset) -> float:
-    """Smallest penalty that keeps the null model optimal: the sup-norm of
-    the gradient at beta = 0, on the standardized scale fit_lasso uses."""
-    Z, _, _ = standardize_covariates(data.X)
-    zdata = SurvivalDataset(Z, data.time, data.event)
-    g = partial_loglik_grad(zdata, np.zeros(data.p))
-    return float(np.abs(g).max())
+    """Smallest penalty that keeps the null model of ``data``'s covariates
+    optimal: the sup-norm of the gradient at beta = 0."""
+    return float(np.abs(partial_loglik_grad(data, np.zeros(data.p))).max())
 
 
 def lambda_path(data: SurvivalDataset, n_points: int = 20,
@@ -137,28 +137,18 @@ def lambda_path(data: SurvivalDataset, n_points: int = 20,
 
 
 def fit_lasso(data: SurvivalDataset, lam: float, tol: float = 1e-7,
-              max_iter: int = 10_000, beta0=None,
-              standardized: bool = False) -> CoxFit:
-    """Minimize -partial_loglik + lam * ||beta||_1.
-
-    Covariates are standardized internally (transform stored on the fit)
-    unless ``standardized`` marks them as already centered and scaled.
-    """
+              max_iter: int = 10_000, beta0=None) -> CoxFit:
+    """Minimize -partial_loglik + lam * ||beta||_1 on ``data``'s covariates
+    as given; the fit carries the identity transform."""
     if lam < 0:
         raise ValueError("penalty must be nonnegative")
-    if standardized:
-        Z, mean, scale = data.X, np.zeros(data.p), np.ones(data.p)
-        zdata = data
-    else:
-        Z, mean, scale = standardize_covariates(data.X)
-        zdata = SurvivalDataset(Z, data.time, data.event)
-
     beta0 = np.zeros(data.p) if beta0 is None else np.asarray(beta0, float)
     beta, trace, converged = proximal_gradient(
-        lambda b: -partial_loglik(zdata, b),
-        lambda b: -partial_loglik_grad(zdata, b),
+        lambda b: -partial_loglik(data, b),
+        lambda b: -partial_loglik_grad(data, b),
         lam, beta0, tol=tol, max_iter=max_iter)
-    return CoxFit(beta_hat=beta, lam=float(lam), mean=mean, scale=scale,
+    return CoxFit(beta_hat=beta, lam=float(lam), mean=np.zeros(data.p),
+                  scale=np.ones(data.p),
                   n_iter=trace.size - 1, objective=float(trace[-1]),
                   objective_trace=trace, converged=converged)
 
@@ -187,13 +177,24 @@ def cv_lambda(data: SurvivalDataset, nfolds: int, path, seed: int = 0,
         beta = np.zeros(data.p)
         scores = np.empty(path.size)
         for j, lam in enumerate(path):
-            beta = fit_lasso(ztrain, lam, tol=tol, beta0=beta,
-                             standardized=True).beta_hat
+            beta = fit_lasso(ztrain, lam, tol=tol, beta0=beta).beta_hat
             scores[j] = partial_loglik(zfull, beta) - partial_loglik(ztrain, beta)
         return scores
 
     # path runs from the largest penalty down; prefer the sparser model on ties
     return cross_validate(path, labels, data.event, nfolds, fold_scores)
+
+
+def coxl1_fit(data: SurvivalDataset, seed: int = 0, nfolds: int = 5) -> CoxFit:
+    """The coxl1 recipe: on one standardization of ``data``, a 20-point
+    path from lambda_max, the penalty chosen by ``cv_lambda`` and the final
+    fit, which carries the transform for new rows."""
+    Z, mean, scale = standardize_covariates(data.X)
+    zdata = SurvivalDataset(Z, data.time, data.event)
+    path = lambda_path(zdata)
+    lam = cv_lambda(data, nfolds, path, seed, tol=LASSO_TOL)
+    return replace(fit_lasso(zdata, lam, tol=LASSO_TOL), mean=mean,
+                   scale=scale)
 
 
 def risk_score(fit: CoxFit, x) -> np.ndarray:

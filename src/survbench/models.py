@@ -1,11 +1,11 @@
 """Uniform predictor role over the four fitting pipelines.
 
 Every fitted model maps covariate rows to one batch of survival curves;
-the Cox-family models also expose scalar risk scores. ``fit_model`` runs
-the full pipeline for one method name (penalty selection, fitting, and
-for the Cox-family models the kernel baseline with data-driven
-bandwidth), and ``save_model`` / ``load_model`` give a versioned JSON
-dump that round-trips bit-exactly.
+the Cox-family models also expose scalar risk scores. ``fit_model``
+dispatches a method name to its recipe (``coxlasso.coxl1_fit``,
+``coxnnet_fit``, ``nnsurv_fit``), adding the kernel baseline with
+data-driven bandwidth to the Cox-family fits; ``save_model`` /
+``load_model`` give a versioned JSON dump that round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .nnet.mlp import MlpParams
 
 MODEL_NAMES = ("coxl1", "coxnnet", "nnsurv", "nnsurv_deep")
 FORMAT_VERSION = 1
-LASSO_TOL = 1e-6  # relative objective change that ends each coxl1 fit
 
 
 @dataclass(frozen=True)
@@ -96,26 +95,16 @@ def fit_model(name: str, train: SurvivalDataset, seed: int = 0,
     if name not in MODEL_NAMES:
         raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
     if name == "coxl1":
-        path = coxlasso.lambda_path(train, 20)
-        lam = coxlasso.cv_lambda(train, lasso_cv_folds, path=path, seed=seed,
-                                 tol=LASSO_TOL)
-        fit = coxlasso.fit_lasso(train, lam, tol=LASSO_TOL)
+        fit = coxlasso.coxl1_fit(train, seed, lasso_cv_folds)
         scores = coxlasso.risk_score(fit, train.X)
         return CoxLassoModel(fit=fit, base=_cox_family_baseline(train, scores))
-    cfg = config or TrainConfig(seed=seed)
-    if cfg.seed != seed:
-        cfg = replace(cfg, seed=seed)
+    cfg = replace(config or TrainConfig(), seed=seed)
     if name == "coxnnet":
         fit = coxnnet_fit(train, cfg)
         return CoxnnetModel(fit=fit,
                             base=_cox_family_baseline(train, fit.train_scores))
     depth = 1 if name == "nnsurv" else 2
-    # coarse grids leave a visible staircase bias in the Brier score, so
-    # scale the interval count with the training size; tied times cap it
-    n_intervals = int(min(40, max(10, train.n // 16),
-                          np.unique(train.time).size))
-    return DiscreteTimeModel(fit=nnsurv_fit(train, cfg, depth=depth,
-                                            n_intervals=n_intervals))
+    return DiscreteTimeModel(fit=nnsurv_fit(train, cfg, depth=depth))
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class DuplicatedBatch:
         return self.features.shape[0]
 
 
-def build_time_grid(data: SurvivalDataset, n_intervals: int = 20) -> DiscreteTimeGrid:
+def build_time_grid(data: SurvivalDataset, n_intervals: int) -> DiscreteTimeGrid:
     """Cut points at empirical quantiles of the observed times.
 
     Tied times can make neighbouring quantiles coincide; such duplicate
@@ -216,15 +216,21 @@ def _train_network(features, targets, subject, depth, lams, config: TrainConfig,
 
 
 def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,
-               depth: int = 1, n_intervals: int = 20) -> NnsurvFit:
+               depth: int = 1, n_intervals: int | None = None) -> NnsurvFit:
     """Duplicate, standardize (midpoint column included), train; the ridge
     is chosen by held-out cross-entropy on subject-level folds.
 
-    ``depth`` 1 is the shallow variant, 2 the deep one.
+    ``depth`` 1 is the shallow variant, 2 the deep one. ``n_intervals``
+    defaults to min(40, max(10, n // 16), distinct times).
     """
     if depth not in (1, 2):
         raise ValueError("depth must be 1 or 2")
     config = config or TrainConfig()
+    if n_intervals is None:
+        # coarse grids leave a visible staircase bias in the Brier score, so
+        # scale the interval count with the training size; tied times cap it
+        n_intervals = int(min(40, max(10, data.n // 16),
+                              np.unique(data.time).size))
     grid = build_time_grid(data, n_intervals)
     batch = duplicate(data, grid)
     feats, mean, scale = standardize_covariates(batch.features)

@@ -164,25 +164,18 @@ class SimulatedDataset:
     censor_rate: float  # exponential censoring rate actually used (0 if none)
 
 
-def _times_from_eta(family: ModelFamily, baseline: BaselineDist, eta, u):
-    eta = np.asarray(eta, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if np.any((u <= 0) | (u >= 1)):
-        raise ValueError("uniform draws must lie strictly inside (0, 1)")
-    arg = -np.log1p(-u) / family.psi2(eta)
-    return baseline.inverse_cumulative_hazard(arg) / family.psi1(eta)
-
-
 def draw_survival_time(family: ModelFamily, baseline: BaselineDist, x, beta, u):
     """Event time for covariates ``x`` from a uniform draw ``u`` in (0, 1).
 
     ``x`` may be a single row or a matrix of rows; ``u`` broadcasts
     against the resulting linear predictor.
     """
-    x = np.asarray(x, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    eta = x @ beta
-    return _times_from_eta(family, baseline, eta, u)
+    eta = np.asarray(x, dtype=np.float64) @ np.asarray(beta, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    if np.any((u <= 0) | (u >= 1)):
+        raise ValueError("uniform draws must lie strictly inside (0, 1)")
+    arg = -np.log1p(-u) / family.psi2(eta)
+    return baseline.inverse_cumulative_hazard(arg) / family.psi1(eta)
 
 
 def true_survival(simulated: SimulatedDataset, x, grid) -> SurvivalCurve:
@@ -288,9 +281,8 @@ def generate(spec: SimulationSpec) -> SimulatedDataset:
     rng = np.random.default_rng(spec.seed)
     X = rng.standard_normal((spec.n, spec.p))
     beta = spec.make_beta()
-    eta = X @ beta
     u = _open_uniform(rng, spec.n)
-    event_times = _times_from_eta(spec.family, spec.baseline, eta, u)
+    event_times = draw_survival_time(spec.family, spec.baseline, X, beta, u)
 
     if spec.censor_target == 0.0:
         time = event_times

@@ -123,6 +123,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="empty"):
             ExperimentConfig(cells=())
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_train_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="train_fraction"):
+            ExperimentConfig(cells=tiny_config().cells, train_fraction=fraction)
+        d = config_to_json(tiny_config())
+        d["train_fraction"] = fraction
+        with pytest.raises(ValueError, match="train_fraction"):
+            config_from_json(d)
+
 
 class TestRunGrid:
     def test_row_accounting_one_cell(self, tmp_path):
@@ -155,6 +164,14 @@ class TestRunGrid:
         # persisted file holds exactly one copy of each row
         persisted = read_results(out / "results.csv")
         assert persisted == full
+
+    def test_empty_results_file_gets_a_header(self, tmp_path):
+        # a run killed before its header reached disk leaves an empty file
+        (tmp_path / "results.csv").write_text("")
+        rows = run_grid(tiny_config(), tmp_path, log=lambda *_: None,
+                        train_config=FAST)
+        assert read_results(tmp_path / "results.csv") == rows
+        assert len(rows) == 2
 
     def test_interrupted_run_completes_to_same_rows(self, tmp_path):
         config = tiny_config(models=("coxl1",), repetitions=3)

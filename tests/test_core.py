@@ -140,7 +140,7 @@ class TestRiskSets:
         assert members[1, 0] and members[0, 1]
 
     @given(st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=1, max_size=12))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     def test_nesting_and_self_membership(self, times):
         time = np.asarray(times)
         members = risk_set_members(time)
@@ -152,7 +152,7 @@ class TestRiskSets:
 
     @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1,
                     max_size=15), st.integers(0, 2 ** 31))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     def test_matches_brute_force_sum(self, times, seed):
         # small integer times force many ties
         time = np.asarray(times, dtype=float)

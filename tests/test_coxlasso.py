@@ -160,7 +160,7 @@ class TestFitLasso:
         Z = (data.X - data.X.mean(0)) / data.X.std(0, ddof=1)
         zdata = SurvivalDataset(Z, data.time, data.event)
         want = newton_oracle(zdata)
-        fit = fit_lasso(data, 0.0, tol=1e-12, max_iter=50_000)
+        fit = fit_lasso(zdata, 0.0, tol=1e-12, max_iter=50_000)
         np.testing.assert_allclose(fit.beta_hat, want, atol=1e-4)
 
     def test_objective_trace_monotone(self):

@@ -327,6 +327,19 @@ class TestOneSortPerDataset:
         fit_model("coxl1", core.SurvivalDataset(data.X, data.time, data.event),
                   seed=3, lasso_cv_folds=2)
         assert len({id(d) for d in built}) == len(built)
-        # lambda_max, two per fold, the final fit and the baseline
-        assert len(built) == len(sorts) == 2 * 2 + 3
+        # two per fold, the standardized training set that serves both
+        # lambda_max and the final fit, and the baseline
+        assert len(built) == len(sorts) == 2 * 2 + 2
         assert len(kernel_calls) > 100 * len(built)
+
+    @pytest.mark.parametrize("folds", [2, 3])
+    def test_coxl1_standardizes_once_plus_once_per_fold(self, sim_small, folds,
+                                                        monkeypatch):
+        import survbench.coxlasso as coxlasso
+
+        calls = []
+        standardize = coxlasso.standardize_covariates
+        monkeypatch.setattr(coxlasso, "standardize_covariates",
+                            lambda X: calls.append(1) or standardize(X))
+        fit_model("coxl1", sim_small.data, seed=3, lasso_cv_folds=folds)
+        assert len(calls) == folds + 1
