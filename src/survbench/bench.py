@@ -1,10 +1,12 @@
 """Configuration-driven experiment harness and command-line interface.
 
 A grid run simulates each cell, splits it, fits every requested model,
-and scores test-set predictions next to the exact-model reference.
-Rows append to a CSV as they finish, so a resumed run computes only the
-rows that are missing or failed; all seeds derive deterministically from
-(base seed, cell index, repetition), which makes reruns bit-stable.
+and scores test-set predictions next to the exact-model reference. Each
+row (cell, repetition, model) is computed on its own, in parallel over
+the usable CPUs, and appended to a CSV in grid order, so a resumed run
+computes only the rows that are missing or failed; all seeds derive
+deterministically from (base seed, cell index, repetition, model slot),
+which makes reruns bit-stable however the rows are spread over processes.
 """
 
 from __future__ import annotations
@@ -12,11 +14,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing
 import os
+import signal
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +229,12 @@ class _ResultWriter:
     def __init__(self, path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        # a run killed in the middle of a row leaves a last line without
+        # its newline: cut it, so that row counts as missing
+        if self.path.exists():
+            data = self.path.read_bytes()
+            if not data.endswith(b"\n"):
+                os.truncate(self.path, data.rfind(b"\n") + 1)
         self._fh = open(self.path, "a", newline="", encoding="utf-8")
         self._writer = csv.writer(self._fh)
         # a run killed before its header reached disk leaves an empty file
@@ -242,53 +254,104 @@ class _ResultWriter:
 # ---------------------------------------------------------------------------
 # grid execution
 
-def _evaluate_cell(spec: SimulationSpec, models, wanted, rep: int,
-                   base_seed: int, cell_idx: int, train_fraction: float,
-                   train_config=None):
-    """Simulate one (cell, repetition), then score the reference and fit
-    the models that ``wanted`` names, yielding finished ResultRows
-    (reference first). Each model's seed follows its position in
-    ``models``, so a subset draws the seeds of a full run."""
+def _result_row(spec: SimulationSpec, name: str, rep: int, seed: int,
+                c_td: float, ibs: float, wall_seconds: float) -> ResultRow:
+    return ResultRow(family=spec.family.value,
+                     baseline=_baseline_label(spec.baseline), n=spec.n,
+                     p=spec.p, model=name, rep=rep, seed=seed, c_td=c_td,
+                     ibs=ibs, wall_seconds=wall_seconds)
+
+
+@lru_cache(maxsize=1)
+def _draw(spec: SimulationSpec, train_fraction: float, split_seed: int):
+    """The simulated data of one (cell, repetition) and its split. The
+    last draw is kept, so a process that computes several rows of one
+    draw in turn simulates it once; those rows share it and must not
+    modify it. ``run_grid`` clears it when it returns."""
+    sim = generate(spec)
+    return (sim,) + train_test_split(sim.data, train_fraction, split_seed)
+
+
+def _evaluate_row(config: ExperimentConfig, train_config, cell_idx: int,
+                  rep: int, name: str) -> ResultRow:
+    """Score one row of a (cell, repetition) draw: the exact-model
+    reference or the model ``name``. Seeds derive from (base
+    seed, cell, repetition, slot): slot 0 draws the data, 1 the split and
+    2 + the model's position in ``config.models`` its fit, so any subset
+    of rows, in any process, draws the seeds of a full run."""
+    base_seed = config.base_seed
     sim_seed = _derived_seed(base_seed, cell_idx, rep, 0)
     split_seed = _derived_seed(base_seed, cell_idx, rep, 1)
-    spec = replace(spec, seed=sim_seed)
-    sim = generate(spec)
-    train, test, split = train_test_split(sim.data, train_fraction, split_seed)
-    label = _baseline_label(spec.baseline)
+    spec = replace(config.cells[cell_idx], seed=sim_seed)
+    sim, train, test, split = _draw(spec, config.train_fraction, split_seed)
+    t0 = time.perf_counter()
+    if name == REFERENCE_MODEL:
+        seed = sim_seed
+        scores = reference_metrics(sim, split.test)
+    else:
+        seed = _derived_seed(base_seed, cell_idx, rep,
+                             2 + config.models.index(name))
+        model = fit_model(name, train, seed=seed, config=train_config)
+        scores = metric_report(model.predict_survival(test.X), test.time,
+                               test.event)
+    return _result_row(spec, name, rep, seed, scores.c_td, scores.ibs,
+                       time.perf_counter() - t0)
 
-    if REFERENCE_MODEL in wanted:
-        t0 = time.perf_counter()
-        ref = reference_metrics(sim, split.test)
-        yield ResultRow(family=spec.family.value, baseline=label, n=spec.n,
-                        p=spec.p, model=REFERENCE_MODEL, rep=rep, seed=sim_seed,
-                        c_td=ref.c_td, ibs=ref.ibs,
-                        wall_seconds=time.perf_counter() - t0)
 
-    for m_idx, name in enumerate(models):
-        if name not in wanted:
-            continue
-        model_seed = _derived_seed(base_seed, cell_idx, rep, 2 + m_idx)
-        t0 = time.perf_counter()
-        model = fit_model(name, train, seed=model_seed, config=train_config)
-        curves = model.predict_survival(test.X)
-        rep_metrics = metric_report(curves, test.time, test.event)
-        yield ResultRow(family=spec.family.value, baseline=label, n=spec.n,
-                        p=spec.p, model=name, rep=rep, seed=model_seed,
-                        c_td=rep_metrics.c_td, ibs=rep_metrics.ibs,
-                        wall_seconds=time.perf_counter() - t0)
+def _row_or_traceback(config: ExperimentConfig, train_config, key):
+    """The row of ``key`` = (cell, repetition, model), or the traceback
+    of its failure as a string."""
+    try:
+        return _evaluate_row(config, train_config, *key)
+    except Exception:
+        return traceback.format_exc()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform: one process
+        return 1
+
+
+def _ignore_interrupt() -> None:
+    # Ctrl-C reaches the parent, which then terminates the pool
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@contextmanager
+def _mapped(fn, keys: list):
+    """``fn`` over ``keys``, yielded in order: on a pool of forked
+    workers, one per usable CPU (never more than keys), or in this
+    process when that is one. Leaving the block terminates the pool.
+    An idle worker whose parent died reads end-of-file and exits."""
+    workers = min(_usable_cpus(), len(keys))
+    if workers <= 1:
+        yield map(fn, keys)
+        return
+    context = multiprocessing.get_context("fork")
+    with context.Pool(workers, initializer=_ignore_interrupt) as pool:
+        yield pool.imap(fn, keys, chunksize=1)
 
 
 def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
              log=print, train_config=None) -> list:
-    """Run every (cell, repetition), persisting rows incrementally.
+    """Run every (cell, repetition, model) row, persisting rows as they
+    finish.
 
-    With ``resume`` (default), the rows already in the results file are
-    kept and only the missing and failed ones are computed, so an
-    interrupted or partly failed run completes to the rows of a clean
-    one. A cell that raises records its unfinished rows as failed (NaN
-    metrics, seed ``FAILED_SEED``) and the run continues. Without
-    ``resume``, the results file and ``errors.log`` start afresh.
-    Returns one row per key.
+    The pending rows run on a pool of forked workers, one per usable
+    CPU; with one usable CPU (``taskset -c 0``) they run in this
+    process. Only this process writes, and it writes the rows to
+    ``results.csv`` in grid order: cell, then repetition, then the
+    reference and ``config.models`` in their order. With ``resume``
+    (default), the rows already in the results file are kept and only
+    the missing and failed ones are computed, so an interrupted or
+    partly failed run completes to the rows of a clean one. A row that
+    raises is recorded as failed (NaN metrics, seed ``FAILED_SEED``)
+    with its traceback in ``errors.log``, and the other rows still run.
+    Without ``resume``, the results file and ``errors.log`` start
+    afresh. Returns one row per key, as ``read_results`` reads them back
+    from the file.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -297,44 +360,40 @@ def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
     if not resume:
         results_path.unlink(missing_ok=True)
         err_path.unlink(missing_ok=True)
-    rows = {row.key(): row for row in read_results(results_path)}
+    # the writer first: it cuts a row left half-written by a killed run
     writer = _ResultWriter(results_path)
     try:
+        rows = {row.key(): row for row in read_results(results_path)}
+        pending = []
         for cell_idx, spec in enumerate(config.cells):
             label = _baseline_label(spec.baseline)
             for rep in range(config.repetitions):
-                wanted = []
                 for name in (REFERENCE_MODEL,) + tuple(config.models):
                     row = rows.get((spec.family.value, label, spec.n, spec.p,
                                     name, rep))
                     if row is None or row.failed:
-                        wanted.append(name)
-                if not wanted:
-                    continue
-                log(f"cell {cell_idx} ({spec.family.value} n={spec.n} "
-                    f"p={spec.p}) rep {rep}: running {wanted}")
-                try:
-                    for row in _evaluate_cell(spec, config.models, set(wanted),
-                                              rep, config.base_seed, cell_idx,
-                                              config.train_fraction,
-                                              train_config):
-                        writer.write(row)
-                        rows[row.key()] = row
-                        wanted.remove(row.model)
-                except Exception:
+                        pending.append((cell_idx, rep, name))
+        task = partial(_row_or_traceback, config, train_config)
+        with _mapped(task, pending) as results:
+            for (cell_idx, rep, name), row in zip(pending, results):
+                spec = config.cells[cell_idx]
+                where = (f"cell {cell_idx} ({spec.family.value} n={spec.n} "
+                         f"p={spec.p}) rep {rep}")
+                if isinstance(row, str):
                     with open(err_path, "a", encoding="utf-8") as fh:
-                        fh.write(f"cell {cell_idx} rep {rep}\n")
-                        fh.write(traceback.format_exc() + "\n")
-                    for name in wanted:
-                        row = ResultRow(family=spec.family.value, baseline=label,
-                                        n=spec.n, p=spec.p, model=name, rep=rep,
-                                        seed=FAILED_SEED, c_td=float("nan"),
-                                        ibs=float("nan"), wall_seconds=0.0)
-                        writer.write(row)
-                        rows[row.key()] = row
-                    log(f"cell {cell_idx} rep {rep} failed; see {err_path}")
+                        fh.write(f"cell {cell_idx} rep {rep} model {name}\n"
+                                 f"{row}\n")
+                    row = _result_row(spec, name, rep, FAILED_SEED,
+                                      float("nan"), float("nan"), 0.0)
+                writer.write(row)
+                rows[row.key()] = row
+                if row.failed:
+                    log(f"{where}: {name} failed; see {err_path}")
+                else:
+                    log(f"{where}: {name} done in {row.wall_seconds:.1f}s")
     finally:
         writer.close()
+        _draw.cache_clear()
     return list(rows.values())
 
 

@@ -1,7 +1,16 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import survbench.bench as bench_mod
 from survbench.bench import (
+    FAILED_SEED,
     ExperimentConfig,
     builtin_config,
     config_from_json,
@@ -16,6 +25,7 @@ from survbench.bench import (
     save_config,
     save_csv,
 )
+from survbench.models import MODEL_NAMES
 from survbench.nnet import TrainConfig
 from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
 
@@ -200,8 +210,6 @@ class TestRunGrid:
 
     def test_cell_failure_yields_error_rows_and_continues(self, tmp_path,
                                                           monkeypatch):
-        import survbench.bench as bench_mod
-
         calls = {"count": 0}
         real_fit = bench_mod.fit_model
 
@@ -222,8 +230,6 @@ class TestRunGrid:
 
 
     def test_resume_computes_only_missing_rows(self, tmp_path, monkeypatch):
-        import survbench.bench as bench_mod
-
         config = tiny_config(models=("coxl1", "nnsurv"), repetitions=1)
         out = tmp_path / "run"
         full = run_grid(config, out, log=lambda *_: None, train_config=FAST)
@@ -252,23 +258,22 @@ class TestRunGrid:
             assert (ra.seed, ra.c_td, ra.ibs) == (rb.seed, rb.c_td, rb.ibs)
 
     def test_failed_row_retried_on_resume(self, tmp_path, monkeypatch):
-        import survbench.bench as bench_mod
-
         config = tiny_config(models=("coxl1",), repetitions=2)
         clean = run_grid(config, tmp_path / "clean", log=lambda *_: None,
                          train_config=FAST)
 
         real_fit = bench_mod.fit_model
-        calls = {"count": 0}
+        # the rep-0 coxl1 row fails, whichever process computes it
+        bad_seed = next(r.seed for r in clean
+                        if (r.model, r.rep) == ("coxl1", 0))
 
-        def fail_first(name, train, seed=0, config=None):
-            calls["count"] += 1
-            if calls["count"] == 1:
+        def fail_rep0(name, train, seed=0, config=None):
+            if seed == bad_seed:
                 raise RuntimeError("injected failure")
             return real_fit(name, train, seed=seed, config=config)
 
         out = tmp_path / "run"
-        monkeypatch.setattr(bench_mod, "fit_model", fail_first)
+        monkeypatch.setattr(bench_mod, "fit_model", fail_rep0)
         first = run_grid(config, out, log=lambda *_: None, train_config=FAST)
         assert sum(np.isnan(r.c_td) for r in first) == 1
         monkeypatch.setattr(bench_mod, "fit_model", real_fit)
@@ -282,11 +287,216 @@ class TestRunGrid:
         assert len((out / "results.csv").read_text().splitlines()) == 1 + 4 + 1
         assert read_results(out / "results.csv") == resumed
 
+    def test_half_written_last_row_is_recomputed(self, tmp_path):
+        config = tiny_config(models=("coxl1", "nnsurv"), repetitions=1)
+        clean = run_grid(config, tmp_path / "clean", log=lambda *_: None,
+                         train_config=FAST)
+        out = tmp_path / "run"
+        run_grid(config, out, log=lambda *_: None, train_config=FAST)
+        # a run killed while writing its last row: that row is cut short
+        results = out / "results.csv"
+        lines = results.read_text().splitlines(keepends=True)
+        results.write_text("".join(lines[:-1]) + "cox,w,10,2,nnsurv,0,12")
+
+        resumed = run_grid(config, out, log=lambda *_: None, train_config=FAST)
+        assert [r.key() for r in resumed] == [r.key() for r in clean]
+        for ra, rb in zip(resumed, clean):
+            assert (ra.seed, ra.c_td, ra.ibs) == (rb.seed, rb.c_td, rb.ibs)
+        assert read_results(results) == resumed
+        assert len(results.read_text().splitlines()) == 1 + 3
+
     def test_fresh_run_starts_a_fresh_error_log(self, tmp_path):
         (tmp_path / "errors.log").write_text("cell 0 rep 0\nold failure\n")
         run_grid(tiny_config(), tmp_path, resume=False, log=lambda *_: None,
                  train_config=FAST)
         assert not (tmp_path / "errors.log").exists()
+
+
+def grid_2x2():
+    cells = tuple(
+        SimulationSpec(family=ModelFamily.COX, baseline=Weibull(2.0, 1.3e-7),
+                       n=n, p=p, k=p, censor_target=0.3, seed=0)
+        for n, p in ((80, 3), (100, 4)))
+    return ExperimentConfig(cells=cells, models=MODEL_NAMES, repetitions=2,
+                            base_seed=7)
+
+
+def use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# run_grid on two forked workers; its parent is killed once one worker
+# is idle and the other is in the middle of a row
+_ORPHAN_SCRIPT = """
+import os, sys, time
+from pathlib import Path
+import survbench.bench as bench
+from survbench.simgen import ModelFamily, SimulationSpec, Weibull
+
+out = Path(sys.argv[1])
+real_init, real_row = bench._ignore_interrupt, bench._evaluate_row
+
+def init():
+    real_init()
+    (out / f"worker-{os.getpid()}").touch()
+
+def row(config, train_config, cell_idx, rep, name):
+    if name == "coxl1":
+        (out / "slow-row").touch()
+        time.sleep(4)
+    return real_row(config, train_config, cell_idx, rep, name)
+
+bench._ignore_interrupt, bench._evaluate_row = init, row
+os.sched_getaffinity = lambda pid: {0, 1}
+cell = SimulationSpec(family=ModelFamily.COX, baseline=Weibull(2.0, 1.3e-7),
+                      n=80, p=3, k=3, censor_target=0.3, seed=0)
+bench.run_grid(bench.ExperimentConfig(cells=(cell,), models=("coxl1",),
+                                      repetitions=1),
+               out / "run", log=lambda *_: None)
+"""
+
+
+class TestParallelRows:
+    def test_parallel_rows_equal_in_process_rows(self, tmp_path, monkeypatch):
+        config = grid_2x2()
+        real_fit = bench_mod.fit_model
+        runs = {}
+        for cpus in ({0}, {0, 1}):
+            use_cpus(monkeypatch, cpus)
+            fits_here = []
+
+            def counting_fit(name, *args, **kwargs):
+                fits_here.append(name)  # seen only by this process
+                return real_fit(name, *args, **kwargs)
+
+            monkeypatch.setattr(bench_mod, "fit_model", counting_fit)
+            out = tmp_path / f"cpus{len(cpus)}"
+            rows = run_grid(config, out, log=lambda *_: None,
+                            train_config=FAST)
+            assert multiprocessing.active_children() == []
+            assert read_results(out / "results.csv") == rows
+            # every field but wall_seconds, the last
+            lines = [line.rsplit(",", 1)[0] for line in
+                     (out / "results.csv").read_text().splitlines()]
+            runs[len(cpus)] = rows, lines, len(fits_here)
+
+        (serial, serial_lines, serial_fits), (parallel, parallel_lines,
+                                              parallel_fits) = runs[1], runs[2]
+        assert serial_fits == 2 * 2 * len(MODEL_NAMES)  # all in this process
+        assert parallel_fits == 0  # all in the workers
+        assert len(serial) == 2 * 2 * (1 + len(MODEL_NAMES))
+        assert [r.key() for r in parallel] == [r.key() for r in serial]
+        assert ([(r.seed, r.c_td, r.ibs) for r in parallel]
+                == [(r.seed, r.c_td, r.ibs) for r in serial])
+        assert not any(r.failed for r in serial)
+        assert parallel_lines == serial_lines
+
+    def test_in_process_rows_share_one_draw(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, {0})
+        real_generate = bench_mod.generate
+        draws = []
+
+        def counting_generate(spec):
+            draws.append(spec.seed)
+            return real_generate(spec)
+
+        monkeypatch.setattr(bench_mod, "generate", counting_generate)
+        config = tiny_config(models=("coxl1", "coxnnet"), repetitions=2)
+        rows = run_grid(config, tmp_path, log=lambda *_: None,
+                        train_config=FAST)
+        # one simulation per (cell, repetition), none kept after the run
+        assert draws == [r.seed for r in rows if r.model == "reference"]
+        assert len(set(draws)) == 2
+        assert bench_mod._draw.cache_info().currsize == 0
+
+    def test_row_raising_in_worker_fails_alone(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, {0, 1})
+        real_fit = bench_mod.fit_model
+
+        def fit_or_fail(name, *args, **kwargs):
+            if name == "coxnnet":
+                raise RuntimeError("injected failure")
+            return real_fit(name, *args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "fit_model", fit_or_fail)
+        config = tiny_config(models=MODEL_NAMES, repetitions=1)
+        rows = run_grid(config, tmp_path, log=lambda *_: None,
+                        train_config=FAST)
+        assert multiprocessing.active_children() == []
+        assert [r.model for r in rows] == ["reference"] + list(MODEL_NAMES)
+        failed = [r for r in rows if r.failed]
+        assert [r.model for r in failed] == ["coxnnet"]
+        assert np.isnan(failed[0].c_td) and np.isnan(failed[0].ibs)
+        assert failed[0].seed == FAILED_SEED
+        assert all(0.0 <= r.c_td <= 1.0 for r in rows if not r.failed)
+        log = (tmp_path / "errors.log").read_text()
+        assert log.startswith("cell 0 rep 0 model coxnnet\n")
+        assert "RuntimeError: injected failure" in log
+        assert log.count("Traceback") == 1
+        # as records: a NaN metric is not == itself
+        assert ([r.as_record() for r in read_results(tmp_path / "results.csv")]
+                == [r.as_record() for r in rows])
+
+    def test_interrupt_leaves_no_worker_and_resumes(self, tmp_path,
+                                                    monkeypatch):
+        use_cpus(monkeypatch, {0, 1})
+        config = tiny_config(models=("coxl1", "nnsurv"), repetitions=2)
+        clean = run_grid(config, tmp_path / "clean", log=lambda *_: None,
+                         train_config=FAST)
+
+        def interrupt(*_):
+            raise KeyboardInterrupt
+
+        out = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(config, out, log=interrupt, train_config=FAST)
+        assert multiprocessing.active_children() == []
+        assert len(read_results(out / "results.csv")) == 1
+        resumed = run_grid(config, out, log=lambda *_: None,
+                           train_config=FAST)
+        assert multiprocessing.active_children() == []
+        assert ([(r.key(), r.seed, r.c_td, r.ibs) for r in resumed]
+                == [(r.key(), r.seed, r.c_td, r.ibs) for r in clean])
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_workers_exit_when_their_parent_dies(self, tmp_path):
+        src = str(Path(bench_mod.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT,
+                                 str(tmp_path)], env=env,
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        results = tmp_path / "run" / "results.csv"
+        try:
+            deadline = time.monotonic() + 60.0
+            # one worker in the slow row, the reference row written
+            while not ((tmp_path / "slow-row").exists() and results.exists()
+                       and len(results.read_text().splitlines()) == 2):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+        finally:
+            proc.kill()
+            proc.wait()
+        workers = [int(f.name.split("-")[1])
+                   for f in tmp_path.glob("worker-*")]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 30.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, workers))
 
 
 class TestEmitTable:
