@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import multiprocessing
 import os
@@ -92,6 +93,9 @@ class ExperimentConfig:
         for name in self.models:
             if name not in MODEL_NAMES:
                 raise ValueError(f"unknown model {name!r}")
+        if len(set(self.models)) != len(self.models):
+            # a duplicate's row would be written twice and returned once
+            raise ValueError(f"duplicate model names in {self.models!r}")
 
 
 def _baseline_label(baseline) -> str:
@@ -314,23 +318,48 @@ def _usable_cpus() -> int:
         return 1
 
 
+@lru_cache(maxsize=1)
+def _openblas_set_threads():
+    """The thread-count setter of the OpenBLAS bundled with numpy's
+    wheel (``numpy.libs/libscipy_openblas64_-*.so``), or None when numpy
+    runs on another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            return ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
 def _ignore_interrupt() -> None:
     # Ctrl-C reaches the parent, which then terminates the pool
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _init_worker(set_blas_threads) -> None:
+    _ignore_interrupt()
+    # the workers already fill the CPUs: a BLAS thread pool on top of
+    # each would oversubscribe them
+    if set_blas_threads is not None:
+        set_blas_threads(1)
 
 
 @contextmanager
 def _mapped(fn, keys: list):
     """``fn`` over ``keys``, yielded in order: on a pool of forked
     workers, one per usable CPU (never more than keys), or in this
-    process when that is one. Leaving the block terminates the pool.
+    process when that is one. Each worker runs numpy's bundled OpenBLAS
+    on one thread; the in-process path keeps the caller's setting.
+    Leaving the block terminates the pool.
     An idle worker whose parent died reads end-of-file and exits."""
     workers = min(_usable_cpus(), len(keys))
     if workers <= 1:
         yield map(fn, keys)
         return
     context = multiprocessing.get_context("fork")
-    with context.Pool(workers, initializer=_ignore_interrupt) as pool:
+    with context.Pool(workers, initializer=_init_worker,
+                      initargs=(_openblas_set_threads(),)) as pool:
         yield pool.imap(fn, keys, chunksize=1)
 
 

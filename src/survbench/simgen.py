@@ -9,17 +9,22 @@ the general inversion
 where (psi1, psi2) encode the model family and H0 is the baseline
 cumulative hazard. Censoring times are drawn from an independent
 exponential whose rate is calibrated to a target censoring fraction.
+
+Cox-Weibull data needs numpy alone: both root finds (the censoring rate
+and ``calibrate_weibull``'s shape) use ``_brentq``, a bit-exact port of
+scipy's Brent solver, and scalar gammas use ``math.gamma``. Only a
+log-normal baseline loads ``scipy.special``, on its first hazard
+evaluation.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import optimize
-from scipy.special import gamma, log_ndtr, ndtri_exp
 
 from .core import SurvivalCurve, SurvivalDataset
 
@@ -46,9 +51,9 @@ class Weibull:
         return (u / self.lam) ** (1.0 / self.a)
 
     def mean_sd(self):
-        m = self.lam ** (-1.0 / self.a) * gamma(1.0 / self.a + 1.0)
+        m = self.lam ** (-1.0 / self.a) * math.gamma(1.0 / self.a + 1.0)
         v = self.lam ** (-2.0 / self.a) * (
-            gamma(2.0 / self.a + 1.0) - gamma(1.0 / self.a + 1.0) ** 2
+            math.gamma(2.0 / self.a + 1.0) - math.gamma(1.0 / self.a + 1.0) ** 2
         )
         return float(m), float(np.sqrt(v))
 
@@ -56,7 +61,11 @@ class Weibull:
 @dataclass(frozen=True)
 class LogNormal:
     """Log-normal baseline on the log scale: log T ~ N(mu, sigma^2) when
-    no covariates act."""
+    no covariates act.
+
+    Its hazard needs ``scipy.special``, which is imported on the first
+    evaluation rather than with this module.
+    """
 
     mu: float
     sigma: float
@@ -66,12 +75,16 @@ class LogNormal:
             raise ValueError("sigma must be positive")
 
     def cumulative_hazard(self, t):
+        from scipy.special import log_ndtr
+
         t = np.asarray(t, dtype=np.float64)
         z = (np.log(t, out=np.full_like(t, -np.inf), where=t > 0) - self.mu) / self.sigma
         # H0(t) = -log(1 - Phi(z)); log_ndtr keeps the tail accurate
         return -log_ndtr(-z)
 
     def inverse_cumulative_hazard(self, u):
+        from scipy.special import ndtri_exp
+
         u = np.asarray(u, dtype=np.float64)
         if np.any(u < 0):
             raise ValueError("cumulative hazard argument must be nonnegative")
@@ -210,15 +223,15 @@ def calibrate_weibull(target_mean: float, target_sd: float):
     cv_target = target_sd / target_mean
 
     def cv_gap(a):
-        return np.sqrt(gamma(2.0 / a + 1.0) / gamma(1.0 / a + 1.0) ** 2 - 1.0) - cv_target
+        return np.sqrt(math.gamma(2.0 / a + 1.0) / math.gamma(1.0 / a + 1.0) ** 2 - 1.0) - cv_target
 
     lo, hi = 0.2, 20.0
     if cv_gap(lo) * cv_gap(hi) > 0:
         raise ValueError(
             f"no Weibull shape in [{lo}, {hi}] attains cv={cv_target:.4g}"
         )
-    a = optimize.brentq(cv_gap, lo, hi, xtol=1e-12)
-    lam = (gamma(1.0 / a + 1.0) / target_mean) ** a
+    a = _brentq(cv_gap, lo, hi, xtol=1e-12)
+    lam = (math.gamma(1.0 / a + 1.0) / target_mean) ** a
     m, s = Weibull(a, lam).mean_sd()
     if abs(m - target_mean) > 1e-3 * target_mean or abs(s - target_sd) > 1e-3 * target_sd:
         raise RuntimeError("calibration post-check failed")
@@ -233,6 +246,65 @@ def calibrate_lognormal(target_mean: float, target_sd: float):
     sigma2 = np.log1p((target_sd / target_mean) ** 2)
     mu = np.log(target_mean) - sigma2 / 2.0
     return float(mu), float(np.sqrt(sigma2))
+
+
+def _brentq(f, a: float, b: float, xtol: float = 2e-12,
+            rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``Zeros/brentq.c`` behind
+    ``scipy.optimize.brentq``: the same update order and sign tests, so it
+    returns the same root bit for bit. Raises ``ValueError`` when f(a) and
+    f(b) share a sign or f returns NaN, ``RuntimeError`` when ``maxiter``
+    iterations do not converge.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
 
 
 def _open_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -268,7 +340,7 @@ def _calibrate_censor_rate(event_times: np.ndarray, target: float) -> float:
         raise RuntimeError(
             f"censoring calibration failed to bracket target {target:.3f} from below"
         )
-    return float(optimize.brentq(frac, lo, hi, xtol=1e-300, rtol=1e-14))
+    return _brentq(frac, lo, hi, xtol=1e-300, rtol=1e-14)
 
 
 def generate(spec: SimulationSpec) -> SimulatedDataset:

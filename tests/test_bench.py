@@ -1,3 +1,4 @@
+import ctypes
 import multiprocessing
 import os
 import subprocess
@@ -140,6 +141,15 @@ class TestConfig:
         d = config_to_json(tiny_config())
         d["train_fraction"] = fraction
         with pytest.raises(ValueError, match="train_fraction"):
+            config_from_json(d)
+
+    def test_duplicate_model_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate model"):
+            ExperimentConfig(cells=tiny_config().cells,
+                             models=("coxl1", "nnsurv", "coxl1"))
+        d = config_to_json(tiny_config())
+        d["models"] = ["coxnnet", "coxnnet"]
+        with pytest.raises(ValueError, match="duplicate model"):
             config_from_json(d)
 
 
@@ -366,7 +376,27 @@ bench.run_grid(bench.ExperimentConfig(cells=(cell,), models=("coxl1",),
 """
 
 
+def _blas_threads(_key=None) -> int:
+    """The thread count of numpy's bundled OpenBLAS in this process."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    path, = libs.glob("libscipy_openblas64_*.so")
+    return ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_()
+
+
 class TestParallelRows:
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        if bench_mod._openblas_set_threads() is None:
+            pytest.skip("numpy does not run on its bundled OpenBLAS")
+        use_cpus(monkeypatch, {0, 1})
+        before = _blas_threads()
+        with bench_mod._mapped(_blas_threads, [0, 1, 2, 3]) as results:
+            assert list(results) == [1, 1, 1, 1]
+        assert _blas_threads() == before  # the parent keeps its setting
+        # on another BLAS the workers run as before
+        monkeypatch.setattr(bench_mod, "_openblas_set_threads", lambda: None)
+        with bench_mod._mapped(_blas_threads, [0, 1]) as results:
+            assert list(results) == [before, before]
+
     def test_parallel_rows_equal_in_process_rows(self, tmp_path, monkeypatch):
         config = grid_2x2()
         real_fit = bench_mod.fit_model

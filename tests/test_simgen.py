@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 from scipy.special import gamma
 
+from survbench import simgen
 from survbench.simgen import (
     LogNormal,
     ModelFamily,
@@ -238,3 +239,70 @@ class TestTrueSurvival:
             expected = np.exp(-ih)
             got = survival_probability(ModelFamily.AH, ln, c, t)
             assert got == pytest.approx(expected, rel=1e-6)
+
+
+def _brentq_calls(monkeypatch):
+    """Record every (f, a, b, options) that simgen hands its solver."""
+    calls = []
+    real = simgen._brentq
+
+    def recording(f, a, b, **options):
+        calls.append((f, a, b, options))
+        return real(f, a, b, **options)
+
+    monkeypatch.setattr(simgen, "_brentq", recording)
+    return calls
+
+
+class TestBrentq:
+    """simgen._brentq against scipy.optimize.brentq, whose C code it ports."""
+
+    FAMILIES = [(ModelFamily.COX, WEIB),
+                (ModelFamily.AH, LogNormal(7.73, 0.7)),
+                (ModelFamily.AFT, LogNormal(7.73, 0.176))]
+
+    def test_censoring_calibrations_equal_scipy_bit_for_bit(self, monkeypatch):
+        calls = _brentq_calls(monkeypatch)
+        rates = []
+        for i in range(300):
+            family, baseline = self.FAMILIES[i % 3]
+            rng = np.random.default_rng(i)
+            n = int(rng.integers(20, 3001))
+            target = float(rng.uniform(0.05, 0.9))
+            beta = SimulationSpec(family=family, baseline=baseline, n=n, p=3,
+                                  k=3).make_beta()
+            times = draw_survival_time(family, baseline,
+                                       rng.standard_normal((n, 3)), beta,
+                                       rng.uniform(1e-9, 1.0 - 1e-9, n))
+            rates.append(simgen._calibrate_censor_rate(times, target))
+        assert len(calls) == len(rates) == 300
+        want = [optimize.brentq(f, a, b, **options)
+                for f, a, b, options in calls]
+        assert rates == want
+
+    @pytest.mark.parametrize("cv", [0.07, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 12.0])
+    def test_weibull_shapes_equal_scipy_bit_for_bit(self, monkeypatch, cv):
+        calls = _brentq_calls(monkeypatch)
+        for mean in (1.0, 2325.0):
+            a, _ = calibrate_weibull(mean, cv * mean)
+            (f, lo, hi, options), = calls
+            assert a == optimize.brentq(f, lo, hi, **options)
+            calls.clear()
+
+    @pytest.mark.parametrize("f, a, b, options, error", [
+        (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),  # no sign change
+        (lambda x: -0.0 if x < 0 else 1.0, -1.0, 1.0, {}, None),  # f(a) == 0
+        (lambda x: np.nan if x > 0.5 else x - 0.7, 0.0, 1.0, {}, ValueError),
+        (lambda x: x ** 3 - 2.0, 0.0, 3.0, {"maxiter": 3}, RuntimeError),
+        (lambda x: np.cos(x) - x, 0.0, 1.0, {"xtol": 1e-300,
+                                             "rtol": 1e-15}, None),
+    ])
+    def test_same_results_and_error_types_as_scipy(self, f, a, b, options,
+                                                  error):
+        if error is None:
+            assert simgen._brentq(f, a, b, **options) == optimize.brentq(
+                f, a, b, **options)
+            return
+        for solve in (simgen._brentq, optimize.brentq):
+            with pytest.raises(error):
+                solve(f, a, b, **options)
