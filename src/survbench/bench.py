@@ -288,18 +288,26 @@ def _evaluate_row(config: ExperimentConfig, train_config, cell_idx: int,
     split_seed = _derived_seed(base_seed, cell_idx, rep, 1)
     spec = replace(config.cells[cell_idx], seed=sim_seed)
     sim, train, test, split = _draw(spec, config.train_fraction, split_seed)
-    t0 = time.perf_counter()
     if name == REFERENCE_MODEL:
-        seed = sim_seed
+        seed, t0 = sim_seed, time.perf_counter()
         scores = reference_metrics(sim, split.test)
+        seconds = time.perf_counter() - t0
     else:
         seed = _derived_seed(base_seed, cell_idx, rep,
                              2 + config.models.index(name))
-        model = fit_model(name, train, seed=seed, config=train_config)
-        scores = metric_report(model.predict_survival(test.X), test.time,
-                               test.event)
-    return _result_row(spec, name, rep, seed, scores.c_td, scores.ibs,
-                       time.perf_counter() - t0)
+        scores, seconds = _fit_and_score(name, seed, train, test, train_config)
+    return _result_row(spec, name, rep, seed, scores.c_td, scores.ibs, seconds)
+
+
+def _fit_and_score(name: str, seed: int, train: SurvivalDataset,
+                   test: SurvivalDataset, train_config):
+    """Fit model ``name`` on ``train`` with ``seed`` and score its curves
+    for ``test``; returns the metric report and the seconds both took."""
+    t0 = time.perf_counter()
+    model = fit_model(name, train, seed=seed, config=train_config)
+    scores = metric_report(model.predict_survival(test.X), test.time,
+                           test.event)
+    return scores, time.perf_counter() - t0
 
 
 def _row_or_traceback(config: ExperimentConfig, train_config, key):
@@ -320,16 +328,40 @@ def _usable_cpus() -> int:
 
 @lru_cache(maxsize=1)
 def _openblas_set_threads():
-    """The thread-count setter of the OpenBLAS bundled with numpy's
-    wheel (``numpy.libs/libscipy_openblas64_-*.so``), or None when numpy
-    runs on another BLAS."""
+    """A function that sets the thread count of the OpenBLAS bundled with
+    numpy's wheel (``numpy.libs/libscipy_openblas64_-*.so``) and returns
+    the count it replaced, or None when numpy runs on another BLAS."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
-            return ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
+
+        def set_threads(count: int) -> int:
+            before = get()
+            put(count)
+            return before
+        return set_threads
     return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's bundled OpenBLAS on one thread in this process, and so in
+    every worker it forks meanwhile; the caller's count is restored on
+    leaving. On another BLAS it does nothing."""
+    set_threads = _openblas_set_threads()
+    if set_threads is None:
+        yield
+        return
+    before = set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _ignore_interrupt() -> None:
@@ -337,30 +369,23 @@ def _ignore_interrupt() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _init_worker(set_blas_threads) -> None:
-    _ignore_interrupt()
-    # the workers already fill the CPUs: a BLAS thread pool on top of
-    # each would oversubscribe them
-    if set_blas_threads is not None:
-        set_blas_threads(1)
-
-
 @contextmanager
 def _mapped(fn, keys: list):
     """``fn`` over ``keys``, yielded in order: on a pool of forked
     workers, one per usable CPU (never more than keys), or in this
-    process when that is one. Each worker runs numpy's bundled OpenBLAS
-    on one thread; the in-process path keeps the caller's setting.
-    Leaving the block terminates the pool.
+    process when that is one. Either way the rows run numpy's bundled
+    OpenBLAS on one thread, so a row's bits do not depend on where it
+    ran; the workers already fill the CPUs. Leaving the block restores
+    the caller's BLAS threads and terminates the pool.
     An idle worker whose parent died reads end-of-file and exits."""
     workers = min(_usable_cpus(), len(keys))
-    if workers <= 1:
-        yield map(fn, keys)
-        return
-    context = multiprocessing.get_context("fork")
-    with context.Pool(workers, initializer=_init_worker,
-                      initargs=(_openblas_set_threads(),)) as pool:
-        yield pool.imap(fn, keys, chunksize=1)
+    with _one_blas_thread():
+        if workers <= 1:
+            yield map(fn, keys)
+            return
+        context = multiprocessing.get_context("fork")
+        with context.Pool(workers, initializer=_ignore_interrupt) as pool:
+            yield pool.imap(fn, keys, chunksize=1)
 
 
 def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
@@ -540,13 +565,11 @@ def run_real(path, models=MODEL_NAMES, seed: int = 0,
     rows = []
     for m_idx, name in enumerate(models):
         model_seed = _derived_seed(seed, 0, 0, m_idx)
-        t0 = time.perf_counter()
-        model = fit_model(name, train, seed=model_seed, config=train_config)
-        rep = metric_report(model.predict_survival(test.X), test.time, test.event)
+        rep, seconds = _fit_and_score(name, model_seed, train, test,
+                                      train_config)
         row = ResultRow(family="real", baseline=Path(path).name, n=data.n,
                         p=data.p, model=name, rep=0, seed=model_seed,
-                        c_td=rep.c_td, ibs=rep.ibs,
-                        wall_seconds=time.perf_counter() - t0)
+                        c_td=rep.c_td, ibs=rep.ibs, wall_seconds=seconds)
         log(f"{name}: C_td={rep.c_td:.4f} IBS={rep.ibs:.4f} "
             f"({row.wall_seconds:.1f}s)")
         rows.append(row)
@@ -652,7 +675,7 @@ def main(argv=None) -> int:
             overrides["ridge"] = args.ridge
         if args.epochs is not None:
             overrides["epochs"] = args.epochs
-        config = TrainConfig(seed=args.seed, **overrides) if overrides else None
+        config = TrainConfig(**overrides) if overrides else None
         model = fit_model(args.model, data, seed=args.seed, config=config)
         save_model(model, args.out)
         print(f"fitted {args.model} on {data.n} subjects -> {args.out}")

@@ -285,12 +285,12 @@ def cox_loss_and_grad(eta, index: RiskSetIndex, event):
 def standardize_covariates(X: np.ndarray):
     """Center and scale columns to mean 0 / sample sd 1 (n-1 denominator).
 
-    Constant columns map to all zeros, and so does a column whose sd is
-    at most 16·eps·max|x|: its spread is that of a few roundings of its
-    largest value, not a signal. Returns ``(Z, mean, scale)`` where
-    ``scale`` is 1 for constant columns so the stored transform
-    ``(X - mean) / scale`` reproduces Z on any data of the same shape, up
-    to that rounding spread in a near-constant column.
+    Returns ``(Z, mean, scale)`` with ``Z = apply_standardization(X, mean,
+    scale)``, the transform a fit stores for the rows it predicts. A
+    constant column gets an infinite ``scale``, and so does a column whose
+    sd is at most 16·eps·max|x|: its spread is that of a few roundings of
+    its largest value, not a signal. Such a column maps to 0 in ``Z`` and
+    in every finite row the stored transform is applied to later.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -303,14 +303,13 @@ def standardize_covariates(X: np.ndarray):
     mean = np.ldexp(scaled.mean(axis=0), exp2)
     sd = np.ldexp(scaled.std(axis=0, ddof=int(X.shape[0] > 1)), exp2)
     constant = sd <= 16 * np.finfo(np.float64).eps * top
-    scale = np.where(constant, 1.0, sd)
-    Z = (X - mean) / scale
-    Z[:, constant] = 0.0
-    return Z, mean, scale
+    scale = np.where(constant, np.inf, sd)
+    return apply_standardization(X, mean, scale), mean, scale
 
 
 def apply_standardization(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Apply a stored standardization transform to new rows."""
+    """Apply a stored standardization transform to new rows:
+    ``(X - mean) / scale``, 0 in a column whose ``scale`` is infinite."""
     X = np.asarray(X, dtype=np.float64)
     return (X - np.asarray(mean)) / np.asarray(scale)
 

@@ -11,7 +11,7 @@ data-driven bandwidth to the Cox-family fits; ``save_model`` /
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -98,13 +98,12 @@ def fit_model(name: str, train: SurvivalDataset, seed: int = 0,
         fit = coxlasso.coxl1_fit(train, seed, lasso_cv_folds)
         scores = coxlasso.risk_score(fit, train.X)
         return CoxLassoModel(fit=fit, base=_cox_family_baseline(train, scores))
-    cfg = replace(config or TrainConfig(), seed=seed)
     if name == "coxnnet":
-        fit = coxnnet_fit(train, cfg)
+        fit = coxnnet_fit(train, seed, config)
         return CoxnnetModel(fit=fit,
                             base=_cox_family_baseline(train, fit.train_scores))
     depth = 1 if name == "nnsurv" else 2
-    return DiscreteTimeModel(fit=nnsurv_fit(train, cfg, depth=depth))
+    return DiscreteTimeModel(fit=nnsurv_fit(train, seed, config, depth=depth))
 
 
 # ---------------------------------------------------------------------------

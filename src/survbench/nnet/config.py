@@ -33,7 +33,6 @@ class TrainConfig:
     patience: int = 20
     min_epochs: int = 100
     val_fraction: float = 0.1
-    seed: int = 0
     hidden: int | None = None
 
     def __post_init__(self):

@@ -121,16 +121,18 @@ def _scalar_concordance(scores: np.ndarray, time: np.ndarray,
     return concordant / comparable if comparable else 0.5
 
 
-def coxnnet_fit(data: SurvivalDataset, config: TrainConfig | None = None) -> CoxnnetFit:
+def coxnnet_fit(data: SurvivalDataset, seed: int = 0,
+                config: TrainConfig | None = None) -> CoxnnetFit:
     """Standardize, pick the ridge weight (CV unless fixed), train, and
-    return the network with its plug-in scores exp(theta_i)."""
+    return the network with its plug-in scores exp(theta_i); ``seed``
+    drives every random draw of the fit."""
     config = config or TrainConfig()
     Z, mean, scale = standardize_covariates(data.X)
     zdata = SurvivalDataset(Z, data.time, data.event)
 
-    def train(rows, lams, seed):
+    def train(rows, lams, train_seed):
         part = zdata if rows is None else zdata.subset(np.flatnonzero(rows))
-        return _train_network(part, lams, config, seed)
+        return _train_network(part, lams, config, train_seed)
 
     def held_scores(stack, held_mask):
         # rank concordance: a far lower-variance signal than the held-out
@@ -141,7 +143,7 @@ def coxnnet_fit(data: SurvivalDataset, config: TrainConfig | None = None) -> Cox
                          for eta in _per_network(theta_held)])
 
     ridge, params, trace = fit_network(
-        config, int(zdata.event.sum()), (1e-2, 1e-1, 1.0), zdata.event,
+        config, seed, int(zdata.event.sum()), (1e-2, 1e-1, 1.0), zdata.event,
         lambda rng: stratified_folds(zdata.event, config.cv_folds, rng),
         train, held_scores)
     theta, _ = mlp_forward(params, zdata.X)

@@ -215,10 +215,12 @@ def _train_network(features, targets, subject, depth, lams, config: TrainConfig,
         batches, held_score, config)
 
 
-def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,
-               depth: int = 1, n_intervals: int | None = None) -> NnsurvFit:
+def nnsurv_fit(data: SurvivalDataset, seed: int = 0,
+               config: TrainConfig | None = None, depth: int = 1,
+               n_intervals: int | None = None) -> NnsurvFit:
     """Duplicate, standardize (midpoint column included), train; the ridge
-    is chosen by held-out cross-entropy on subject-level folds.
+    is chosen by held-out cross-entropy on subject-level folds, and
+    ``seed`` drives every random draw of the fit.
 
     ``depth`` 1 is the shallow variant, 2 the deep one. ``n_intervals``
     defaults to min(40, max(10, n // 16), distinct times).
@@ -235,18 +237,19 @@ def nnsurv_fit(data: SurvivalDataset, config: TrainConfig | None = None,
     batch = duplicate(data, grid)
     feats, mean, scale = standardize_covariates(batch.features)
     targets, subject = batch.targets, batch.subject
+    del batch  # training needs only the standardized copy of its features
 
-    def train(rows, lams, seed):
+    def train(rows, lams, train_seed):
         keep = slice(None) if rows is None else rows
         return _train_network(feats[keep], targets[keep], subject[keep],
-                              depth, lams, config, seed)
+                              depth, lams, config, train_seed)
 
     def held_scores(stack, held):
         return -_mean_cross_entropy(stack, feats[held], targets[held])
 
     # a duplicated row's target is its subject's event in the final interval
     ridge, params, trace = fit_network(
-        config, batch.n_rows, (1e-5, 1e-4, 1e-3), targets,
+        config, seed, targets.size, (1e-5, 1e-4, 1e-3), targets,
         lambda rng: (rng.permutation(data.n) % config.cv_folds)[subject],
         train, held_scores)
     return NnsurvFit(params=params, grid=grid, mean=mean, scale=scale,

@@ -73,12 +73,12 @@ def fit_adam(template: MlpParams, lams, loss_and_grad, batches, held_score,
     return unpack(template, best_vec), [np.asarray(trace) for trace in traces]
 
 
-def fit_network(config: TrainConfig, scale, default_grid, event, fold_labels,
-                train, held_scores):
+def fit_network(config: TrainConfig, seed: int, scale, default_grid, event,
+                fold_labels, train, held_scores):
     """Choose a network's ridge weight by CV (unless ``config.ridge`` is
     set) and train the final fit; returns the ridge, network and trace.
 
-    One generator seeded by ``config.seed`` draws the fold labels
+    One generator seeded by ``seed`` draws the fold labels
     ``fold_labels(rng)``, one seed per fold, then the final fit's seed
     (only the last with the ridge fixed). The candidates are ``scale``
     times ``config.ridge_grid`` or ``default_grid``. ``train(rows, lams,
@@ -86,7 +86,7 @@ def fit_network(config: TrainConfig, scale, default_grid, event, fold_labels,
     ``held_scores(stack, held)`` scores it on the held-out rows (higher
     is better); ``event`` has one entry per row, for skipping folds.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     if config.ridge is not None:
         ridge = config.ridge
     else:

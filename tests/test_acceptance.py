@@ -299,7 +299,7 @@ def test_criterion_08_curve_validity():
     spec = SimulationSpec(family=ModelFamily.COX, baseline=WEIB, n=400, p=5,
                           k=5, censor_target=0.3, seed=2)
     sim = generate(spec)
-    cfg = TrainConfig(ridge=2.0, epochs=60, min_epochs=20, patience=20, seed=2)
+    cfg = TrainConfig(ridge=2.0, epochs=60, min_epochs=20, patience=20)
     rng = np.random.default_rng(9)
     X_new = rng.standard_normal((1000, 5))
     ok = True

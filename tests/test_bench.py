@@ -397,6 +397,22 @@ class TestParallelRows:
         with bench_mod._mapped(_blas_threads, [0, 1]) as results:
             assert list(results) == [before, before]
 
+    def test_in_process_rows_run_one_blas_thread(self):
+        # one pending row runs in this process: on one BLAS thread, as a
+        # worker would, and the caller's count comes back afterwards
+        set_threads = bench_mod._openblas_set_threads()
+        if set_threads is None:
+            pytest.skip("numpy does not run on its bundled OpenBLAS")
+        before = set_threads(2)
+        try:
+            if _blas_threads() != 2:
+                pytest.skip("OpenBLAS cannot run two threads here")
+            with bench_mod._mapped(_blas_threads, [0]) as results:
+                assert list(results) == [1]
+            assert _blas_threads() == 2
+        finally:
+            set_threads(before)
+
     def test_parallel_rows_equal_in_process_rows(self, tmp_path, monkeypatch):
         config = grid_2x2()
         real_fit = bench_mod.fit_model

@@ -342,7 +342,7 @@ class TestStandardize:
     def test_constant_column_zeroed(self):
         Z, mean, scale = standardize_covariates(np.array([[1.0], [1.0], [1.0]]))
         np.testing.assert_array_equal(Z, np.zeros((3, 1)))
-        assert scale[0] == 1.0
+        assert scale[0] == np.inf
 
     @pytest.mark.parametrize("value", [0.1, 1 / 3, -2.9, 123456.789, 3e300])
     @pytest.mark.parametrize("n", [3, 7, 40])
@@ -351,7 +351,7 @@ class TestStandardize:
         # every row the same tiny residue and an sd of that residue's size
         Z, _, scale = standardize_covariates(np.full((n, 1), value))
         np.testing.assert_array_equal(Z, np.zeros((n, 1)))
-        assert scale[0] == 1.0
+        assert scale[0] == np.inf
 
     @pytest.mark.parametrize("delta", [2.0 ** -52, -(2.0 ** -53), 1e-15])
     def test_near_constant_column_is_constant(self, delta):
@@ -364,7 +364,7 @@ class TestStandardize:
         Z, _, scale_near = standardize_covariates(X)
         np.testing.assert_array_equal(Z, Z_const)
         np.testing.assert_array_equal(scale_near, scale)
-        assert scale[1] == 1.0 and mean[1] == 1.0
+        assert scale[1] == np.inf and mean[1] == 1.0
 
     def test_spread_above_the_tolerance_is_kept(self):
         X = np.ones((40, 1))
@@ -385,10 +385,28 @@ class TestStandardize:
         np.testing.assert_allclose(Z2, Z, atol=1e-12)
 
     def test_stored_transform_reproduces(self):
+        # the transform a fit stores is the one that made Z, bit for bit,
+        # also on a constant and a near-constant column
         rng = np.random.default_rng(4)
         X = rng.standard_normal((25, 4)) * 3 + 1
+        near = np.full(25, -2.9)
+        near[7] += 2.0 ** -51
+        X = np.column_stack([X, np.full(25, 0.1), near])
         Z, mean, scale = standardize_covariates(X)
-        np.testing.assert_array_equal(apply_standardization(X, mean, scale), Z)
+        assert np.isinf(scale[4:]).all() and np.isfinite(scale[:4]).all()
+        assert apply_standardization(X, mean, scale).tobytes() == Z.tobytes()
+
+    def test_constant_columns_map_any_finite_row_to_zero(self):
+        X = np.random.default_rng(8).standard_normal((20, 3))
+        X[:, 0], X[:, 2] = 5.0, 1.0 / 3.0
+        X[4, 2] += 2.0 ** -54
+        _, mean, scale = standardize_covariates(X)
+        new = np.array([[-1e300, 0.3, 7.0], [0.0, -2.0, -1e-300],
+                        [5.0, 1e5, 1.0 / 3.0]])
+        Z_new = apply_standardization(new, mean, scale)
+        np.testing.assert_array_equal(Z_new[:, [0, 2]], 0.0)
+        np.testing.assert_array_equal(Z_new[:, 1],
+                                      (new[:, 1] - mean[1]) / scale[1])
 
     def test_bits_match_the_unscaled_moments(self):
         # scaling a column by a power of two is exact on ordinary data

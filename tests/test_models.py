@@ -17,7 +17,7 @@ from survbench.models import (
 from survbench.nnet import TrainConfig
 from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
 
-FAST = TrainConfig(ridge=1.0, epochs=30, min_epochs=5, patience=10, seed=0)
+FAST = TrainConfig(ridge=1.0, epochs=30, min_epochs=5, patience=10)
 
 
 @pytest.fixture(scope="module")
@@ -197,8 +197,7 @@ class TestHighDimensionalRobustness:
                               baseline=Weibull(2.0, 1.3e-7),
                               n=150, p=1000, k=5, censor_target=0.3, seed=1)
         sim = generate(spec)
-        cfg = TrainConfig(ridge=50.0, epochs=40, min_epochs=10, patience=10,
-                          seed=1)
+        cfg = TrainConfig(ridge=50.0, epochs=40, min_epochs=10, patience=10)
         model = fit_model("coxnnet", sim.data, seed=1, config=cfg)
         curves = model.predict_survival(sim.data.X[:50])
         ctd = c_index_td(curves, sim.data.time[:50], sim.data.event[:50])
@@ -215,8 +214,7 @@ class TestHighDimensionalRobustness:
         noisy = SurvivalDataset(
             np.hstack([sim.data.X, rng.standard_normal((400, 20))]),
             sim.data.time, sim.data.event)
-        cfg = TrainConfig(ridge=5.0, epochs=120, min_epochs=60, patience=30,
-                          seed=4)
+        cfg = TrainConfig(ridge=5.0, epochs=120, min_epochs=60, patience=30)
         scores = {}
         for tag, data in (("clean", sim.data), ("noisy", noisy)):
             train, test, _ = train_test_split(data, 2 / 3, seed=4)
@@ -241,7 +239,7 @@ class TestTieHeavyTimes:
         train, test, _ = train_test_split(
             SurvivalDataset(data.X, years, data.event), 2 / 3, seed=0)
         assert np.unique(train.time).size == 27
-        cfg = TrainConfig(ridge=1.0, epochs=3, min_epochs=1, seed=0)
+        cfg = TrainConfig(ridge=1.0, epochs=3, min_epochs=1)
         model = fit_model(name, train, seed=0, config=cfg)
         assert 2 <= model.fit.grid.n_intervals <= 27
         curves = model.predict_survival(test.X[:20])
@@ -264,8 +262,7 @@ class TestTooFewEvents:
         train = SurvivalDataset(data.X[:40], data.time[:40],
                                 (np.arange(40) == first_event).astype(int))
         test = data.subset(np.arange(40, 100))
-        cfg = TrainConfig(epochs=20, min_epochs=5, patience=5, cv_folds=2,
-                          seed=0)
+        cfg = TrainConfig(epochs=20, min_epochs=5, patience=5, cv_folds=2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             model = fit_model(name, train, seed=0, config=cfg,
@@ -288,13 +285,55 @@ class TestNearConstantColumn:
         X = np.column_stack([data.X, np.ones(data.n)])
         near = X.copy()
         near[::4, -1] = 1.0 + 2.0 ** -52  # every fourth row: some of them train
-        cfg = TrainConfig(ridge=1.0, epochs=20, min_epochs=5, patience=5,
-                          seed=0)
+        cfg = TrainConfig(ridge=1.0, epochs=20, min_epochs=5, patience=5)
         curves = [fit_model(name, SurvivalDataset(x, data.time, data.event),
                             seed=0, config=cfg, lasso_cv_folds=2)
                   .predict_survival(X) for x in (X, near)]
         np.testing.assert_array_equal(curves[1].grid, curves[0].grid)
         np.testing.assert_array_equal(curves[1].probs, curves[0].probs)
+
+
+@pytest.fixture(scope="module")
+def zero_column_fits():
+    """Every model fitted with covariate 0 all zero in training, and test
+    rows in which it varies."""
+    from survbench.core import SurvivalDataset, train_test_split
+
+    sim = generate(SimulationSpec(
+        family=ModelFamily.COX, baseline=Weibull(2.0, 1.3e-7), n=200, p=5,
+        k=5, censor_target=0.3, seed=2))
+    train, test, _ = train_test_split(sim.data, 2 / 3, seed=2)
+    X = train.X.copy()
+    X[:, 0] = 0.0
+    train = SurvivalDataset(X, train.time, train.event)
+    models = {name: fit_model(name, train, seed=2, config=FAST,
+                              lasso_cv_folds=2) for name in MODEL_NAMES}
+    return models, test.X
+
+
+class TestTrainingConstantColumn:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_its_test_values_leave_the_curves(self, name, zero_column_fits):
+        # an unexpressed gene in training carries no signal at test time
+        models, X = zero_column_fits
+        moved = X.copy()
+        moved[:, 0] = np.random.default_rng(3).normal(0.0, 3.0, X.shape[0])
+        a = models[name].predict_survival(X)
+        b = models[name].predict_survival(moved)
+        np.testing.assert_array_equal(a.grid, b.grid)
+        np.testing.assert_array_equal(a.probs, b.probs)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_round_trip_is_bit_exact(self, name, zero_column_fits, tmp_path):
+        models, X = zero_column_fits
+        path = tmp_path / f"{name}.json"
+        save_model(models[name], path)
+        loaded = load_model(path)
+        assert loaded.fit.scale[0] == np.inf
+        a = models[name].predict_survival(X)
+        b = loaded.predict_survival(X)
+        np.testing.assert_array_equal(a.grid, b.grid)
+        np.testing.assert_array_equal(a.probs, b.probs)
 
 
 class TestOneSortPerDataset:

@@ -119,34 +119,34 @@ def small_sim(n=300, p=5, seed=0):
 class TestFit:
     def test_scores_track_truth(self):
         sim = small_sim(n=500)
-        cfg = TrainConfig(ridge=5.0, seed=0, epochs=250)
-        fit = coxnnet_fit(sim.data, cfg)
+        cfg = TrainConfig(ridge=5.0, epochs=250)
+        fit = coxnnet_fit(sim.data, 0, cfg)
         truth = np.exp(sim.data.X @ sim.true_beta)
         rho = stats.spearmanr(fit.train_scores, truth).statistic
         assert rho > 0.7
 
     def test_deterministic_given_seed(self):
         sim = small_sim(n=120)
-        cfg = TrainConfig(ridge=2.0, seed=7, epochs=60, min_epochs=10)
-        a = coxnnet_fit(sim.data, cfg)
-        b = coxnnet_fit(sim.data, cfg)
+        cfg = TrainConfig(ridge=2.0, epochs=60, min_epochs=10)
+        a = coxnnet_fit(sim.data, 7, cfg)
+        b = coxnnet_fit(sim.data, 7, cfg)
         np.testing.assert_array_equal(a.train_scores, b.train_scores)
 
     def test_huge_ridge_collapses_parameters(self):
         sim = small_sim(n=100)
         # val_fraction too small to form a monitor set, so the loop tracks
         # the training objective, which the penalty dominates
-        cfg = TrainConfig(ridge=1e6, seed=1, epochs=600, min_epochs=600,
+        cfg = TrainConfig(ridge=1e6, epochs=600, min_epochs=600,
                           patience=1000, learning_rate=0.05, val_fraction=0.01)
-        fit = coxnnet_fit(sim.data, cfg)
+        fit = coxnnet_fit(sim.data, 1, cfg)
         assert float(np.max(np.abs(fit.params.vec))) < 0.01
         np.testing.assert_allclose(fit.train_scores, 1.0, atol=0.01)
 
     def test_loss_decreases_on_smoothed_window(self):
         sim = small_sim(n=200)
-        cfg = TrainConfig(ridge=2.0, seed=2, epochs=120, min_epochs=120,
+        cfg = TrainConfig(ridge=2.0, epochs=120, min_epochs=120,
                           patience=200)
-        fit = coxnnet_fit(sim.data, cfg)
+        fit = coxnnet_fit(sim.data, 2, cfg)
         trace = fit.loss_trace
         k = 10
         smooth = np.convolve(trace, np.ones(k) / k, mode="valid")
@@ -160,17 +160,17 @@ class TestFit:
         u = np.clip(rng.random(n), 1e-9, 1 - 1e-9)
         times = -np.log1p(-u) / np.exp(1.2 * x[:, 0])
         data = SurvivalDataset(x, times + 1e-9, np.ones(n, dtype=int))
-        cfg = TrainConfig(ridge=1.0, seed=5, epochs=300, min_epochs=150,
+        cfg = TrainConfig(ridge=1.0, epochs=300, min_epochs=150,
                           patience=100, hidden=1)
-        fit = coxnnet_fit(data, cfg)
+        fit = coxnnet_fit(data, 5, cfg)
         rho = stats.spearmanr(fit.train_scores, x[:, 0]).statistic
         assert abs(rho) > 0.95 and rho > 0  # higher x, higher risk
 
     def test_cv_picks_from_grid(self):
         sim = small_sim(n=150)
-        cfg = TrainConfig(seed=3, epochs=60, min_epochs=10, cv_folds=2,
+        cfg = TrainConfig(epochs=60, min_epochs=10, cv_folds=2,
                           ridge_grid=(1e-2, 1e-1))
-        fit = coxnnet_fit(sim.data, cfg)
+        fit = coxnnet_fit(sim.data, 3, cfg)
         n_events = int(sim.data.event.sum())
         assert fit.ridge in {f * n_events for f in (1e-2, 1e-1)}
 
@@ -182,9 +182,9 @@ class TestFit:
         event[4] = 1
         data = SurvivalDataset(rng.standard_normal((n, 3)),
                                rng.uniform(1, 9, n), event)
-        cfg = TrainConfig(seed=0, epochs=20, min_epochs=5)
+        cfg = TrainConfig(epochs=20, min_epochs=5)
         with pytest.warns(RuntimeWarning) as record:
-            fit = coxnnet_fit(data, cfg)
+            fit = coxnnet_fit(data, 0, cfg)
         messages = [str(w.message) for w in record]
         for fold in range(cfg.cv_folds):
             assert f"fold {fold} has no events on one side; skipped" in messages
@@ -192,11 +192,10 @@ class TestFit:
         assert fit.ridge == 1e-2
 
     def test_fold_seeds_drawn_after_the_labels(self, monkeypatch):
-        # one stream from config.seed: the event-stratified fold labels,
+        # one stream from the fit's seed: the event-stratified fold labels,
         # one seed per fold, then the final fit's seed on every subject
         data = small_sim(n=60, p=3, seed=2).data
-        cfg = TrainConfig(seed=4, epochs=3, min_epochs=1, patience=1,
-                          cv_folds=3)
+        cfg = TrainConfig(epochs=3, min_epochs=1, patience=1, cv_folds=3)
         calls = []
 
         def recording(train, lams, config, seed):
@@ -204,7 +203,7 @@ class TestFit:
             return _train_network(train, lams, config, seed)
 
         monkeypatch.setattr(coxnnet_module, "_train_network", recording)
-        coxnnet_fit(data, cfg)
+        coxnnet_fit(data, 4, cfg)
         rng = np.random.default_rng(4)
         labels = stratified_folds(data.event, 3, rng)
         seeds = list(rng.integers(2 ** 31, size=3)) + [rng.integers(2 ** 31)]
@@ -222,7 +221,7 @@ class TestStackedCandidates:
         data = small_sim(n=120, p=4, seed=3).data
         Z, _, _ = standardize_covariates(data.X)
         zdata = SurvivalDataset(Z, data.time, data.event)
-        cfg = TrainConfig(seed=0, epochs=80, min_epochs=3, patience=3,
+        cfg = TrainConfig(epochs=80, min_epochs=3, patience=3,
                           learning_rate=0.01)
         lams = [0.0, 3.0, 30.0]
         stack, traces = _train_network(zdata, lams, cfg, 7)
@@ -290,8 +289,8 @@ class TestSurvival:
         from survbench.models import CoxnnetModel
 
         sim = small_sim(n=200)
-        fit = coxnnet_fit(sim.data, TrainConfig(ridge=2.0, seed=4, epochs=80,
-                                                min_epochs=20))
+        fit = coxnnet_fit(sim.data, 4, TrainConfig(ridge=2.0, epochs=80,
+                                                   min_epochs=20))
         base = ramlau_hansen(sim.data, fit.train_scores, 400.0,
                              default_grid(sim.data, 80))
         x = sim.data.X[5]

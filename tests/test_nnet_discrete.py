@@ -204,31 +204,31 @@ def ah_sim(n=250, seed=0):
 
 
 class TestFitAndSurvival:
-    def fast_config(self, seed=0, **kw):
-        base = dict(ridge=1.0, seed=seed, epochs=25, min_epochs=5, patience=10,
+    def fast_config(self, **kw):
+        base = dict(ridge=1.0, epochs=25, min_epochs=5, patience=10,
                     batch_size=128)
         base.update(kw)
         return TrainConfig(**base)
 
     def test_deterministic_given_seed(self):
         sim = ah_sim(n=120)
-        a = nnsurv_fit(sim.data, self.fast_config(7), depth=1, n_intervals=8)
-        b = nnsurv_fit(sim.data, self.fast_config(7), depth=1, n_intervals=8)
+        a = nnsurv_fit(sim.data, 7, self.fast_config(), depth=1, n_intervals=8)
+        b = nnsurv_fit(sim.data, 7, self.fast_config(), depth=1, n_intervals=8)
         np.testing.assert_array_equal(a.params.vec, b.params.vec)
 
     def test_depth_two_adds_a_layer(self):
         sim = ah_sim(n=100)
-        shallow = nnsurv_fit(sim.data, self.fast_config(1), depth=1, n_intervals=6)
-        deep = nnsurv_fit(sim.data, self.fast_config(1), depth=2, n_intervals=6)
+        shallow = nnsurv_fit(sim.data, 1, self.fast_config(), depth=1, n_intervals=6)
+        deep = nnsurv_fit(sim.data, 1, self.fast_config(), depth=2, n_intervals=6)
         assert shallow.params.n_layers == 2
         assert deep.params.n_layers == 3
         with pytest.raises(ValueError):
-            nnsurv_fit(sim.data, self.fast_config(1), depth=3)
+            nnsurv_fit(sim.data, 1, self.fast_config(), depth=3)
 
     def test_training_loss_decreases_smoothed(self):
         sim = ah_sim(n=300, seed=2)
-        cfg = self.fast_config(2, epochs=40, min_epochs=40, patience=100)
-        fit = nnsurv_fit(sim.data, cfg, depth=1, n_intervals=10)
+        cfg = self.fast_config(epochs=40, min_epochs=40, patience=100)
+        fit = nnsurv_fit(sim.data, 2, cfg, depth=1, n_intervals=10)
         trace = fit.loss_trace
         k = 5
         smooth = np.convolve(trace, np.ones(k) / k, mode="valid")
@@ -236,7 +236,7 @@ class TestFitAndSurvival:
 
     def test_survival_is_cumprod_of_one_minus_hazard(self):
         sim = ah_sim(n=150, seed=3)
-        fit = nnsurv_fit(sim.data, self.fast_config(3), depth=1, n_intervals=8)
+        fit = nnsurv_fit(sim.data, 3, self.fast_config(), depth=1, n_intervals=8)
         x = sim.data.X[0]
         h = nnsurv_hazards(fit, x)
         curve = nnsurv_survival(fit, x)
@@ -249,7 +249,7 @@ class TestFitAndSurvival:
                               baseline=LogNormal(7.73, 0.7),
                               n=400, p=10, k=10, censor_target=0.3, seed=6)
         sim = generate(spec)
-        fit = nnsurv_fit(sim.data, self.fast_config(6), depth=depth,
+        fit = nnsurv_fit(sim.data, 6, self.fast_config(), depth=depth,
                          n_intervals=18)
         X = sim.data.X
         batch = nnsurv_survival(fit, X)
@@ -260,7 +260,7 @@ class TestFitAndSurvival:
             assert np.array_equal(batch[i].probs, nnsurv_survival(fit, x).probs)
 
     def test_half_hazards_quarter_survival(self):
-        fit_like = nnsurv_fit(ah_sim(n=60, seed=4).data, self.fast_config(4),
+        fit_like = nnsurv_fit(ah_sim(n=60, seed=4).data, 4, self.fast_config(),
                               depth=1, n_intervals=2)
         # overwrite the net with the constant-half predictor
         from dataclasses import replace
@@ -286,7 +286,7 @@ class TestFitAndSurvival:
         assert c_index_td(curves, test.time, test.event) > 0.65
 
     def test_near_zero_hazards_give_flat_one(self):
-        fit_like = nnsurv_fit(ah_sim(n=60, seed=5).data, self.fast_config(5),
+        fit_like = nnsurv_fit(ah_sim(n=60, seed=5).data, 5, self.fast_config(),
                               depth=1, n_intervals=3)
         from dataclasses import replace
         p_in = fit_like.params.weights[0].shape[0]
@@ -331,7 +331,7 @@ class TestStackedCandidates:
         data = generate(spec).data
         batch = duplicate(data, build_time_grid(data, 6))
         feats, _, _ = standardize_covariates(batch.features)
-        cfg = TrainConfig(seed=0, epochs=80, min_epochs=3, patience=3,
+        cfg = TrainConfig(epochs=80, min_epochs=3, patience=3,
                           batch_size=64, learning_rate=0.01)
         lams = [0.0, 3.0, 30.0]
         stack, traces = _train_network(feats, batch.targets, batch.subject,
@@ -345,13 +345,32 @@ class TestStackedCandidates:
             np.testing.assert_array_equal(traces[c], alone_traces[0])
 
 
+class TestMemory:
+    def test_training_holds_no_raw_duplicated_rows(self):
+        # 300 subjects, p = 500: the duplicated rows are about 11 MiB; the
+        # fit standardizes them and then trains on the standardized copy
+        import tracemalloc
+
+        data = generate(SimulationSpec(
+            family=ModelFamily.COX, baseline=Weibull(2.0, 1.3e-7), n=300,
+            p=500, k=5, censor_target=0.3, seed=0)).data
+        nbytes = duplicate(data, build_time_grid(data, 18)).features.nbytes
+        cfg = TrainConfig(epochs=3, min_epochs=1)
+        tracemalloc.start()
+        try:
+            nnsurv_fit(data, 0, cfg, n_intervals=18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * nbytes
+
+
 class TestSelectRidge:
     def test_fold_seeds_drawn_after_the_labels(self, monkeypatch):
-        # one stream from config.seed: the subject fold labels, one seed
+        # one stream from the fit's seed: the subject fold labels, one seed
         # per fold, then the final fit's seed on every subject
         data = uniform_data(n=40, seed=2)
-        cfg = TrainConfig(seed=4, epochs=3, min_epochs=1, patience=1,
-                          cv_folds=3)
+        cfg = TrainConfig(epochs=3, min_epochs=1, patience=1, cv_folds=3)
         calls = []
 
         def recording(*args):
@@ -359,7 +378,7 @@ class TestSelectRidge:
             return _train_network(*args)
 
         monkeypatch.setattr(discrete_module, "_train_network", recording)
-        nnsurv_fit(data, cfg, n_intervals=5)
+        nnsurv_fit(data, 4, cfg, n_intervals=5)
         rng = np.random.default_rng(4)
         labels = rng.permutation(data.n) % 3
         seeds = list(rng.integers(2 ** 31, size=3)) + [rng.integers(2 ** 31)]
@@ -437,10 +456,10 @@ class TestPinnedFits:
                               baseline=LogNormal(7.73, 0.7),
                               n=90, p=3, k=2, censor_target=0.3, seed=11)
         sim = generate(spec)
-        cfg = TrainConfig(seed=5, epochs=30, min_epochs=5, patience=4,
+        cfg = TrainConfig(epochs=30, min_epochs=5, patience=4,
                           cv_folds=2, batch_size=64, learning_rate=0.01,
                           ridge_grid=(1e-5, 1e-4, 1e-3))
-        fit = nnsurv_fit(sim.data, cfg, depth=depth, n_intervals=6)
+        fit = nnsurv_fit(sim.data, 5, cfg, depth=depth, n_intervals=6)
         want = PINNED_FITS[depth]
         assert fit.ridge == pytest.approx(want["ridge"], rel=1e-12)
         np.testing.assert_allclose(fit.loss_trace, want["loss_trace"],
@@ -454,10 +473,10 @@ class TestPinnedFits:
                               baseline=Weibull(2.0, 1.3e-7),
                               n=90, p=3, k=2, censor_target=0.3, seed=11)
         sim = generate(spec)
-        cfg = TrainConfig(seed=5, epochs=30, min_epochs=5, patience=4,
+        cfg = TrainConfig(epochs=30, min_epochs=5, patience=4,
                           cv_folds=2, learning_rate=0.01,
                           ridge_grid=(1e-2, 1e-1, 1.0))
-        fit = coxnnet_fit(sim.data, cfg)
+        fit = coxnnet_fit(sim.data, 5, cfg)
         want = PINNED_COXNNET
         assert fit.ridge == pytest.approx(want["ridge"], rel=1e-12)
         np.testing.assert_allclose(fit.loss_trace, want["loss_trace"],

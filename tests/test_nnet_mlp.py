@@ -138,10 +138,9 @@ class TestFlatParameters:
                               baseline=Weibull(2.0, 1.3e-7), n=60, p=3, k=2,
                               censor_target=0.3, seed=0)
         data = generate(spec).data
-        cfg = TrainConfig(epochs=4, min_epochs=1, cv_folds=2, batch_size=32,
-                          seed=0)
-        coxnnet.coxnnet_fit(data, cfg)
-        discrete.nnsurv_fit(data, cfg, depth=1, n_intervals=4)
+        cfg = TrainConfig(epochs=4, min_epochs=1, cv_folds=2, batch_size=32)
+        coxnnet.coxnnet_fit(data, 0, cfg)
+        discrete.nnsurv_fit(data, 0, cfg, depth=1, n_intervals=4)
         # ridge CV trains the 3 candidates of each of 2 folds as one stack
         # from one init, then the final fit; every training runs all its
         # epochs (patience > epochs)

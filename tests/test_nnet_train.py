@@ -229,6 +229,11 @@ class TestTrainConfigBoundary:
         with pytest.raises(ValueError, match=match):
             TrainConfig(**bad)
 
+    def test_seed_is_no_field(self):
+        # every fit takes its seed as an argument, as fit_model passes it
+        with pytest.raises(TypeError):
+            TrainConfig(seed=0)
+
 
 class FakeHead:
     """A head for ``fit_network``: a network's single weight is its ridge
@@ -255,8 +260,8 @@ class FakeHead:
 
 
 def fit_fake(head, **kw):
-    cfg = TrainConfig(cv_folds=2, seed=9, **kw)
-    return fit_network(cfg, 10, (1.0, 2.0, 3.0), np.ones(6), head.fold_labels,
+    cfg = TrainConfig(cv_folds=2, **kw)
+    return fit_network(cfg, 9, 10, (1.0, 2.0, 3.0), np.ones(6), head.fold_labels,
                        head.train, head.held_scores)
 
 

@@ -56,12 +56,12 @@ def test_network_training_runs_through_traced_kernels(tracer_module):
     spec = SimulationSpec(family=ModelFamily.COX, baseline=Weibull(2.0, 1.3e-7),
                           n=60, p=3, k=2, censor_target=0.3, seed=0)
     data = generate(spec).data
-    cfg = TrainConfig(ridge=1.0, epochs=3, min_epochs=1, seed=0)
+    cfg = TrainConfig(ridge=1.0, epochs=3, min_epochs=1)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        coxnnet_fit(data, cfg)
-        nnsurv_fit(data, cfg, depth=1, n_intervals=4)
+        coxnnet_fit(data, 0, cfg)
+        nnsurv_fit(data, 0, cfg, depth=1, n_intervals=4)
     finally:
         tracer.uninstall()
     for name in ("mlp.init_mlp", "mlp.mlp_forward", "mlp.mlp_backward",
@@ -84,7 +84,7 @@ def test_scoring_runs_through_traced_layers(tracer_module):
                           n=90, p=3, k=2, censor_target=0.3, seed=0)
     sim = generate(spec)
     train, test, split = train_test_split(sim.data, 2 / 3, seed=0)
-    cfg = TrainConfig(ridge=1.0, epochs=3, min_epochs=1, seed=0)
+    cfg = TrainConfig(ridge=1.0, epochs=3, min_epochs=1)
     fitted = [fit_model(name, train, seed=0, config=cfg, lasso_cv_folds=2)
               for name in MODEL_NAMES]
     tracer = tracer_module.Tracer()
