@@ -19,8 +19,6 @@ from .simgen import (
     SimulatedDataset,
     SimulationSpec,
     Weibull,
-    calibrate_lognormal,
-    calibrate_weibull,
     draw_survival_time,
     generate,
     true_survival,
@@ -54,8 +52,6 @@ __all__ = [
     "SimulatedDataset",
     "SimulationSpec",
     "Weibull",
-    "calibrate_lognormal",
-    "calibrate_weibull",
     "draw_survival_time",
     "generate",
     "true_survival",

@@ -112,74 +112,74 @@ def _derived_seed(base_seed: int, *path: int) -> int:
 # ---------------------------------------------------------------------------
 # configuration files
 
-def _baseline_to_json(baseline) -> dict:
-    if isinstance(baseline, Weibull):
-        return {"kind": "weibull", "a": baseline.a, "lam": baseline.lam}
-    return {"kind": "lognormal", "mu": baseline.mu, "sigma": baseline.sigma}
+# the optional keys of a config file, with their defaults
+_CONFIG_DEFAULTS = {"models": list(MODEL_NAMES), "repetitions": 5,
+                    "base_seed": 0, "train_fraction": 2.0 / 3.0,
+                    "output_dir": None}
+_CELL_KEYS = ("family", "baseline", "n", "p", "k", "beta_scale",
+              "censor_target")
+_BASELINES = {"weibull": (Weibull, ("a", "lam")),
+              "lognormal": (LogNormal, ("mu", "sigma"))}
 
 
-def _baseline_from_json(d: dict):
-    if d["kind"] == "weibull":
-        return Weibull(a=float(d["a"]), lam=float(d["lam"]))
-    if d["kind"] == "lognormal":
-        return LogNormal(mu=float(d["mu"]), sigma=float(d["sigma"]))
-    raise ValueError(f"unknown baseline kind {d['kind']!r}")
+def _checked(d, where: str, required, optional=()) -> dict:
+    """``d`` if it is a JSON object with every ``required`` key and no
+    key outside ``required`` and ``optional``, so a typo is not ignored."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in d:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in d:
+            raise ValueError(f"{where}: missing key {key!r}")
+    return d
 
 
-def config_to_json(config: ExperimentConfig) -> dict:
-    return {
-        "config_version": CONFIG_VERSION,
-        "base_seed": config.base_seed,
-        "repetitions": config.repetitions,
-        "train_fraction": config.train_fraction,
-        "output_dir": config.output_dir,
-        "models": list(config.models),
-        "cells": [
-            {
-                "family": spec.family.value,
-                "baseline": _baseline_to_json(spec.baseline),
-                "n": spec.n, "p": spec.p, "k": spec.k,
-                "beta_scale": spec.beta_scale,
-                "censor_target": spec.censor_target,
-            }
-            for spec in config.cells
-        ],
-    }
+def _integer(value, where: str) -> int:
+    # int() would truncate 1.5 to 1 and read true as 1
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _cell_from_json(c, where: str) -> SimulationSpec:
+    c = _checked(c, where, _CELL_KEYS)
+    kind = c["baseline"].get("kind") if isinstance(c["baseline"], dict) else None
+    if kind not in _BASELINES:
+        raise ValueError(f"{where}: unknown baseline kind {kind!r}")
+    cls, fields = _BASELINES[kind]
+    base = _checked(c["baseline"], f"{where} baseline", ("kind",) + fields)
+    return SimulationSpec(
+        family=ModelFamily(c["family"]),
+        baseline=cls(*(float(base[field]) for field in fields)),
+        n=_integer(c["n"], f"{where} n"), p=_integer(c["p"], f"{where} p"),
+        k=_integer(c["k"], f"{where} k"), beta_scale=float(c["beta_scale"]),
+        censor_target=float(c["censor_target"]), seed=0)
 
 
 def config_from_json(d: dict) -> ExperimentConfig:
-    version = d.get("config_version")
-    if version != CONFIG_VERSION:
-        raise ValueError(f"unsupported config version {version!r}")
-    cells = tuple(
-        SimulationSpec(
-            family=ModelFamily(c["family"]),
-            baseline=_baseline_from_json(c["baseline"]),
-            n=int(c["n"]), p=int(c["p"]), k=int(c["k"]),
-            beta_scale=float(c["beta_scale"]),
-            censor_target=float(c["censor_target"]),
-            seed=0,
-        )
-        for c in d["cells"]
-    )
+    """The experiment a config object describes; a key that is unknown,
+    missing or of the wrong type raises ``ValueError`` naming it."""
+    d = {**_CONFIG_DEFAULTS, **_checked(d, "config", ("config_version", "cells"),
+                                        _CONFIG_DEFAULTS)}
+    if d["config_version"] != CONFIG_VERSION:
+        raise ValueError(f"unsupported config version {d['config_version']!r}")
+    if not isinstance(d["models"], list):
+        raise ValueError(f"config models must be a list, got {d['models']!r}")
     return ExperimentConfig(
-        cells=cells,
-        models=tuple(d.get("models", MODEL_NAMES)),
-        repetitions=int(d.get("repetitions", 5)),
-        base_seed=int(d.get("base_seed", 0)),
-        train_fraction=float(d.get("train_fraction", 2.0 / 3.0)),
-        output_dir=d.get("output_dir"),
-    )
+        cells=tuple(_cell_from_json(c, f"config cell {i}")
+                    for i, c in enumerate(d["cells"])),
+        models=tuple(d["models"]),
+        repetitions=_integer(d["repetitions"], "config repetitions"),
+        base_seed=_integer(d["base_seed"], "config base_seed"),
+        train_fraction=float(d["train_fraction"]), output_dir=d["output_dir"])
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         return config_from_json(json.load(fh))
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_json(config), fh, indent=2)
 
 
 def builtin_config(name: str, repetitions: int = 5,
@@ -279,10 +279,11 @@ def _draw(spec: SimulationSpec, train_fraction: float, split_seed: int):
 def _evaluate_row(config: ExperimentConfig, train_config, cell_idx: int,
                   rep: int, name: str) -> ResultRow:
     """Score one row of a (cell, repetition) draw: the exact-model
-    reference or the model ``name``. Seeds derive from (base
-    seed, cell, repetition, slot): slot 0 draws the data, 1 the split and
-    2 + the model's position in ``config.models`` its fit, so any subset
-    of rows, in any process, draws the seeds of a full run."""
+    reference or the model ``name``. Seeds derive from (base seed, cell,
+    repetition, slot): slot 0 draws the data, 1 the split and 2 + the
+    model's index in ``MODEL_NAMES`` its fit, whatever ``config.models``
+    holds, so any subset of rows, in any process, draws the seeds of a
+    full run."""
     base_seed = config.base_seed
     sim_seed = _derived_seed(base_seed, cell_idx, rep, 0)
     split_seed = _derived_seed(base_seed, cell_idx, rep, 1)
@@ -294,7 +295,7 @@ def _evaluate_row(config: ExperimentConfig, train_config, cell_idx: int,
         seconds = time.perf_counter() - t0
     else:
         seed = _derived_seed(base_seed, cell_idx, rep,
-                             2 + config.models.index(name))
+                             2 + MODEL_NAMES.index(name))
         scores, seconds = _fit_and_score(name, seed, train, test, train_config)
     return _result_row(spec, name, rep, seed, scores.c_td, scores.ibs, seconds)
 
@@ -518,6 +519,8 @@ def load_csv(path) -> SurvivalDataset:
         t_col = header.index("time")
         e_col = header.index("event")
         x_cols = [j for j in range(len(header)) if j not in (t_col, e_col)]
+        if not x_cols:
+            raise ValueError("header has no covariate column")
         times, events, xrows = [], [], []
         for line_no, rec in enumerate(reader, start=2):
             if len(rec) != len(header):
@@ -559,12 +562,17 @@ def save_csv(data: SurvivalDataset, path) -> None:
 def run_real(path, models=MODEL_NAMES, seed: int = 0,
              train_fraction: float = 2.0 / 3.0, log=print,
              train_config=None) -> list:
-    """Fit and score every model on a real dataset file (no reference row)."""
+    """Fit and score every model on a real dataset file (no reference
+    row). A model's seed derives from ``seed`` and its position in
+    ``MODEL_NAMES``, whatever other models run with it."""
+    for name in models:
+        if name not in MODEL_NAMES:
+            raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
     data = load_csv(path)
     train, test, _ = train_test_split(data, train_fraction, seed)
     rows = []
-    for m_idx, name in enumerate(models):
-        model_seed = _derived_seed(seed, 0, 0, m_idx)
+    for name in models:
+        model_seed = _derived_seed(seed, 0, 0, MODEL_NAMES.index(name))
         rep, seconds = _fit_and_score(name, model_seed, train, test,
                                       train_config)
         row = ResultRow(family="real", baseline=Path(path).name, n=data.n,

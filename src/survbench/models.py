@@ -100,8 +100,8 @@ def fit_model(name: str, train: SurvivalDataset, seed: int = 0,
         return CoxLassoModel(fit=fit, base=_cox_family_baseline(train, scores))
     if name == "coxnnet":
         fit = coxnnet_fit(train, seed, config)
-        return CoxnnetModel(fit=fit,
-                            base=_cox_family_baseline(train, fit.train_scores))
+        scores = coxnnet_scores(fit, train.X)
+        return CoxnnetModel(fit=fit, base=_cox_family_baseline(train, scores))
     depth = 1 if name == "nnsurv" else 2
     return DiscreteTimeModel(fit=nnsurv_fit(train, seed, config, depth=depth))
 
@@ -162,7 +162,6 @@ def model_to_dict(model: FittedModel) -> dict:
             "mean": _arr(model.fit.mean),
             "scale": _arr(model.fit.scale),
             "ridge": model.fit.ridge,
-            "train_scores": _arr(model.fit.train_scores),
             "baseline": _baseline_to_dict(model.base),
         }
     if isinstance(model, DiscreteTimeModel):
@@ -193,9 +192,7 @@ def model_from_dict(d: dict) -> FittedModel:
     if kind == "coxnnet":
         fit = CoxnnetFit(params=_mlp_from_dict(d["net"]),
                          mean=np.asarray(d["mean"]), scale=np.asarray(d["scale"]),
-                         ridge=float(d["ridge"]),
-                         train_scores=np.asarray(d["train_scores"]),
-                         loss_trace=np.zeros(0))
+                         ridge=float(d["ridge"]), loss_trace=np.zeros(0))
         return CoxnnetModel(fit=fit, base=_baseline_from_dict(d["baseline"]))
     if kind == "nnsurv":
         fit = NnsurvFit(params=_mlp_from_dict(d["net"], logit_head=True),

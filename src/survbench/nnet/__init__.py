@@ -1,7 +1,7 @@
 """Feed-forward survival networks: a Cox partial-likelihood head and
 discrete-time hazard heads (shallow and deep)."""
 
-from .config import TrainConfig, default_hidden
+from .config import TrainConfig
 from .coxnnet import (
     CoxnnetFit,
     coxnnet_fit,
@@ -23,7 +23,6 @@ from .mlp import Adam, MlpParams, init_mlp, mlp_backward, mlp_forward
 
 __all__ = [
     "TrainConfig",
-    "default_hidden",
     "CoxnnetFit",
     "coxnnet_fit",
     "coxnnet_loss_and_grad",

@@ -6,15 +6,6 @@ import math
 from dataclasses import dataclass
 
 
-def default_hidden(p: int) -> int:
-    """Desk-scale hidden width: min(16, ceil(sqrt(p)) + 8).
-
-    The cap is deliberately small; wider layers make the fitted risk
-    ranking unstable across seeds once p approaches or exceeds n.
-    """
-    return min(16, math.ceil(math.sqrt(p)) + 8)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for first-order training of the survival networks.
@@ -51,4 +42,7 @@ class TrainConfig:
             raise ValueError("hidden width must be at least 1")
 
     def hidden_for(self, p: int) -> int:
-        return self.hidden if self.hidden is not None else default_hidden(p)
+        """``hidden``, or the desk-scale default min(16, ceil(sqrt(p)) + 8).
+        The cap is deliberately small; wider layers make the fitted risk
+        ranking unstable across seeds once p approaches or exceeds n."""
+        return self.hidden or min(16, math.ceil(math.sqrt(p)) + 8)

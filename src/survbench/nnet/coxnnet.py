@@ -39,13 +39,12 @@ from .train import fit_adam, fit_network
 
 @dataclass(frozen=True)
 class CoxnnetFit:
-    """Trained network with its input transform and per-subject scores."""
+    """Trained network with its input transform."""
 
     params: MlpParams
     mean: np.ndarray
     scale: np.ndarray
     ridge: float
-    train_scores: np.ndarray  # exp(theta_i) on the training subjects
     loss_trace: np.ndarray
 
 
@@ -124,8 +123,9 @@ def _scalar_concordance(scores: np.ndarray, time: np.ndarray,
 def coxnnet_fit(data: SurvivalDataset, seed: int = 0,
                 config: TrainConfig | None = None) -> CoxnnetFit:
     """Standardize, pick the ridge weight (CV unless fixed), train, and
-    return the network with its plug-in scores exp(theta_i); ``seed``
-    drives every random draw of the fit."""
+    return the network with its input transform; ``seed`` drives every
+    random draw of the fit. ``coxnnet_scores`` gives the plug-in scores
+    exp(theta_i) of any rows, the training rows included."""
     config = config or TrainConfig()
     Z, mean, scale = standardize_covariates(data.X)
     zdata = SurvivalDataset(Z, data.time, data.event)
@@ -146,9 +146,8 @@ def coxnnet_fit(data: SurvivalDataset, seed: int = 0,
         config, seed, int(zdata.event.sum()), (1e-2, 1e-1, 1.0), zdata.event,
         lambda rng: stratified_folds(zdata.event, config.cv_folds, rng),
         train, held_scores)
-    theta, _ = mlp_forward(params, zdata.X)
     return CoxnnetFit(params=params, mean=mean, scale=scale, ridge=ridge,
-                      train_scores=np.exp(theta[:, 0]), loss_trace=trace)
+                      loss_trace=trace)
 
 
 def coxnnet_scores(fit: CoxnnetFit, X) -> np.ndarray:

@@ -76,7 +76,6 @@ class DuplicatedBatch:
     features: np.ndarray  # (rows, p + 1), midpoint appended unstandardized
     targets: np.ndarray  # d_il in {0, 1}
     subject: np.ndarray  # original subject index per row
-    interval: np.ndarray  # 1-based interval index per row
 
     @property
     def n_rows(self) -> int:
@@ -107,15 +106,13 @@ def duplicate(data: SurvivalDataset, grid: DiscreteTimeGrid) -> DuplicatedBatch:
     last = grid.interval_of(data.time)
     ends = np.cumsum(last)  # one past each subject's final row
     subject = np.repeat(np.arange(data.n), last)
-    interval = np.arange(subject.size) - (ends - last)[subject] + 1
+    interval = np.arange(subject.size) - (ends - last)[subject]  # 0-based
     targets = np.zeros(subject.size)
     targets[ends - 1] = data.event
     return DuplicatedBatch(
-        features=np.column_stack([data.X[subject],
-                                  grid.midpoints[interval - 1]]),
+        features=np.column_stack([data.X[subject], grid.midpoints[interval]]),
         targets=targets,
         subject=subject,
-        interval=interval,
     )
 
 

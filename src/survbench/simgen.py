@@ -10,11 +10,11 @@ where (psi1, psi2) encode the model family and H0 is the baseline
 cumulative hazard. Censoring times are drawn from an independent
 exponential whose rate is calibrated to a target censoring fraction.
 
-Cox-Weibull data needs numpy alone: both root finds (the censoring rate
-and ``calibrate_weibull``'s shape) use ``_brentq``, a bit-exact port of
-scipy's Brent solver, and scalar gammas use ``math.gamma``. Only a
-log-normal baseline loads ``scipy.special``, on its first hazard
-evaluation.
+Cox-Weibull data needs numpy alone: the censoring rate's root find uses
+``_brentq``, a bit-exact port of scipy's Brent solver. Only a log-normal
+baseline loads ``scipy.special``, on its first hazard evaluation. The
+baselines are given by their parameters; the paper's are constants in
+``bench.builtin_config``.
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ class Weibull:
         if np.any(u < 0):
             raise ValueError("cumulative hazard argument must be nonnegative")
         return (u / self.lam) ** (1.0 / self.a)
-
-    def mean_sd(self):
-        m = self.lam ** (-1.0 / self.a) * math.gamma(1.0 / self.a + 1.0)
-        v = self.lam ** (-2.0 / self.a) * (
-            math.gamma(2.0 / self.a + 1.0) - math.gamma(1.0 / self.a + 1.0) ** 2
-        )
-        return float(m), float(np.sqrt(v))
 
 
 @dataclass(frozen=True)
@@ -93,11 +86,6 @@ class LogNormal:
         with np.errstate(over="ignore"):
             z = -ndtri_exp(-u)
         return np.exp(self.sigma * z + self.mu)
-
-    def mean_sd(self):
-        m = np.exp(self.mu + self.sigma ** 2 / 2.0)
-        v = (np.exp(self.sigma ** 2) - 1.0) * np.exp(2.0 * self.mu + self.sigma ** 2)
-        return float(m), float(np.sqrt(v))
 
 
 BaselineDist = Union[Weibull, LogNormal]
@@ -174,7 +162,6 @@ class SimulatedDataset:
     true_event_times: np.ndarray
     family: ModelFamily
     baseline: BaselineDist
-    censor_rate: float  # exponential censoring rate actually used (0 if none)
 
 
 def draw_survival_time(family: ModelFamily, baseline: BaselineDist, x, beta, u):
@@ -210,42 +197,6 @@ def survival_probability(family: ModelFamily, baseline: BaselineDist, eta, t):
     t = np.asarray(t, dtype=np.float64)
     h = baseline.cumulative_hazard(family.psi1(eta) * t) * family.psi2(eta)
     return np.exp(-h)
-
-
-def calibrate_weibull(target_mean: float, target_sd: float):
-    """Solve for (a, lam) matching a target mean and sd of the event time.
-
-    The coefficient of variation pins the shape ``a`` (1-D root find on
-    [0.2, 20]), after which the rate follows in closed form.
-    """
-    if target_mean <= 0 or target_sd <= 0:
-        raise ValueError("targets must be positive")
-    cv_target = target_sd / target_mean
-
-    def cv_gap(a):
-        return np.sqrt(math.gamma(2.0 / a + 1.0) / math.gamma(1.0 / a + 1.0) ** 2 - 1.0) - cv_target
-
-    lo, hi = 0.2, 20.0
-    if cv_gap(lo) * cv_gap(hi) > 0:
-        raise ValueError(
-            f"no Weibull shape in [{lo}, {hi}] attains cv={cv_target:.4g}"
-        )
-    a = _brentq(cv_gap, lo, hi, xtol=1e-12)
-    lam = (math.gamma(1.0 / a + 1.0) / target_mean) ** a
-    m, s = Weibull(a, lam).mean_sd()
-    if abs(m - target_mean) > 1e-3 * target_mean or abs(s - target_sd) > 1e-3 * target_sd:
-        raise RuntimeError("calibration post-check failed")
-    return a, lam
-
-
-def calibrate_lognormal(target_mean: float, target_sd: float):
-    """Closed-form (mu, sigma) matching a target mean and sd of the event
-    time: sigma^2 = log(1 + var/mean^2), mu = log(mean) - sigma^2/2."""
-    if target_mean <= 0 or target_sd <= 0:
-        raise ValueError("targets must be positive")
-    sigma2 = np.log1p((target_sd / target_mean) ** 2)
-    mu = np.log(target_mean) - sigma2 / 2.0
-    return float(mu), float(np.sqrt(sigma2))
 
 
 def _brentq(f, a: float, b: float, xtol: float = 2e-12,
@@ -359,7 +310,6 @@ def generate(spec: SimulationSpec) -> SimulatedDataset:
     if spec.censor_target == 0.0:
         time = event_times
         event = np.ones(spec.n, dtype=np.int64)
-        rate = 0.0
     else:
         rate = _calibrate_censor_rate(event_times, spec.censor_target)
         censor_times = rng.exponential(scale=1.0 / rate, size=spec.n)
@@ -373,5 +323,4 @@ def generate(spec: SimulationSpec) -> SimulatedDataset:
         true_event_times=event_times,
         family=spec.family,
         baseline=spec.baseline,
-        censor_rate=rate,
     )

@@ -14,7 +14,7 @@ from survbench.baseline import (
     select_bandwidth_gl,
     survival_from_scores,
 )
-from survbench.bench import ExperimentConfig, run_grid
+from survbench.bench import ExperimentConfig, _mapped, run_grid
 from survbench.core import SurvivalCurve, SurvivalDataset, train_test_split
 from survbench.metrics import (
     brier_trace,
@@ -135,26 +135,35 @@ def test_criterion_03_distributional_fidelity():
     report(3, "distributional fidelity", ok, f"worst KS {worst:.4f}")
 
 
+def table1_c_td(key):
+    """C_td of one criterion-4 row, ``key`` = (p, seed, model), on the
+    Cox-Weibull draw of that p and seed; the model "reference" is the
+    exact data-generating model."""
+    p, seed, name = key
+    spec = SimulationSpec(family=ModelFamily.COX, baseline=WEIB,
+                          n=1000, p=p, k=p, censor_target=0.3, seed=seed)
+    sim = generate(spec)
+    train, test, split = train_test_split(sim.data, 2 / 3, seed=seed)
+    if name == "reference":
+        return reference_metrics(sim, split.test).c_td
+    model = fit_model(name, train, seed=seed)
+    return metric_report(model.predict_survival(test.X), test.time,
+                         test.event).c_td
+
+
 @pytest.fixture(scope="module")
 def table1_runs():
-    """Cox-Weibull fits for criterion 4: (p, seed) -> model C_td values."""
-    out = {}
-    for p in (10, 1000):
-        refs, coxl1, coxnnet = [], [], []
-        for seed in range(5):
-            spec = SimulationSpec(family=ModelFamily.COX, baseline=WEIB,
-                                  n=1000, p=p, k=p, censor_target=0.3,
-                                  seed=seed)
-            sim = generate(spec)
-            train, test, split = train_test_split(sim.data, 2 / 3, seed=seed)
-            refs.append(reference_metrics(sim, split.test).c_td)
-            for name, sink in (("coxl1", coxl1), ("coxnnet", coxnnet)):
-                model = fit_model(name, train, seed=seed)
-                rep = metric_report(model.predict_survival(test.X),
-                                    test.time, test.event)
-                sink.append(rep.c_td)
-        out[p] = (np.mean(refs), np.mean(coxl1), np.mean(coxnnet))
-    return out
+    """Cox-Weibull fits for criterion 4: p -> mean C_td of the reference,
+    coxl1 and coxnnet over five seeds. The rows are independent, so they
+    run on bench's worker pool; p = 1000 first, its fits take longest."""
+    names = ("reference", "coxl1", "coxnnet")
+    keys = [(p, seed, name) for p in (1000, 10) for seed in range(5)
+            for name in names]
+    with _mapped(table1_c_td, keys) as results:
+        c_td = dict(zip(keys, results))
+    return {p: tuple(np.mean([c_td[p, seed, name] for seed in range(5)])
+                     for name in names)
+            for p in (10, 1000)}
 
 
 def test_criterion_04_table1_trends(table1_runs):
@@ -168,20 +177,31 @@ def test_criterion_04_table1_trends(table1_runs):
            f"p=1000 coxl1 {coxl1_1000:.4f} coxnnet {coxnnet_1000:.4f}")
 
 
+def table2_draw(seed):
+    spec = SimulationSpec(family=ModelFamily.AH,
+                          baseline=LogNormal(mu=7.73, sigma=0.7),
+                          n=1000, p=10, k=10, censor_target=0.3, seed=seed)
+    return generate(spec)
+
+
+def table2_ibs(key):
+    """IBS of one criterion-5 fit, ``key`` = (seed, model)."""
+    seed, name = key
+    sim = table2_draw(seed)
+    train, test, _ = train_test_split(sim.data, 2 / 3, seed=seed)
+    model = fit_model(name, train, seed=seed)
+    return metric_report(model.predict_survival(test.X), test.time,
+                         test.event).ibs
+
+
 def test_criterion_05_table2_qualitative():
-    baseline = LogNormal(mu=7.73, sigma=0.7)
-    ibs = {"coxnnet": [], "nnsurv_deep": []}
+    keys = [(seed, name) for seed in range(5)
+            for name in ("nnsurv_deep", "coxnnet")]
+    with _mapped(table2_ibs, keys) as results:
+        ibs = dict(zip(keys, results))
     crossings = 0
     for seed in range(5):
-        spec = SimulationSpec(family=ModelFamily.AH, baseline=baseline,
-                              n=1000, p=10, k=10, censor_target=0.3, seed=seed)
-        sim = generate(spec)
-        train, test, _ = train_test_split(sim.data, 2 / 3, seed=seed)
-        for name in ibs:
-            model = fit_model(name, train, seed=seed)
-            rep = metric_report(model.predict_survival(test.X),
-                                test.time, test.event)
-            ibs[name].append(rep.ibs)
+        sim = table2_draw(seed)
         # true curves of opposite-sign linear predictors must cross;
         # rows scaled so eta = +-1 keep the crossing well inside the grid
         x_unit = sim.true_beta / float(sim.true_beta @ sim.true_beta)
@@ -190,7 +210,8 @@ def test_criterion_05_table2_qualitative():
         lo = true_survival(sim, -x_unit, grid).probs
         if (hi - lo).min() < -1e-4 and (hi - lo).max() > 1e-4:
             crossings += 1
-    deep, cox = np.mean(ibs["nnsurv_deep"]), np.mean(ibs["coxnnet"])
+    deep = np.mean([ibs[seed, "nnsurv_deep"] for seed in range(5)])
+    cox = np.mean([ibs[seed, "coxnnet"] for seed in range(5)])
     ok = deep <= cox and crossings == 5
     report(5, "Table-2 qualitative reproduction", ok,
            f"IBS nnsurv_deep {deep:.4f} vs coxnnet {cox:.4f}; "

@@ -1,9 +1,11 @@
 import ctypes
+import json
 import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,6 @@ from survbench.bench import (
     ExperimentConfig,
     builtin_config,
     config_from_json,
-    config_to_json,
     emit_table,
     load_config,
     load_csv,
@@ -23,7 +24,6 @@ from survbench.bench import (
     read_results,
     run_grid,
     run_real,
-    save_config,
     save_csv,
 )
 from survbench.models import MODEL_NAMES
@@ -38,6 +38,16 @@ def tiny_config(models=("coxl1",), repetitions=1, n=80, p=3):
                           n=n, p=p, k=p, censor_target=0.3, seed=0)
     return ExperimentConfig(cells=(cell,), models=models,
                             repetitions=repetitions, base_seed=11)
+
+
+def tiny_config_json():
+    """``tiny_config()`` as a config file holds it."""
+    return {"config_version": 1, "base_seed": 11, "repetitions": 1,
+            "models": ["coxl1"],
+            "cells": [{"family": "cox",
+                       "baseline": {"kind": "weibull", "a": 2.0, "lam": 1.3e-7},
+                       "n": 80, "p": 3, "k": 3, "beta_scale": 1.0,
+                       "censor_target": 0.3}]}
 
 
 class TestDatasetCsv:
@@ -88,6 +98,12 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="row 13: covariates must be finite"):
             load_csv(path)
 
+    def test_header_without_covariates_rejected_at_load(self, tmp_path):
+        path = tmp_path / "x0.csv"
+        path.write_text("time,event\n1.0,1\n2.0,0\n")
+        with pytest.raises(ValueError, match="no covariate column"):
+            load_csv(path)
+
     def test_nonpositive_time(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("time,event,x1\n0.0,1,0.5\n")
@@ -108,14 +124,12 @@ class TestDatasetCsv:
 
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
-        config = builtin_config("table2", repetitions=2, models=("coxl1",))
         path = tmp_path / "config.json"
-        save_config(config, path)
-        again = load_config(path)
-        assert again == config
+        path.write_text(json.dumps(tiny_config_json()))
+        assert load_config(path) == tiny_config()
 
     def test_version_enforced(self):
-        d = config_to_json(tiny_config())
+        d = tiny_config_json()
         d["config_version"] = 0
         with pytest.raises(ValueError, match="version"):
             config_from_json(d)
@@ -138,7 +152,7 @@ class TestConfig:
     def test_train_fraction_outside_unit_interval_rejected(self, fraction):
         with pytest.raises(ValueError, match="train_fraction"):
             ExperimentConfig(cells=tiny_config().cells, train_fraction=fraction)
-        d = config_to_json(tiny_config())
+        d = tiny_config_json()
         d["train_fraction"] = fraction
         with pytest.raises(ValueError, match="train_fraction"):
             config_from_json(d)
@@ -147,9 +161,50 @@ class TestConfig:
         with pytest.raises(ValueError, match="duplicate model"):
             ExperimentConfig(cells=tiny_config().cells,
                              models=("coxl1", "nnsurv", "coxl1"))
-        d = config_to_json(tiny_config())
+        d = tiny_config_json()
         d["models"] = ["coxnnet", "coxnnet"]
         with pytest.raises(ValueError, match="duplicate model"):
+            config_from_json(d)
+
+    @pytest.mark.parametrize("where, key", [(None, "repetition"),
+                                            (0, "censor"),
+                                            ("baseline", "shape")])
+    def test_unknown_key_named(self, where, key):
+        d = tiny_config_json()
+        target = {None: d, 0: d["cells"][0],
+                  "baseline": d["cells"][0]["baseline"]}[where]
+        target[key] = 3
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            config_from_json(d)
+
+    @pytest.mark.parametrize("key", ["family", "baseline", "n", "p", "k",
+                                     "beta_scale", "censor_target"])
+    def test_missing_cell_key_named(self, key):
+        d = tiny_config_json()
+        del d["cells"][0][key]
+        with pytest.raises(ValueError, match=f"cell 0: missing key '{key}'"):
+            config_from_json(d)
+
+    @pytest.mark.parametrize("key, value", [("n", 1.5), ("p", 3.5),
+                                            ("k", True), ("repetitions", 2.5),
+                                            ("base_seed", 0.5),
+                                            ("base_seed", "11")])
+    def test_non_integral_count_or_seed_rejected(self, key, value):
+        d = tiny_config_json()
+        (d if key in d else d["cells"][0])[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            config_from_json(d)
+
+    def test_integral_float_counts_accepted(self):
+        d = tiny_config_json()
+        d["cells"][0]["n"] = 80.0
+        d["repetitions"] = 1.0
+        assert config_from_json(d) == tiny_config()
+
+    def test_models_as_a_string_rejected(self):
+        d = tiny_config_json()
+        d["models"] = "coxl1"
+        with pytest.raises(ValueError, match="models must be a list"):
             config_from_json(d)
 
 
@@ -314,6 +369,30 @@ class TestRunGrid:
             assert (ra.seed, ra.c_td, ra.ibs) == (rb.seed, rb.c_td, rb.ibs)
         assert read_results(results) == resumed
         assert len(results.read_text().splitlines()) == 1 + 3
+
+    def test_model_seed_follows_its_name_not_its_place(self):
+        # a model's row is the same whether the grid runs it alone or
+        # next to the others
+        full = tiny_config(models=MODEL_NAMES)
+        for name in MODEL_NAMES:
+            alone = bench_mod._evaluate_row(tiny_config(models=(name,)), FAST,
+                                            0, 0, name)
+            together = bench_mod._evaluate_row(full, FAST, 0, 0, name)
+            assert alone == replace(together,
+                                    wall_seconds=alone.wall_seconds)
+
+    def test_resume_under_a_longer_model_list_equals_clean_run(self,
+                                                               tmp_path):
+        config = tiny_config(models=("coxl1", "coxnnet"), repetitions=1)
+        clean = run_grid(config, tmp_path / "clean", log=lambda *_: None,
+                         train_config=FAST)
+        out = tmp_path / "run"
+        run_grid(tiny_config(models=("coxnnet",), repetitions=1), out,
+                 log=lambda *_: None, train_config=FAST)
+        resumed = run_grid(config, out, log=lambda *_: None,
+                           train_config=FAST)
+        assert {r.key(): (r.seed, r.c_td, r.ibs) for r in resumed} == \
+            {r.key(): (r.seed, r.c_td, r.ibs) for r in clean}
 
     def test_fresh_run_starts_a_fresh_error_log(self, tmp_path):
         (tmp_path / "errors.log").write_text("cell 0 rep 0\nold failure\n")
@@ -622,6 +701,26 @@ class TestRunReal:
                      train_config=FAST)
         assert a[0].c_td == b[0].c_td and a[0].ibs == b[0].ibs
 
+    def test_unknown_model_rejected_before_fitting(self, tmp_path):
+        path = tmp_path / "real.csv"
+        path.write_text("time,event,x1\n1.0,1,0.5\n")
+        with pytest.raises(ValueError, match="unknown model 'forest'"):
+            run_real(path, models=("coxl1", "forest"), log=lambda *_: None)
+
+    def test_model_seed_follows_its_name_not_its_place(self, tmp_path):
+        sim = generate(SimulationSpec(family=ModelFamily.COX,
+                                      baseline=Weibull(2.0, 1.3e-7),
+                                      n=120, p=4, k=4,
+                                      censor_target=0.5, seed=3))
+        path = tmp_path / "real.csv"
+        save_csv(sim.data, path)
+        alone, = run_real(path, models=("nnsurv",), seed=7,
+                          log=lambda *_: None, train_config=FAST)
+        _, together = run_real(path, models=("coxl1", "nnsurv"), seed=7,
+                               log=lambda *_: None, train_config=FAST)
+        assert (alone.seed, alone.c_td, alone.ibs) == \
+            (together.seed, together.c_td, together.ibs)
+
 
 class TestOutputDirEnv:
     def test_env_variable_sets_default(self, monkeypatch):
@@ -647,9 +746,8 @@ class TestCli:
         assert "c_td=" in out and "ibs=" in out
 
     def test_bench_command_runs_config(self, tmp_path, capsys):
-        config = tiny_config(models=("coxl1",), repetitions=1)
         config_path = tmp_path / "config.json"
-        save_config(config, config_path)
+        config_path.write_text(json.dumps(tiny_config_json()))
         out_dir = tmp_path / "out"
         assert main(["bench", "--config", str(config_path), "--out",
                      str(out_dir)]) == 0

@@ -88,6 +88,21 @@ class TestSerialization:
             np.testing.assert_array_equal(model.predict_risk(X),
                                           loaded.predict_risk(X))
 
+    def test_coxnnet_file_with_training_scores_loads(self, fitted, sim_small,
+                                                     tmp_path):
+        # coxnnet files of format 1 once held the training subjects' scores
+        # exp(theta_i) under "train_scores"; loading ignores them
+        model = fitted["coxnnet"]
+        d = model_to_dict(model)
+        assert "train_scores" not in d
+        d["train_scores"] = model.predict_risk(sim_small.data.X).tolist()
+        path = tmp_path / "coxnnet.json"
+        path.write_text(json.dumps(d))
+        X = sim_small.data.X[:10]
+        want, got = model.predict_survival(X), load_model(path).predict_survival(X)
+        np.testing.assert_array_equal(got.grid, want.grid)
+        np.testing.assert_array_equal(got.probs, want.probs)
+
     def test_version_checked(self, fitted):
         d = model_to_dict(fitted["coxl1"])
         d["format_version"] = 999

@@ -122,7 +122,7 @@ class TestFit:
         cfg = TrainConfig(ridge=5.0, epochs=250)
         fit = coxnnet_fit(sim.data, 0, cfg)
         truth = np.exp(sim.data.X @ sim.true_beta)
-        rho = stats.spearmanr(fit.train_scores, truth).statistic
+        rho = stats.spearmanr(coxnnet_scores(fit, sim.data.X), truth).statistic
         assert rho > 0.7
 
     def test_deterministic_given_seed(self):
@@ -130,7 +130,8 @@ class TestFit:
         cfg = TrainConfig(ridge=2.0, epochs=60, min_epochs=10)
         a = coxnnet_fit(sim.data, 7, cfg)
         b = coxnnet_fit(sim.data, 7, cfg)
-        np.testing.assert_array_equal(a.train_scores, b.train_scores)
+        np.testing.assert_array_equal(coxnnet_scores(a, sim.data.X),
+                                      coxnnet_scores(b, sim.data.X))
 
     def test_huge_ridge_collapses_parameters(self):
         sim = small_sim(n=100)
@@ -140,7 +141,8 @@ class TestFit:
                           patience=1000, learning_rate=0.05, val_fraction=0.01)
         fit = coxnnet_fit(sim.data, 1, cfg)
         assert float(np.max(np.abs(fit.params.vec))) < 0.01
-        np.testing.assert_allclose(fit.train_scores, 1.0, atol=0.01)
+        np.testing.assert_allclose(coxnnet_scores(fit, sim.data.X), 1.0,
+                                   atol=0.01)
 
     def test_loss_decreases_on_smoothed_window(self):
         sim = small_sim(n=200)
@@ -163,7 +165,7 @@ class TestFit:
         cfg = TrainConfig(ridge=1.0, epochs=300, min_epochs=150,
                           patience=100, hidden=1)
         fit = coxnnet_fit(data, 5, cfg)
-        rho = stats.spearmanr(fit.train_scores, x[:, 0]).statistic
+        rho = stats.spearmanr(coxnnet_scores(fit, data.X), x[:, 0]).statistic
         assert abs(rho) > 0.95 and rho > 0  # higher x, higher risk
 
     def test_cv_picks_from_grid(self):
@@ -291,7 +293,7 @@ class TestSurvival:
         sim = small_sim(n=200)
         fit = coxnnet_fit(sim.data, 4, TrainConfig(ridge=2.0, epochs=80,
                                                    min_epochs=20))
-        base = ramlau_hansen(sim.data, fit.train_scores, 400.0,
+        base = ramlau_hansen(sim.data, coxnnet_scores(fit, sim.data.X), 400.0,
                              default_grid(sim.data, 80))
         x = sim.data.X[5]
         curve, = CoxnnetModel(fit=fit, base=base).predict_survival(x[None, :])

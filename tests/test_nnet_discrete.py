@@ -74,7 +74,7 @@ class TestDuplicate:
         batch = duplicate(data, grid)
         assert batch.n_rows == 3
         np.testing.assert_array_equal(batch.targets, [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(batch.interval, [1, 2, 3])
+        np.testing.assert_array_equal(batch.features[:, -1], [0.5, 1.5, 2.5])
 
     def test_row_count_is_sum_of_interval_indices(self):
         data = uniform_data(n=80, seed=4)
@@ -88,15 +88,16 @@ class TestDuplicate:
         batch = duplicate(data, grid)
         last = grid.interval_of(data.time)
         for i in range(data.n):
-            rows = batch.interval[batch.subject == i]
-            np.testing.assert_array_equal(rows, np.arange(1, last[i] + 1))
+            # subject i's rows carry the midpoints of intervals 1..last[i]
+            mids = batch.features[batch.subject == i, -1]
+            np.testing.assert_array_equal(mids, grid.midpoints[:last[i]])
 
 
 def duplicate_oracle(data, grid):
     """Per-subject construction of the duplicated rows."""
     mids = grid.midpoints
     last = grid.interval_of(data.time)
-    rows, targets, subject, interval = [], [], [], []
+    rows, targets, subject = [], [], []
     for i in range(data.n):
         li = int(last[i])
         rows.append(np.column_stack([np.repeat(data.X[i][None, :], li, axis=0),
@@ -105,9 +106,8 @@ def duplicate_oracle(data, grid):
         d[-1] = data.event[i]
         targets.append(d)
         subject.append(np.full(li, i))
-        interval.append(np.arange(1, li + 1))
     return (np.concatenate(rows, axis=0), np.concatenate(targets),
-            np.concatenate(subject), np.concatenate(interval))
+            np.concatenate(subject))
 
 
 class TestDuplicateOracle:
@@ -127,7 +127,7 @@ class TestDuplicateOracle:
         grid = DiscreteTimeGrid(cuts=np.unique(cuts))
         assert (time > grid.cuts[-1]).any()
         batch = duplicate(data, grid)
-        got = (batch.features, batch.targets, batch.subject, batch.interval)
+        got = (batch.features, batch.targets, batch.subject)
         for a, b in zip(got, duplicate_oracle(data, grid)):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)

@@ -1,16 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 from scipy.special import gamma
 
 from survbench import simgen
+from survbench.bench import builtin_config
 from survbench.simgen import (
     LogNormal,
     ModelFamily,
     SimulationSpec,
     Weibull,
-    calibrate_lognormal,
-    calibrate_weibull,
     draw_survival_time,
     generate,
     survival_probability,
@@ -102,41 +103,14 @@ class TestDrawSurvivalTime:
 
 class TestCalibration:
     def test_paper_weibull_choice_moments(self):
-        m, s = WEIB.mean_sd()
+        # closed-form Weibull moments of table 1's baseline
+        base = builtin_config("table1").cells[0].baseline
+        scale = base.lam ** (-1.0 / base.a)
+        m = scale * gamma(1.0 / base.a + 1.0)
+        s = scale * np.sqrt(gamma(2.0 / base.a + 1.0)
+                            - gamma(1.0 / base.a + 1.0) ** 2)
         assert m == pytest.approx(2457.95, abs=0.5)
         assert s == pytest.approx(1284.83, abs=0.5)
-
-    def test_weibull_inversion_consistency(self):
-        # with the shape solving for cv exactly, the rate must reproduce the mean
-        lam = 4e-7
-        mean = gamma(1.5) / np.sqrt(lam)
-        cv = np.sqrt(gamma(2.0) / gamma(1.5) ** 2 - 1.0)
-        a, lam_hat = calibrate_weibull(mean, cv * mean)
-        assert a == pytest.approx(2.0, rel=1e-8)
-        assert lam_hat == pytest.approx(lam, rel=1e-8)
-
-    def test_weibull_hits_paper_targets(self):
-        a, lam = calibrate_weibull(2325.0, 1304.0)
-        m, s = Weibull(a, lam).mean_sd()
-        assert m == pytest.approx(2325.0, rel=1e-3)
-        assert s == pytest.approx(1304.0, rel=1e-3)
-
-    def test_weibull_unreachable_cv_errors(self):
-        # cv spans roughly (0.062, 15.9) on the shape bracket [0.2, 20]
-        with pytest.raises(ValueError, match="no Weibull shape"):
-            calibrate_weibull(1.0, 20.0)
-
-    def test_lognormal_round_trip(self):
-        mu, sigma = calibrate_lognormal(2325.0, 1304.0)
-        assert np.exp(mu + sigma ** 2 / 2) == pytest.approx(2325.0, abs=1e-8)
-        m, s = LogNormal(mu, sigma).mean_sd()
-        assert m == pytest.approx(2325.0, rel=1e-10)
-        assert s == pytest.approx(1304.0, rel=1e-10)
-
-    def test_lognormal_small_sd_limit(self):
-        mu, sigma = calibrate_lognormal(2325.0, 1e-6)
-        assert sigma == pytest.approx(0.0, abs=1e-8)
-        assert mu == pytest.approx(np.log(2325.0), abs=1e-8)
 
 
 class TestGenerate:
@@ -281,13 +255,18 @@ class TestBrentq:
         assert rates == want
 
     @pytest.mark.parametrize("cv", [0.07, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 12.0])
-    def test_weibull_shapes_equal_scipy_bit_for_bit(self, monkeypatch, cv):
-        calls = _brentq_calls(monkeypatch)
+    def test_weibull_shapes_equal_scipy_bit_for_bit(self, cv):
+        # the Weibull shape on [0.2, 20] whose coefficient of variation,
+        # sd / mean, is that of a target (mean, cv * mean)
         for mean in (1.0, 2325.0):
-            a, _ = calibrate_weibull(mean, cv * mean)
-            (f, lo, hi, options), = calls
-            assert a == optimize.brentq(f, lo, hi, **options)
-            calls.clear()
+            cv_target = cv * mean / mean
+
+            def cv_gap(a):
+                return np.sqrt(math.gamma(2.0 / a + 1.0)
+                               / math.gamma(1.0 / a + 1.0) ** 2 - 1.0) - cv_target
+
+            assert simgen._brentq(cv_gap, 0.2, 20.0, xtol=1e-12) == \
+                optimize.brentq(cv_gap, 0.2, 20.0, xtol=1e-12)
 
     @pytest.mark.parametrize("f, a, b, options, error", [
         (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),  # no sign change
