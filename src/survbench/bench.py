@@ -112,12 +112,6 @@ def _derived_seed(base_seed: int, *path: int) -> int:
 # ---------------------------------------------------------------------------
 # configuration files
 
-# the optional keys of a config file, with their defaults
-_CONFIG_DEFAULTS = {"models": list(MODEL_NAMES), "repetitions": 5,
-                    "base_seed": 0, "train_fraction": 2.0 / 3.0,
-                    "output_dir": None}
-_CELL_KEYS = ("family", "baseline", "n", "p", "k", "beta_scale",
-              "censor_target")
 _BASELINES = {"weibull": (Weibull, ("a", "lam")),
               "lognormal": (LogNormal, ("mu", "sigma"))}
 
@@ -136,45 +130,65 @@ def _checked(d, where: str, required, optional=()) -> dict:
     return d
 
 
+def _typed(value, where: str, types, kind: str):
+    # JSON's true is a Python int, yet neither a count nor a number
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
 def _integer(value, where: str) -> int:
-    # int() would truncate 1.5 to 1 and read true as 1
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
+    # int() would truncate 1.5 to 1
+    value = _typed(value, where, (int, float), "an integer")
+    if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{where} must be an integer, got {value!r}")
     return int(value)
 
 
+def _number(value, where: str) -> float:
+    # float() would read "0.3" as a number
+    return float(_typed(value, where, (int, float), "a number"))
+
+
+# how each number of a cell and each optional top-level key is read; an
+# absent top-level key keeps ExperimentConfig's default
+_CELL_READERS = {"n": _integer, "p": _integer, "k": _integer,
+                 "beta_scale": _number, "censor_target": _number}
+_CONFIG_READERS = {
+    "models": lambda v, where: tuple(_typed(v, where, list, "a list")),
+    "repetitions": _integer, "base_seed": _integer, "train_fraction": _number,
+    "output_dir": lambda v, where: _typed(v, where, (str, type(None)),
+                                          "a string or null")}
+
+
 def _cell_from_json(c, where: str) -> SimulationSpec:
-    c = _checked(c, where, _CELL_KEYS)
+    c = _checked(c, where, ("family", "baseline") + tuple(_CELL_READERS))
+    if c["family"] not in [family.value for family in ModelFamily]:
+        raise ValueError(f"{where}: unknown family {c['family']!r}")
     kind = c["baseline"].get("kind") if isinstance(c["baseline"], dict) else None
-    if kind not in _BASELINES:
+    if not isinstance(kind, str) or kind not in _BASELINES:
         raise ValueError(f"{where}: unknown baseline kind {kind!r}")
     cls, fields = _BASELINES[kind]
     base = _checked(c["baseline"], f"{where} baseline", ("kind",) + fields)
     return SimulationSpec(
-        family=ModelFamily(c["family"]),
-        baseline=cls(*(float(base[field]) for field in fields)),
-        n=_integer(c["n"], f"{where} n"), p=_integer(c["p"], f"{where} p"),
-        k=_integer(c["k"], f"{where} k"), beta_scale=float(c["beta_scale"]),
-        censor_target=float(c["censor_target"]), seed=0)
+        family=ModelFamily(c["family"]), seed=0,
+        baseline=cls(*(_number(base[f], f"{where} baseline {f}") for f in fields)),
+        **{key: read(c[key], f"{where} {key}")
+           for key, read in _CELL_READERS.items()})
 
 
 def config_from_json(d: dict) -> ExperimentConfig:
     """The experiment a config object describes; a key that is unknown,
     missing or of the wrong type raises ``ValueError`` naming it."""
-    d = {**_CONFIG_DEFAULTS, **_checked(d, "config", ("config_version", "cells"),
-                                        _CONFIG_DEFAULTS)}
-    if d["config_version"] != CONFIG_VERSION:
+    d = _checked(d, "config", ("config_version", "cells"), _CONFIG_READERS)
+    if _integer(d["config_version"], "config_version") != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {d['config_version']!r}")
-    if not isinstance(d["models"], list):
-        raise ValueError(f"config models must be a list, got {d['models']!r}")
+    cells = _typed(d["cells"], "config cells", list, "a list")
     return ExperimentConfig(
         cells=tuple(_cell_from_json(c, f"config cell {i}")
-                    for i, c in enumerate(d["cells"])),
-        models=tuple(d["models"]),
-        repetitions=_integer(d["repetitions"], "config repetitions"),
-        base_seed=_integer(d["base_seed"], "config base_seed"),
-        train_fraction=float(d["train_fraction"]), output_dir=d["output_dir"])
+                    for i, c in enumerate(cells)),
+        **{key: read(d[key], f"config {key}")
+           for key, read in _CONFIG_READERS.items() if key in d})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -276,26 +290,30 @@ def _draw(spec: SimulationSpec, train_fraction: float, split_seed: int):
     return (sim,) + train_test_split(sim.data, train_fraction, split_seed)
 
 
+def _row_seed(base_seed: int, cell_idx: int, rep: int, name: str) -> int:
+    """The seed row ``name`` of a (cell, repetition) records. Seeds derive
+    from (base seed, cell, repetition, slot): slot 0 draws the data (the
+    reference's seed), 1 the split and 2 + the model's index in
+    ``MODEL_NAMES`` its fit, whatever ``config.models`` holds, so any
+    subset of rows, in any process, draws the seeds of a full run."""
+    slot = 0 if name == REFERENCE_MODEL else 2 + MODEL_NAMES.index(name)
+    return _derived_seed(base_seed, cell_idx, rep, slot)
+
+
 def _evaluate_row(config: ExperimentConfig, train_config, cell_idx: int,
                   rep: int, name: str) -> ResultRow:
     """Score one row of a (cell, repetition) draw: the exact-model
-    reference or the model ``name``. Seeds derive from (base seed, cell,
-    repetition, slot): slot 0 draws the data, 1 the split and 2 + the
-    model's index in ``MODEL_NAMES`` its fit, whatever ``config.models``
-    holds, so any subset of rows, in any process, draws the seeds of a
-    full run."""
-    base_seed = config.base_seed
-    sim_seed = _derived_seed(base_seed, cell_idx, rep, 0)
-    split_seed = _derived_seed(base_seed, cell_idx, rep, 1)
+    reference or the model ``name``, with the seeds of ``_row_seed``."""
+    seed = _row_seed(config.base_seed, cell_idx, rep, name)
+    sim_seed = _derived_seed(config.base_seed, cell_idx, rep, 0)
+    split_seed = _derived_seed(config.base_seed, cell_idx, rep, 1)
     spec = replace(config.cells[cell_idx], seed=sim_seed)
     sim, train, test, split = _draw(spec, config.train_fraction, split_seed)
     if name == REFERENCE_MODEL:
-        seed, t0 = sim_seed, time.perf_counter()
+        t0 = time.perf_counter()
         scores = reference_metrics(sim, split.test)
         seconds = time.perf_counter() - t0
     else:
-        seed = _derived_seed(base_seed, cell_idx, rep,
-                             2 + MODEL_NAMES.index(name))
         scores, seconds = _fit_and_score(name, seed, train, test, train_config)
     return _result_row(spec, name, rep, seed, scores.c_td, scores.ibs, seconds)
 
@@ -400,8 +418,10 @@ def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
     ``results.csv`` in grid order: cell, then repetition, then the
     reference and ``config.models`` in their order. With ``resume``
     (default), the rows already in the results file are kept and only
-    the missing and failed ones are computed, so an interrupted or
-    partly failed run completes to the rows of a clean one. A row that
+    the missing ones, the failed ones and those whose seed is not the
+    one ``_row_seed`` derives (a row of another base seed, or written
+    before seeds followed model names) are computed, so an interrupted
+    or partly failed run completes to the rows of a clean one. A row that
     raises is recorded as failed (NaN metrics, seed ``FAILED_SEED``)
     with its traceback in ``errors.log``, and the other rows still run.
     Without ``resume``, the results file and ``errors.log`` start
@@ -426,7 +446,9 @@ def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
                 for name in (REFERENCE_MODEL,) + tuple(config.models):
                     row = rows.get((spec.family.value, label, spec.n, spec.p,
                                     name, rep))
-                    if row is None or row.failed:
+                    # a failed row's seed is FAILED_SEED
+                    if row is None or row.seed != _row_seed(
+                            config.base_seed, cell_idx, rep, name):
                         pending.append((cell_idx, rep, name))
         task = partial(_row_or_traceback, config, train_config)
         with _mapped(task, pending) as results:

@@ -127,6 +127,20 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(tiny_config_json()))
         assert load_config(path) == tiny_config()
+        # each built-in grid, written out as a config file
+        for name, family, baseline in [
+                ("table1", "cox", {"kind": "weibull", "a": 2.0, "lam": 1.3e-7}),
+                ("table2", "ah", {"kind": "lognormal", "mu": 7.73,
+                                  "sigma": 0.7}),
+                ("table3", "aft", {"kind": "lognormal", "mu": 7.73,
+                                   "sigma": 0.176})]:
+            cells = [{"family": family, "baseline": baseline, "n": n, "p": p,
+                      "k": p, "beta_scale": 1.0, "censor_target": 0.3}
+                     for n in (200, 1000) for p in (10, 100, 1000)]
+            path.write_text(json.dumps({"config_version": 1, "repetitions": 2,
+                                        "models": ["coxl1"], "cells": cells}))
+            assert load_config(path) == builtin_config(
+                name, repetitions=2, models=("coxl1",))
 
     def test_version_enforced(self):
         d = tiny_config_json()
@@ -166,17 +180,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="duplicate model"):
             config_from_json(d)
 
-    @pytest.mark.parametrize("where, key", [(None, "repetition"),
-                                            (0, "censor"),
-                                            ("baseline", "shape")])
-    def test_unknown_key_named(self, where, key):
-        d = tiny_config_json()
-        target = {None: d, 0: d["cells"][0],
-                  "baseline": d["cells"][0]["baseline"]}[where]
-        target[key] = 3
-        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
-            config_from_json(d)
-
     @pytest.mark.parametrize("key", ["family", "baseline", "n", "p", "k",
                                      "beta_scale", "censor_target"])
     def test_missing_cell_key_named(self, key):
@@ -185,26 +188,38 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"cell 0: missing key '{key}'"):
             config_from_json(d)
 
-    @pytest.mark.parametrize("key, value", [("n", 1.5), ("p", 3.5),
-                                            ("k", True), ("repetitions", 2.5),
-                                            ("base_seed", 0.5),
-                                            ("base_seed", "11")])
-    def test_non_integral_count_or_seed_rejected(self, key, value):
-        d = tiny_config_json()
-        (d if key in d else d["cells"][0])[key] = value
-        with pytest.raises(ValueError, match=f"{key} must be an integer"):
-            config_from_json(d)
-
     def test_integral_float_counts_accepted(self):
         d = tiny_config_json()
         d["cells"][0]["n"] = 80.0
         d["repetitions"] = 1.0
         assert config_from_json(d) == tiny_config()
 
-    def test_models_as_a_string_rejected(self):
+    @pytest.mark.parametrize("where, key, value, message", [
+        (None, "repetition", 3, "config: unknown key 'repetition'"),
+        (0, "censor", 0.3, "cell 0: unknown key 'censor'"),
+        ("baseline", "shape", 2.0, "cell 0 baseline: unknown key 'shape'"),
+        (0, "n", 1.5, "cell 0 n must be an integer"),
+        (0, "p", 3.5, "cell 0 p must be an integer"),
+        (0, "k", True, "cell 0 k must be an integer"),
+        (None, "repetitions", 2.5, "config repetitions must be an integer"),
+        (None, "base_seed", 0.5, "config base_seed must be an integer"),
+        (None, "base_seed", "11", "config base_seed must be an integer"),
+        (None, "config_version", True, "config_version must be an integer"),
+        (0, "beta_scale", True, "cell 0 beta_scale must be a number"),
+        (0, "censor_target", "0.3", "cell 0 censor_target must be a number"),
+        ("baseline", "a", "2", "cell 0 baseline a must be a number"),
+        (None, "train_fraction", "0.5", "config train_fraction must be a number"),
+        (None, "models", "coxl1", "config models must be a list"),
+        (None, "cells", 5, "config cells must be a list"),
+        (None, "output_dir", 5, "config output_dir must be a string"),
+        (0, "family", "weibull", "cell 0: unknown family 'weibull'"),
+        ("baseline", "kind", ["weibull"], "cell 0: unknown baseline kind")])
+    def test_bad_key_or_value_named(self, where, key, value, message):
         d = tiny_config_json()
-        d["models"] = "coxl1"
-        with pytest.raises(ValueError, match="models must be a list"):
+        target = {None: d, 0: d["cells"][0],
+                  "baseline": d["cells"][0]["baseline"]}[where]
+        target[key] = value
+        with pytest.raises(ValueError, match=message):
             config_from_json(d)
 
 
@@ -391,6 +406,23 @@ class TestRunGrid:
                  log=lambda *_: None, train_config=FAST)
         resumed = run_grid(config, out, log=lambda *_: None,
                            train_config=FAST)
+        assert {r.key(): (r.seed, r.c_td, r.ibs) for r in resumed} == \
+            {r.key(): (r.seed, r.c_td, r.ibs) for r in clean}
+
+    def test_row_of_another_seed_recomputed_on_resume(self, tmp_path):
+        # as a file written before seeds followed model names holds it
+        config = tiny_config(models=("coxl1", "coxnnet"), repetitions=1)
+        out = tmp_path / "run"
+        clean = run_grid(config, out, log=lambda *_: None, train_config=FAST)
+        path = out / "results.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        stale = lines[3].split(",")  # header, reference, coxl1, coxnnet
+        assert stale[4] == "coxnnet"
+        stale[6:9] = ["1201711368", "0.5", "0.25"]
+        path.write_text("".join(lines[:3]) + ",".join(stale))
+        resumed = run_grid(config, out, log=lambda *_: None,
+                           train_config=FAST)
+        assert len(path.read_text().splitlines()) == 5  # the stale row's retry
         assert {r.key(): (r.seed, r.c_td, r.ibs) for r in resumed} == \
             {r.key(): (r.seed, r.c_td, r.ibs) for r in clean}
 
