@@ -90,12 +90,17 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
-        for name in self.models:
-            if name not in MODEL_NAMES:
-                raise ValueError(f"unknown model {name!r}")
-        if len(set(self.models)) != len(self.models):
-            # a duplicate's row would be written twice and returned once
-            raise ValueError(f"duplicate model names in {self.models!r}")
+        _check_model_names(self.models)
+
+
+def _check_model_names(models) -> None:
+    """Reject a name outside ``MODEL_NAMES`` and a repeated name: a
+    duplicate's row would be fitted and written twice."""
+    for name in models:
+        if name not in MODEL_NAMES:
+            raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
+    if len(set(models)) != len(models):
+        raise ValueError(f"duplicate model names in {tuple(models)!r}")
 
 
 def _baseline_label(baseline) -> str:
@@ -146,8 +151,11 @@ def _integer(value, where: str) -> int:
 
 
 def _number(value, where: str) -> float:
-    # float() would read "0.3" as a number
-    return float(_typed(value, where, (int, float), "a number"))
+    # float() would read "0.3" as a number, and json reads NaN and Infinity
+    value = float(_typed(value, where, (int, float), "a number"))
+    if not np.isfinite(value):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    return value
 
 
 # how each number of a cell and each optional top-level key is read; an
@@ -587,9 +595,7 @@ def run_real(path, models=MODEL_NAMES, seed: int = 0,
     """Fit and score every model on a real dataset file (no reference
     row). A model's seed derives from ``seed`` and its position in
     ``MODEL_NAMES``, whatever other models run with it."""
-    for name in models:
-        if name not in MODEL_NAMES:
-            raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
+    _check_model_names(models)
     data = load_csv(path)
     train, test, _ = train_test_split(data, train_fraction, seed)
     rows = []

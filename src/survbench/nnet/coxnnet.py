@@ -78,23 +78,24 @@ def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam):
     return loss, grad
 
 
-def _train_network(zdata: SurvivalDataset, lams, config: TrainConfig,
-                   seed: int):
-    """Full-batch Adam with early stopping on a held-out partial
-    likelihood, one network per ridge weight in ``lams``: all start from
-    the same weights. Returns the stack of best iterates and the loss
-    traces."""
+def _train_network(zdata: SurvivalDataset, rows: np.ndarray, lams,
+                   config: TrainConfig, seed: int):
+    """Full-batch Adam on rows ``rows`` (an index array) of ``zdata``, with
+    early stopping on a held-out partial likelihood of a split cut from
+    them, one network per ridge weight in ``lams``: all start from the
+    same weights. Returns the stack of best iterates and the loss traces."""
     rng = np.random.default_rng(seed)
     hidden = config.hidden_for(zdata.p)
     params = init_mlp((zdata.p, hidden, 1), ("tanh", "identity"),
                       seed=int(rng.integers(2 ** 31)), output_bias=False)
 
-    val_idx, train_idx = stratified_cut(zdata.event, config.val_fraction, rng)
-    monitor_val = val_idx.size >= 3 and zdata.event[val_idx].sum() >= 2
-    train = zdata.subset(train_idx) if monitor_val else zdata
+    event = zdata.event[rows]
+    val_idx, train_idx = stratified_cut(event, config.val_fraction, rng)
+    monitor_val = val_idx.size >= 3 and event[val_idx].sum() >= 2
+    train = zdata.subset(rows[train_idx] if monitor_val else rows)
     held_score = None
     if monitor_val:
-        val = zdata.subset(val_idx)
+        val = zdata.subset(rows[val_idx])
 
         def held_score(stack):
             theta, _ = mlp_forward(stack, val.X)
@@ -131,13 +132,12 @@ def coxnnet_fit(data: SurvivalDataset, seed: int = 0,
     zdata = SurvivalDataset(Z, data.time, data.event)
 
     def train(rows, lams, train_seed):
-        part = zdata if rows is None else zdata.subset(np.flatnonzero(rows))
-        return _train_network(part, lams, config, train_seed)
+        return _train_network(zdata, rows, lams, config, train_seed)
 
-    def held_scores(stack, held_mask):
+    def held_scores(stack, rows):
         # rank concordance: a far lower-variance signal than the held-out
         # partial likelihood at these sample sizes
-        held = zdata.subset(np.flatnonzero(held_mask))
+        held = zdata.subset(rows)
         theta_held, _ = mlp_forward(stack, held.X)
         return np.array([_scalar_concordance(eta, held.time, held.event)
                          for eta in _per_network(theta_held)])

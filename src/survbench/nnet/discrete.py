@@ -165,12 +165,13 @@ def _mean_cross_entropy(params, features, targets):
     return np.mean(_cross_entropy(z[..., 0], targets), axis=-1)
 
 
-def _train_network(features, targets, subject, depth, lams, config: TrainConfig,
-                   seed: int):
-    """Mini-batch Adam with subject-level validation early stopping, one
-    network per ridge weight in ``lams``: all start from the same weights
-    and see the same batches. Returns the stack of best iterates and the
-    loss traces."""
+def _train_network(features, targets, subject, rows, depth, lams,
+                   config: TrainConfig, seed: int):
+    """Mini-batch Adam on rows ``rows`` (indices into ``features``, from
+    which each batch is gathered) with subject-level validation early
+    stopping, one network per ridge weight in ``lams``: all start from the
+    same weights and see the same batches. Returns the stack of best
+    iterates and the loss traces."""
     rng = np.random.default_rng(seed)
     p_in = features.shape[1]
     hidden = config.hidden_for(p_in - 1)
@@ -179,32 +180,28 @@ def _train_network(features, targets, subject, depth, lams, config: TrainConfig,
     params = init_mlp(sizes, acts, seed=int(rng.integers(2 ** 31)))
     # start the hazards at the marginal event rate instead of 0.5, so the
     # net begins calibrated and training spends itself on the modulation
-    q = float(np.clip(targets.mean(), 1e-6, 1.0 - 1e-6))
+    q = float(np.clip(targets[rows].mean(), 1e-6, 1.0 - 1e-6))
     params.biases[-1][0] = np.log(q / (1.0 - q))
 
-    subjects = np.unique(subject)
+    subjects = np.unique(subject[rows])
     val_idx, _ = stratified_cut(np.zeros(subjects.size), config.val_fraction,
                                 rng)
-    val_mask = np.isin(subject, subjects[val_idx])
+    val_mask = np.isin(subject[rows], subjects[val_idx])
     monitor_val = val_mask.sum() >= 3 and (~val_mask).sum() >= 3
-    if not monitor_val:
-        val_mask = np.zeros(features.shape[0], dtype=bool)
-    tr_feat, tr_tgt = features[~val_mask], targets[~val_mask]
-    va_feat, va_tgt = features[val_mask], targets[val_mask]
-
-    n_rows = tr_feat.shape[0]
+    tr = rows[~val_mask] if monitor_val else rows
+    va = rows[val_mask]
 
     def batches():
-        order = rng.permutation(n_rows)
-        feat, tgt = tr_feat[order], tr_tgt[order]
-        for start in range(0, n_rows, config.batch_size):
-            stop = start + config.batch_size
-            yield feat[start:stop], tgt[start:stop]
+        order = tr[rng.permutation(tr.size)]
+        for start in range(0, order.size, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            # take gathers rows faster than fancy indexing at small p
+            yield features.take(batch, axis=0), targets.take(batch)
 
     held_score = None
     if monitor_val:
         def held_score(stack):
-            return _mean_cross_entropy(stack, va_feat, va_tgt)
+            return _mean_cross_entropy(stack, features[va], targets[va])
 
     return fit_adam(
         params, lams,
@@ -237,9 +234,8 @@ def nnsurv_fit(data: SurvivalDataset, seed: int = 0,
     del batch  # training needs only the standardized copy of its features
 
     def train(rows, lams, train_seed):
-        keep = slice(None) if rows is None else rows
-        return _train_network(feats[keep], targets[keep], subject[keep],
-                              depth, lams, config, train_seed)
+        return _train_network(feats, targets, subject, rows, depth, lams,
+                              config, train_seed)
 
     def held_scores(stack, held):
         return -_mean_cross_entropy(stack, feats[held], targets[held])

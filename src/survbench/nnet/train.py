@@ -82,25 +82,26 @@ def fit_network(config: TrainConfig, seed: int, scale, default_grid, event,
     ``fold_labels(rng)``, one seed per fold, then the final fit's seed
     (only the last with the ridge fixed). The candidates are ``scale``
     times ``config.ridge_grid`` or ``default_grid``. ``train(rows, lams,
-    seed)`` trains a stack on the rows of mask ``rows`` (all when None);
-    ``held_scores(stack, held)`` scores it on the held-out rows (higher
-    is better); ``event`` has one entry per row, for skipping folds.
+    seed)`` trains a stack on the rows of index array ``rows``, and
+    ``held_scores(stack, held)`` scores it on rows ``held`` (higher is
+    better); ``event`` has one entry per row, for skipping folds.
     """
     rng = np.random.default_rng(seed)
     if config.ridge is not None:
         ridge = config.ridge
     else:
         labels = fold_labels(rng)
-        fold_seeds = rng.integers(2 ** 31, size=config.cv_folds)
+        fold_seeds = rng.integers(2 ** 31, size=config.cv_folds).tolist()
         fracs = (config.ridge_grid if config.ridge_grid is not None
                  else default_grid)
         candidates = [frac * scale for frac in fracs]
 
         def fold_scores(fold, held):
-            stack, _ = train(~held, candidates, int(fold_seeds[fold]))
-            return held_scores(stack, held)
+            stack, _ = train(np.flatnonzero(~held), candidates, fold_seeds[fold])
+            return held_scores(stack, np.flatnonzero(held))
 
         ridge = cross_validate(candidates, labels, event, config.cv_folds,
                                fold_scores)
-    stack, traces = train(None, [ridge], int(rng.integers(2 ** 31)))
+    stack, traces = train(np.arange(event.size), [ridge],
+                          int(rng.integers(2 ** 31)))
     return ridge, unpack(stack, stack.vec[0]), traces[0]

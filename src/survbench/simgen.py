@@ -37,6 +37,8 @@ class Weibull:
     lam: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.lam)):
+            raise ValueError("Weibull parameters must be finite")
         if self.a <= 0 or self.lam <= 0:
             raise ValueError("Weibull parameters must be positive")
 
@@ -64,6 +66,8 @@ class LogNormal:
     sigma: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.mu) and np.isfinite(self.sigma)):
+            raise ValueError("LogNormal parameters must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
@@ -145,6 +149,8 @@ class SimulationSpec:
             raise ValueError("k must satisfy 0 < k <= p")
         if not 0.0 <= self.censor_target < 1.0:
             raise ValueError("censor_target must lie in [0, 1)")
+        if not np.isfinite(self.beta_scale):
+            raise ValueError("beta_scale must be finite")
 
     def make_beta(self) -> np.ndarray:
         beta = np.zeros(self.p)

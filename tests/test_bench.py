@@ -180,6 +180,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="duplicate model"):
             config_from_json(d)
 
+    def test_json_nan_rejected_on_load(self, tmp_path):
+        # Python's json reads the non-standard NaN and Infinity literals
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config_json()).replace(
+            '"a": 2.0', '"a": NaN'), encoding="utf-8")
+        with pytest.raises(ValueError, match="baseline a must be a finite"):
+            load_config(path)
+
     @pytest.mark.parametrize("key", ["family", "baseline", "n", "p", "k",
                                      "beta_scale", "censor_target"])
     def test_missing_cell_key_named(self, key):
@@ -213,7 +221,18 @@ class TestConfig:
         (None, "cells", 5, "config cells must be a list"),
         (None, "output_dir", 5, "config output_dir must be a string"),
         (0, "family", "weibull", "cell 0: unknown family 'weibull'"),
-        ("baseline", "kind", ["weibull"], "cell 0: unknown baseline kind")])
+        ("baseline", "kind", ["weibull"], "cell 0: unknown baseline kind"),
+        ("baseline", "a", float("nan"),
+         "cell 0 baseline a must be a finite number, got nan"),
+        ("baseline", "lam", float("inf"),
+         "cell 0 baseline lam must be a finite number, got inf"),
+        (0, "beta_scale", float("-inf"),
+         "cell 0 beta_scale must be a finite number, got -inf"),
+        (0, "censor_target", float("nan"),
+         "cell 0 censor_target must be a finite number"),
+        (0, "n", float("inf"), "cell 0 n must be an integer"),
+        (None, "train_fraction", float("nan"),
+         "config train_fraction must be a finite number")])
     def test_bad_key_or_value_named(self, where, key, value, message):
         d = tiny_config_json()
         target = {None: d, 0: d["cells"][0],
@@ -738,6 +757,13 @@ class TestRunReal:
         path.write_text("time,event,x1\n1.0,1,0.5\n")
         with pytest.raises(ValueError, match="unknown model 'forest'"):
             run_real(path, models=("coxl1", "forest"), log=lambda *_: None)
+
+    def test_duplicate_model_names_rejected_before_loading(self, tmp_path):
+        # the rule of ExperimentConfig, checked before the file is read:
+        # coxl1 used to be fitted twice and returned as two rows
+        with pytest.raises(ValueError, match="duplicate model names"):
+            run_real(tmp_path / "absent.csv", models=("coxl1", "coxl1"),
+                     log=lambda *_: None)
 
     def test_model_seed_follows_its_name_not_its_place(self, tmp_path):
         sim = generate(SimulationSpec(family=ModelFamily.COX,

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from survbench.metrics import c_index_td
+from survbench.core import SurvivalDataset
+from survbench.metrics import c_index_td, metric_report
 from survbench.models import (
     MODEL_NAMES,
     fit_model,
@@ -397,3 +400,46 @@ class TestOneSortPerDataset:
                             lambda X: calls.append(1) or standardize(X))
         fit_model("coxl1", sim_small.data, seed=3, lasso_cv_folds=folds)
         assert len(calls) == folds + 1
+
+
+@st.composite
+def awkward_datasets(draw):
+    """Small, wide datasets with what real data brings: times rounded to
+    coarse units (heavy ties), one event or none, constant columns, and
+    covariate and time scales far from one."""
+    n = draw(st.integers(8, 40))
+    p = draw(st.sampled_from([200, 60, 3, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    X = rng.standard_normal((n, p)) * 10.0 ** draw(st.floats(-6, 300))
+    if draw(st.booleans()):
+        X[:, rng.integers(p)] = draw(st.sampled_from([0.0, 1.0, -3e7]))
+    units = draw(st.sampled_from([10 ** 6, 8, 3, 2]))
+    time = np.ceil(rng.uniform(0.0, 1.0, n) * units) / units
+    time *= 10.0 ** draw(st.floats(-200, 9))
+    events = draw(st.sampled_from(["some", "one", "none"]))
+    event = (rng.uniform(size=n) < 0.6).astype(int)
+    if events != "some":
+        event[:] = 0
+        event[rng.integers(n)] = events == "one"
+    return SurvivalDataset(X, time, event)
+
+
+class TestModelFuzz:
+    # the fits' own warnings about what these inputs lack; numpy's warnings
+    # stay errors
+    @pytest.mark.filterwarnings("ignore:all subjects censored")
+    @pytest.mark.filterwarnings("ignore:every fold was skipped")
+    @pytest.mark.filterwarnings("ignore:fold .* has no events")
+    @given(awkward_datasets())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_every_model_scores_finite_or_raises_value_error(self, data):
+        cfg = TrainConfig(ridge=1.0, epochs=3, min_epochs=1)
+        for name in MODEL_NAMES:
+            try:
+                model = fit_model(name, data, seed=0, config=cfg,
+                                  lasso_cv_folds=2)
+                report = metric_report(model.predict_survival(data.X),
+                                       data.time, data.event)
+            except ValueError:
+                continue
+            assert np.isfinite(report.c_td) and np.isfinite(report.ibs), name

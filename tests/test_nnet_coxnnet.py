@@ -200,9 +200,9 @@ class TestFit:
         cfg = TrainConfig(epochs=3, min_epochs=1, patience=1, cv_folds=3)
         calls = []
 
-        def recording(train, lams, config, seed):
-            calls.append((train.time, seed))
-            return _train_network(train, lams, config, seed)
+        def recording(zdata, rows, lams, config, seed):
+            calls.append((zdata.time[rows], seed))
+            return _train_network(zdata, rows, lams, config, seed)
 
         monkeypatch.setattr(coxnnet_module, "_train_network", recording)
         coxnnet_fit(data, 4, cfg)
@@ -226,11 +226,12 @@ class TestStackedCandidates:
         cfg = TrainConfig(epochs=80, min_epochs=3, patience=3,
                           learning_rate=0.01)
         lams = [0.0, 3.0, 30.0]
-        stack, traces = _train_network(zdata, lams, cfg, 7)
+        rows = np.arange(zdata.n)
+        stack, traces = _train_network(zdata, rows, lams, cfg, 7)
         assert stack.vec.shape[0] == 3
         assert len({trace.size for trace in traces}) == 3
         for c, lam in enumerate(lams):
-            alone, alone_traces = _train_network(zdata, [lam], cfg, 7)
+            alone, alone_traces = _train_network(zdata, rows, [lam], cfg, 7)
             np.testing.assert_array_equal(stack.vec[c], alone.vec[0])
             np.testing.assert_array_equal(traces[c], alone_traces[0])
 

@@ -334,13 +334,15 @@ class TestStackedCandidates:
         cfg = TrainConfig(epochs=80, min_epochs=3, patience=3,
                           batch_size=64, learning_rate=0.01)
         lams = [0.0, 3.0, 30.0]
+        rows = np.arange(batch.n_rows)
         stack, traces = _train_network(feats, batch.targets, batch.subject,
-                                       depth, lams, cfg, 7)
+                                       rows, depth, lams, cfg, 7)
         assert stack.vec.shape[0] == 3
         assert len({trace.size for trace in traces}) > 1
         for c, lam in enumerate(lams):
             alone, alone_traces = _train_network(
-                feats, batch.targets, batch.subject, depth, [lam], cfg, 7)
+                feats, batch.targets, batch.subject, rows, depth, [lam], cfg,
+                7)
             np.testing.assert_array_equal(stack.vec[c], alone.vec[0])
             np.testing.assert_array_equal(traces[c], alone_traces[0])
 
@@ -364,6 +366,35 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 4.5 * nbytes
 
+    def test_training_selects_rows_by_index(self, monkeypatch):
+        # after standardization the fit holds one standardized matrix: folds,
+        # the validation split and each epoch's batches name rows by index
+        # instead of copying them (a copy per fold, split and epoch read
+        # 3.87 times the duplicated features)
+        import tracemalloc
+
+        data = generate(SimulationSpec(
+            family=ModelFamily.COX, baseline=Weibull(2.0, 1.3e-7), n=300,
+            p=500, k=5, censor_target=0.3, seed=0)).data
+        nbytes = duplicate(data, build_time_grid(data, 18)).features.nbytes
+        standardize = discrete_module.standardize_covariates
+
+        def then_reset_peak(X):
+            out = standardize(X)
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(discrete_module, "standardize_covariates",
+                            then_reset_peak)
+        cfg = TrainConfig(epochs=3, min_epochs=1)
+        tracemalloc.start()
+        try:
+            nnsurv_fit(data, 0, cfg, n_intervals=18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * nbytes, peak / nbytes
+
 
 class TestSelectRidge:
     def test_fold_seeds_drawn_after_the_labels(self, monkeypatch):
@@ -374,7 +405,8 @@ class TestSelectRidge:
         calls = []
 
         def recording(*args):
-            calls.append((np.unique(args[2]), args[-1]))
+            subject, rows = args[2], args[3]
+            calls.append((np.unique(subject[rows]), args[-1]))
             return _train_network(*args)
 
         monkeypatch.setattr(discrete_module, "_train_network", recording)

@@ -238,24 +238,25 @@ class TestTrainConfigBoundary:
 class FakeHead:
     """A head for ``fit_network``: a network's single weight is its ridge
     weight, its held-out score is script[fold][candidate], and every call
-    is recorded."""
+    is recorded, with the index arrays that name its rows."""
 
     def __init__(self, script=None):
         self.script, self.trained, self.labelled = script, [], []
+        self.held = []
 
     def fold_labels(self, rng):
         self.labelled.append(True)
         return np.arange(6) % 2
 
     def train(self, rows, lams, seed):
-        self.trained.append((None if rows is None else rows.copy(),
-                             list(lams), seed))
+        self.trained.append((rows.copy(), list(lams), seed))
         template = MlpParams.from_layers([np.zeros((1, 1))], [None],
                                          ["identity"])
         stack = unpack(template, np.array(lams, float)[:, None])
         return stack, [np.full(2, lam) for lam in lams]
 
     def held_scores(self, stack, held):
+        self.held.append(held.copy())
         return np.asarray(self.script[len(self.trained) - 1], float)
 
 
@@ -272,7 +273,8 @@ class TestFitNetwork:
         assert head.labelled == []
         assert len(head.trained) == 1
         rows, lams, seed = head.trained[0]
-        assert rows is None and lams == [0.5] and ridge == 0.5
+        np.testing.assert_array_equal(rows, np.arange(6))
+        assert lams == [0.5] and ridge == 0.5
         assert seed == np.random.default_rng(9).integers(2 ** 31)
         np.testing.assert_array_equal(net.vec, [0.5])
         np.testing.assert_array_equal(trace, [0.5, 0.5])
@@ -290,7 +292,10 @@ class TestFitNetwork:
         seeds = list(rng.integers(2 ** 31, size=2)) + [rng.integers(2 ** 31)]
         held = np.arange(6) % 2
         for fold, (rows, lams, seed) in enumerate(head.trained[:2]):
-            np.testing.assert_array_equal(rows, held != fold)
+            np.testing.assert_array_equal(rows, np.flatnonzero(held != fold))
+            np.testing.assert_array_equal(head.held[fold],
+                                          np.flatnonzero(held == fold))
             assert lams == candidates and seed == seeds[fold]
+        np.testing.assert_array_equal(head.trained[2][0], np.arange(6))
         assert head.trained[2][1:] == ([want], seeds[2])
         np.testing.assert_array_equal(net.vec, [want])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from survbench.simgen import (
 )
 
 WEIB = Weibull(a=2.0, lam=1.3e-7)
+SPEC = SimulationSpec(family=ModelFamily.COX, baseline=WEIB, n=10, p=2, k=1)
 
 
 class TestInverseCumulativeHazard:
@@ -111,6 +113,21 @@ class TestCalibration:
                             - gamma(1.0 / base.a + 1.0) ** 2)
         assert m == pytest.approx(2457.95, abs=0.5)
         assert s == pytest.approx(1284.83, abs=0.5)
+
+
+class TestSpecBoundary:
+    @pytest.mark.parametrize("make, match", [
+        (lambda: Weibull(a=math.nan, lam=1.3e-7), "Weibull .* finite"),
+        (lambda: Weibull(a=2.0, lam=math.inf), "Weibull .* finite"),
+        (lambda: LogNormal(mu=math.nan, sigma=0.7), "LogNormal .* finite"),
+        (lambda: LogNormal(mu=7.73, sigma=math.inf), "LogNormal .* finite"),
+        (lambda: replace(SPEC, beta_scale=math.nan), "beta_scale .* finite"),
+        (lambda: replace(SPEC, beta_scale=-math.inf), "beta_scale .* finite")])
+    def test_non_finite_parameters_rejected(self, make, match):
+        # a NaN shape used to fail in generate, as a censoring calibration
+        # that could not bracket its target
+        with pytest.raises(ValueError, match=match):
+            make()
 
 
 class TestGenerate:
