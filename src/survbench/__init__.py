@@ -24,7 +24,6 @@ from .simgen import (
     true_survival,
 )
 from .metrics import (
-    KaplanMeier,
     MetricReport,
     c_index_td,
     kaplan_meier,
@@ -55,7 +54,6 @@ __all__ = [
     "draw_survival_time",
     "generate",
     "true_survival",
-    "KaplanMeier",
     "MetricReport",
     "c_index_td",
     "kaplan_meier",

@@ -631,6 +631,10 @@ def _spec_from_args(args) -> SimulationSpec:
 
 
 def main(argv=None) -> int:
+    """The ``survbench`` command line. A bad input, a ValueError or an
+    OSError raised while the subcommand runs, ends the run with one line
+    ``survbench <command>: error: <message>`` on stderr and exit code 2,
+    as argparse reports a bad option; any other exception propagates."""
     parser = argparse.ArgumentParser(
         prog="survbench",
         description="survival-analysis benchmark toolkit")
@@ -696,7 +700,15 @@ def main(argv=None) -> int:
                         default=list(MODEL_NAMES))
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, OSError) as err:
+        command = sub.choices[args.command]
+        command.exit(2, f"{command.prog}: error: {err}\n")
 
+
+def _run(args) -> int:
+    """Run one parsed subcommand; 0 on success."""
     if args.command == "simulate":
         sim = generate(_spec_from_args(args))
         save_csv(sim.data, args.out)

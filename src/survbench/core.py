@@ -168,13 +168,31 @@ class SurvivalCurve:
         """Subject ``j``'s curve of a batch; IndexError past the last one."""
         return SurvivalCurve(self.grid, self.probs[j])
 
+    def table(self, t, rows=...) -> tuple[np.ndarray, np.ndarray]:
+        """The curves at the times ``t`` (1-D), one column per step they
+        fall on.
+
+        The grid cuts the time axis into steps on which every curve is
+        constant, with a step before the first grid point where S = 1.
+        ``rows`` indexes the subject axis of a batch (default: every
+        curve). Returns ``(table, col)`` with ``table[..., col[a]]`` the
+        curves at ``t[a]``, bit for bit; the table has at most
+        min(len(t), G + 1) columns. Every step lookup of a curve goes
+        through here.
+        """
+        steps, col = np.unique(np.searchsorted(self.grid, t, side="right"),
+                               return_inverse=True)
+        table = self.probs[rows, np.maximum(steps - 1, 0)]
+        table[..., steps == 0] = 1.0
+        return table, col
+
     def at(self, t) -> np.ndarray:
-        """Evaluate S at times ``t`` (scalar or array) by step interpolation;
-        a batch gives one row per subject."""
+        """S at times ``t`` (scalar or array), read through ``table``: the
+        value at the largest grid point <= t, 1 before the grid. A batch
+        gives one row per subject."""
         t = np.asarray(t, dtype=np.float64)
-        k = np.searchsorted(self.grid, t, side="right") - 1
-        out = np.where(k < 0, 1.0,
-                       self.probs[..., np.clip(k, 0, self.grid.size - 1)])
+        table, col = self.table(t.ravel())
+        out = table[..., col].reshape(self.probs.shape[:-1] + t.shape)
         return out if out.ndim else float(out)
 
 
@@ -291,20 +309,30 @@ def standardize_covariates(X: np.ndarray):
     sd is at most 16·eps·max|x|: its spread is that of a few roundings of
     its largest value, not a signal. Such a column maps to 0 in ``Z`` and
     in every finite row the stored transform is applied to later.
+
+    The call allocates one matrix of X's size: the moments are taken in
+    it, by the steps ``np.std`` takes, and ``Z`` is then written into it.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be a 2-D matrix with at least one column")
     # moments of each column scaled by the power of two of its largest |x|:
     # exact, and no square overflows; a single row has sd 0 (ddof 0)
-    top = np.abs(X).max(axis=0)
+    buf = np.abs(X)
+    top = buf.max(axis=0)
     _, exp2 = np.frexp(top)
-    scaled = np.ldexp(X, -exp2)
-    mean = np.ldexp(scaled.mean(axis=0), exp2)
-    sd = np.ldexp(scaled.std(axis=0, ddof=int(X.shape[0] > 1)), exp2)
+    np.ldexp(X, -exp2, out=buf)
+    scaled_mean = buf.mean(axis=0)
+    buf -= scaled_mean
+    np.multiply(buf, buf, out=buf)
+    dof = max(X.shape[0] - 1, 1)
+    mean = np.ldexp(scaled_mean, exp2)
+    sd = np.ldexp(np.sqrt(buf.sum(axis=0) / dof), exp2)
     constant = sd <= 16 * np.finfo(np.float64).eps * top
     scale = np.where(constant, np.inf, sd)
-    return apply_standardization(X, mean, scale), mean, scale
+    np.subtract(X, mean, out=buf)
+    np.divide(buf, scale, out=buf)
+    return buf, mean, scale
 
 
 def apply_standardization(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:

@@ -38,7 +38,6 @@ class CoxFit:
     mean: np.ndarray
     scale: np.ndarray
     n_iter: int
-    objective: float
     objective_trace: np.ndarray = field(repr=False)
     converged: bool = True
 
@@ -148,8 +147,7 @@ def fit_lasso(data: SurvivalDataset, lam: float, tol: float = 1e-7,
         lambda b: -partial_loglik_grad(data, b),
         lam, beta0, tol=tol, max_iter=max_iter)
     return CoxFit(beta_hat=beta, lam=float(lam), mean=np.zeros(data.p),
-                  scale=np.ones(data.p),
-                  n_iter=trace.size - 1, objective=float(trace[-1]),
+                  scale=np.ones(data.p), n_iter=trace.size - 1,
                   objective_trace=trace, converged=converged)
 
 

@@ -3,7 +3,9 @@
 The concordance index follows the time-dependent definition (both curves
 evaluated at the earlier subject's observed time, prediction ties worth
 0.5) and the Brier score uses inverse-probability-of-censoring weights
-with the censoring survival function evaluated left-continuously.
+with the censoring Kaplan-Meier curve read just below each time. Every
+curve, predicted or estimated, is a ``SurvivalCurve`` read through
+``SurvivalCurve.table``.
 """
 
 from __future__ import annotations
@@ -17,34 +19,6 @@ from .simgen import survival_probability, true_survival
 
 
 @dataclass(frozen=True)
-class KaplanMeier:
-    """Product-limit estimator tabulated at its drop times.
-
-    ``times`` holds the distinct times with at least one drop and ``surv``
-    the estimate just after each drop.
-    """
-
-    times: np.ndarray
-    surv: np.ndarray
-
-    def _step(self, t, side: str):
-        """The estimate after the drops that ``searchsorted(..., side)``
-        places at or before t; 1 before the first drop."""
-        k = np.searchsorted(self.times, np.asarray(t, dtype=np.float64),
-                            side=side)
-        out = np.concatenate(([1.0], self.surv))[k]
-        return out if out.ndim else float(out)
-
-    def survival_at(self, t):
-        """S(t), right-continuous."""
-        return self._step(t, "right")
-
-    def survival_at_minus(self, t):
-        """Left limit S(t-): drops strictly before t count."""
-        return self._step(t, "left")
-
-
-@dataclass(frozen=True)
 class MetricReport:
     """Summary of one model's predictive performance on one dataset."""
 
@@ -54,15 +28,21 @@ class MetricReport:
     tau: float
 
 
-def kaplan_meier(times, indicators) -> KaplanMeier:
-    """Product-limit estimator of P(T > t) from right-censored data.
+def kaplan_meier(times, indicators) -> SurvivalCurve:
+    """Product-limit estimator of P(T > t) from right-censored data, as the
+    curve that starts at (0, 1) and steps down at each time with an event.
 
-    For the censoring distribution, call with flipped indicators (1 - event).
+    Times must be strictly positive and finite. For the censoring
+    distribution, call with flipped indicators (1 - event); its left limit
+    G(s-) is ``at(np.nextafter(s, -np.inf))``, since every drop before s
+    lies at or below the largest float below s.
     """
     times = np.asarray(times, dtype=np.float64)
     indicators = np.asarray(indicators)
     if times.size < 1:
         raise ValueError("need at least one observation")
+    if not np.all(np.isfinite(times)) or np.any(times <= 0):
+        raise ValueError("times must be strictly positive and finite")
     order = np.argsort(times, kind="stable")
     t_sorted = times[order]
     d_sorted = indicators[order].astype(np.float64)
@@ -71,8 +51,9 @@ def kaplan_meier(times, indicators) -> KaplanMeier:
     d = np.add.reduceat(d_sorted, start)
     n_risk = (times.size - start).astype(np.float64)
     drop = d != 0
-    return KaplanMeier(times=uniq[drop],
-                       surv=np.cumprod(1.0 - d[drop] / n_risk[drop]))
+    return SurvivalCurve(
+        grid=np.concatenate(([0.0], uniq[drop])),
+        probs=np.concatenate(([1.0], np.cumprod(1.0 - d[drop] / n_risk[drop]))))
 
 
 # events per comparison block: its work set, and the most exact-model
@@ -92,23 +73,6 @@ def _check_lengths(predictions: SurvivalCurve, times, events):
     if events.shape != times.shape:
         raise ValueError("times and events must have the same length")
     return times, events
-
-
-def _tabulate(curves: SurvivalCurve, t,
-              rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Curves at the times ``t``, one table column per step they fall on.
-
-    The batch's grid cuts the time axis into steps on which every curve is
-    constant, with a step before the first grid point where S = 1. The
-    table has a row per curve, or per subject of a column of indices
-    ``rows``. Returns (table, col) with table[j, col[a]] equal to row j's
-    curve at t[a] bit for bit; the table has min(len(t), G + 1) columns.
-    """
-    steps, col = np.unique(np.searchsorted(curves.grid, t, side="right"),
-                           return_inverse=True)
-    table = curves.probs[rows, np.maximum(steps - 1, 0)]
-    table[:, steps == 0] = 1.0
-    return table, col
 
 
 def _concordance(read, times: np.ndarray,
@@ -165,7 +129,7 @@ def c_index_td(predictions: SurvivalCurve, times, events) -> float:
     times, events = _check_lengths(predictions, times, events)
 
     def read(rows, subj):
-        table, col = _tabulate(predictions, times[subj], rows[:, None])
+        table, col = predictions.table(times[subj], rows[:, None])
         return np.take(table, col, axis=1)
 
     concordant, comparable = _concordance(read, times, events)
@@ -193,10 +157,10 @@ def brier_trace(predictions: SurvivalCurve, times, events, grid=None):
     censor_km = kaplan_meier(times, 1 - events)
     is_event = events > 0
     event_w = np.zeros_like(times)
-    event_w[is_event] = (events[is_event]
-                         / censor_km.survival_at_minus(times[is_event]))
-    g_grid = censor_km.survival_at_minus(grid)
-    table, col = _tabulate(predictions, grid)
+    event_w[is_event] = (events[is_event] / censor_km.at(
+        np.nextafter(times[is_event], -np.inf)))
+    g_grid = censor_km.at(np.nextafter(grid, -np.inf))
+    table, col = predictions.table(grid)
     rows = []
     for t, g_t, c in zip(grid, g_grid, col):
         y = (times >= t).astype(np.float64)

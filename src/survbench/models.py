@@ -122,14 +122,59 @@ def _mlp_to_dict(params: MlpParams) -> dict:
     }
 
 
+def _read(d: dict, key: str):
+    """``d[key]``, or a ValueError naming the missing key."""
+    if not isinstance(d, dict) or key not in d:
+        raise ValueError(f"model file: missing key {key!r}")
+    return d[key]
+
+
+def _vector(d: dict, key: str, size: int | None = None,
+            valid=np.isfinite, what: str = "finite") -> np.ndarray:
+    """``d[key]`` as a 1-D float array, of ``size`` entries when given,
+    every entry passing ``valid``; a ValueError naming the key otherwise."""
+    value = _read(d, key)
+    try:
+        a = np.asarray(value, dtype=np.float64)
+        ok = (a.ndim == 1 and (size is None or a.size == size)
+              and bool(np.all(valid(a))))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        count = "" if size is None else f"{size} "
+        raise ValueError(f"model file: {key!r} must be a 1-D array of "
+                         f"{count}{what} values")
+    return a
+
+
+def _scalar(d: dict, key: str) -> float:
+    """``d[key]`` as a finite float; a ValueError naming the key otherwise."""
+    value = _read(d, key)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValueError(f"model file: {key!r} must be a finite number")
+    return value
+
+
+def _transform(d: dict, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stored standardization: a finite ``mean`` and a ``scale`` that
+    is positive (infinite for a constant column), one entry per input."""
+    return (_vector(d, "mean", width),
+            _vector(d, "scale", width, valid=lambda a: a > 0,
+                    what="positive"))
+
+
 def _mlp_from_dict(d: dict, logit_head: bool = False) -> MlpParams:
     # from_layers checks shapes, activations and finiteness of the file's net
-    acts = list(d["activations"])
+    acts = list(_read(d, "activations"))
     if logit_head and acts and acts[-1] == "sigmoid":
         # nnsurv files written with a final sigmoid layer hold the same
         # weights; nnsurv_hazards applies the sigmoid to their logits
         acts[-1] = "identity"
-    return MlpParams.from_layers(d["weights"], d["biases"], acts)
+    return MlpParams.from_layers(_read(d, "weights"), _read(d, "biases"), acts)
 
 
 def _baseline_to_dict(base: BaselineEstimate) -> dict:
@@ -138,9 +183,13 @@ def _baseline_to_dict(base: BaselineEstimate) -> dict:
 
 
 def _baseline_from_dict(d: dict) -> BaselineEstimate:
+    grid = _vector(d, "grid")
+    if grid.size == 0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("model file: baseline 'grid' must strictly increase")
     return BaselineEstimate(
-        grid=np.asarray(d["grid"]), alpha_hat=np.asarray(d["alpha_hat"]),
-        bandwidth=float(d["bandwidth"]), cumulative=np.asarray(d["cumulative"]))
+        grid=grid, alpha_hat=_vector(d, "alpha_hat", grid.size),
+        bandwidth=_scalar(d, "bandwidth"),
+        cumulative=_vector(d, "cumulative", grid.size))
 
 
 def model_to_dict(model: FittedModel) -> dict:
@@ -179,26 +228,45 @@ def model_to_dict(model: FittedModel) -> dict:
 
 
 def model_from_dict(d: dict) -> FittedModel:
-    version = d.get("format_version")
+    """The model a ``model_to_dict`` dump describes, checked before it is
+    built: a missing key, a ``mean`` or ``scale`` that is not one finite
+    (scale: positive, or infinite for a constant column) entry per network
+    or coefficient input, a non-finite coefficient, penalty or bandwidth,
+    a baseline whose arrays differ in length, are not finite or whose
+    grid does not strictly increase, and a ``depth`` other than the net's
+    hidden layers each raise a ValueError naming the key."""
+    version = d.get("format_version") if isinstance(d, dict) else None
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    kind = d["kind"]
+    kind = _read(d, "kind")
     if kind == "coxl1":
-        fit = CoxFit(beta_hat=np.asarray(d["beta_hat"]), lam=float(d["lam"]),
-                     mean=np.asarray(d["mean"]), scale=np.asarray(d["scale"]),
-                     n_iter=0, objective=float("nan"),
-                     objective_trace=np.zeros(1))
-        return CoxLassoModel(fit=fit, base=_baseline_from_dict(d["baseline"]))
+        beta_hat = _vector(d, "beta_hat")
+        mean, scale = _transform(d, beta_hat.size)
+        fit = CoxFit(beta_hat=beta_hat, lam=_scalar(d, "lam"), mean=mean,
+                     scale=scale, n_iter=0, objective_trace=np.zeros(1))
+        return CoxLassoModel(fit=fit,
+                             base=_baseline_from_dict(_read(d, "baseline")))
     if kind == "coxnnet":
-        fit = CoxnnetFit(params=_mlp_from_dict(d["net"]),
-                         mean=np.asarray(d["mean"]), scale=np.asarray(d["scale"]),
-                         ridge=float(d["ridge"]), loss_trace=np.zeros(0))
-        return CoxnnetModel(fit=fit, base=_baseline_from_dict(d["baseline"]))
+        params = _mlp_from_dict(_read(d, "net"))
+        mean, scale = _transform(d, params.weights[0].shape[0])
+        fit = CoxnnetFit(params=params, mean=mean, scale=scale,
+                         ridge=_scalar(d, "ridge"),
+                         loss_trace=np.zeros(0))
+        return CoxnnetModel(fit=fit,
+                            base=_baseline_from_dict(_read(d, "baseline")))
     if kind == "nnsurv":
-        fit = NnsurvFit(params=_mlp_from_dict(d["net"], logit_head=True),
-                        grid=DiscreteTimeGrid(cuts=np.asarray(d["cuts"])),
-                        mean=np.asarray(d["mean"]), scale=np.asarray(d["scale"]),
-                        depth=int(d["depth"]), ridge=float(d["ridge"]),
+        params = _mlp_from_dict(_read(d, "net"), logit_head=True)
+        # the network's input is the covariates plus the interval midpoint
+        mean, scale = _transform(d, params.weights[0].shape[0])
+        depth = _read(d, "depth")
+        if depth not in (1, 2) or depth != params.n_layers - 1:
+            raise ValueError(f"model file: 'depth' {depth!r} is not the "
+                             f"net's {params.n_layers - 1} hidden layers "
+                             "(1 or 2)")
+        fit = NnsurvFit(params=params,
+                        grid=DiscreteTimeGrid(cuts=_vector(d, "cuts")),
+                        mean=mean, scale=scale, depth=int(depth),
+                        ridge=_scalar(d, "ridge"),
                         loss_trace=np.zeros(0))
         return DiscreteTimeModel(fit=fit)
     raise ValueError(f"unknown model kind {kind!r}")

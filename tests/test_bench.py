@@ -790,6 +790,27 @@ class TestOutputDirEnv:
         assert _default_outdir() == "survbench-results"
 
 
+def _coxl1_file_without_beta(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "kind": "coxl1", "lam": 0.1, "mean": [0.0],
+        "scale": [1.0], "baseline": {"grid": [0.0, 1.0], "alpha_hat": [1.0, 1.0],
+                                     "bandwidth": 0.5, "cumulative": [0.0, 1.0]}}))
+    return path
+
+
+def _config_with_unknown_key(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(tiny_config_json(), repetition=2)))
+    return path
+
+
+def _toy_csv(tmp_path):
+    path = tmp_path / "toy.csv"
+    path.write_text("time,event,x1\n1.5,1,0.2\n2.5,0,-0.3\n")
+    return path
+
+
 class TestCli:
     def test_simulate_then_fit_then_eval(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"
@@ -811,6 +832,36 @@ class TestCli:
                      str(out_dir)]) == 0
         assert (out_dir / "results.csv").exists()
         assert (out_dir / "table.md").exists()
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("simulate", lambda d: ["--shape", "nan", "--out", str(d / "s.csv")],
+         "Weibull parameters must be finite"),
+        ("simulate", lambda d: ["--n", "1", "--out", str(d / "s.csv")],
+         "two subjects"),
+        ("simulate", lambda d: ["--censor", "1.5", "--out", str(d / "s.csv")],
+         "censor_target"),
+        ("fit", lambda d: ["--data", str(d / "missing.csv"), "--model",
+                           "coxl1", "--out", str(d / "m.json")], "missing.csv"),
+        ("eval", lambda d: ["--model", str(_coxl1_file_without_beta(d)),
+                            "--data", str(_toy_csv(d))], "'beta_hat'"),
+        ("bench", lambda d: ["--config", str(_config_with_unknown_key(d)),
+                             "--out", str(d / "out")], "'repetition'"),
+        ("reproduce", lambda d: ["--table", "table1", "--repetitions", "0",
+                                 "--out", str(d / "out")], "repetitions"),
+        ("real", lambda d: ["--data", str(d / "missing.csv")], "missing.csv"),
+    ], ids=["simulate-shape-nan", "simulate-n-1", "simulate-censor-1.5",
+            "fit-missing-data", "eval-no-beta_hat", "bench-unknown-key",
+            "reproduce-0-repetitions", "real-missing-data"])
+    def test_bad_input_is_one_error_line(self, command, args, message,
+                                         tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command] + args(tmp_path))
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"survbench {command}: error: ")
+        assert message in err
 
     def test_simulate_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

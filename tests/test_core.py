@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -54,6 +55,13 @@ class TestSurvivalDataset:
             SurvivalDataset(X, [1.0, 2.0, 3.0], [1, 0, 1])
 
 
+def step_oracle(grid, probs, t):
+    """A step curve by brute force: its value at the largest grid point
+    <= t, 1 before the grid."""
+    below = [k for k, g in enumerate(grid) if g <= t]
+    return probs[below[-1]] if below else 1.0
+
+
 class TestSurvivalCurve:
     def test_rejects_increasing_probs(self):
         with pytest.raises(ValueError, match="non-increasing"):
@@ -108,6 +116,38 @@ class TestSurvivalCurve:
     def test_empty_batch_constructs(self):
         curves = SurvivalCurve(grid=[1.0, 2.0], probs=np.empty((0, 2)))
         assert len(curves) == 0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_at_and_table_match_a_step_oracle(self, data):
+        grid = np.array(sorted(data.draw(st.sets(
+            st.floats(1e-3, 1e3, allow_nan=False), min_size=1, max_size=8))))
+        n = data.draw(st.integers(0, 4))  # 0 draws a one-subject curve
+        shape = (grid.size,) if n == 0 else (n, grid.size)
+        size = grid.size * max(n, 1)
+        levels = data.draw(st.lists(st.floats(0.0, 1.0), min_size=size,
+                                    max_size=size))
+        probs = -np.sort(-np.reshape(levels, shape), axis=-1)
+        extra = data.draw(st.lists(st.floats(-10.0, 2e3, allow_nan=False),
+                                   max_size=4))
+        # on, between, just below, before and after the grid points
+        t = np.concatenate([grid, (grid[:-1] + grid[1:]) / 2,
+                            np.nextafter(grid, -np.inf),
+                            [0.0, -1.0, grid[0] / 2, grid[-1] * 2], extra])
+        curve = SurvivalCurve(grid, probs)
+        rows = probs.reshape(-1, grid.size)
+        want = np.array([[step_oracle(grid, row, s) for s in t]
+                         for row in rows]).reshape(shape[:-1] + t.shape)
+        np.testing.assert_array_equal(curve.at(t), want)
+        table, col = curve.table(t)
+        np.testing.assert_array_equal(table[..., col], want)
+        assert table.shape[-1] <= min(t.size, grid.size + 1)
+        for a in (0, -1):
+            assert np.array_equal(curve.at(t[a]), want[..., a])
+        if n:
+            picked = np.arange(n)[::-1]
+            table, col = curve.table(t, picked[:, None])
+            np.testing.assert_array_equal(table[:, col], want[picked])
 
 
 def later(time):
@@ -419,6 +459,18 @@ class TestStandardize:
             np.testing.assert_array_equal(mean, want_mean)
             np.testing.assert_array_equal(scale, want_scale)
             np.testing.assert_array_equal(Z, (X - want_mean) / want_scale)
+
+    def test_allocates_one_matrix_of_the_input_size(self):
+        # the moments are taken in the matrix Z is then written into: no
+        # scaled, centred or squared copy is held beside it
+        X = np.random.default_rng(9).standard_normal((400, 300))
+        tracemalloc.start()
+        try:
+            standardize_covariates(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * X.nbytes, peak / X.nbytes
 
     @pytest.mark.parametrize("factor", [1e160, 1e300])
     def test_columns_near_the_float_limit_keep_their_shape(self, factor):

@@ -252,7 +252,7 @@ class TestRiskScore:
     def make_fit(self, beta):
         beta = np.asarray(beta, float)
         return CoxFit(beta_hat=beta, lam=0.0, mean=np.zeros(beta.size),
-                      scale=np.ones(beta.size), n_iter=0, objective=0.0,
+                      scale=np.ones(beta.size), n_iter=0,
                       objective_trace=np.zeros(1))
 
     def test_null_beta_gives_one(self):

@@ -28,16 +28,16 @@ from survbench.simgen import (
 )
 
 
-def km_brute_force(times, indicators):
+def km_brute_force(times, indicators, left=False):
     """Literal product-limit: S(t) = prod over event times u <= t of
-    (1 - d(u)/n(u))."""
+    (1 - d(u)/n(u)); with ``left``, the left limit S(t-) over u < t."""
     times = np.asarray(times, float)
     indicators = np.asarray(indicators)
 
     def at(t):
         s = 1.0
         for u in np.unique(times):
-            if u > t:
+            if u > t or (left and u == t):
                 break
             d = np.sum((times == u) & (indicators == 1))
             n_at_risk = np.sum(times >= u)
@@ -46,6 +46,12 @@ def km_brute_force(times, indicators):
         return s
 
     return at
+
+
+def left_limit(curve, t):
+    """A step curve just below t: every drop before t lies at or below the
+    largest float below t."""
+    return curve.at(np.nextafter(t, -np.inf))
 
 
 def c_td_brute_force(curves, times, events):
@@ -105,22 +111,29 @@ def random_curves(rng, n, grid):
 class TestKaplanMeier:
     def test_all_events_simple(self):
         km = kaplan_meier([1.0, 2.0, 3.0], [1, 1, 1])
-        np.testing.assert_allclose(km.surv, [2 / 3, 1 / 3, 0.0])
+        assert isinstance(km, SurvivalCurve)
+        np.testing.assert_array_equal(km.grid, [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_allclose(km.probs, [1.0, 2 / 3, 1 / 3, 0.0])
 
     def test_all_censored_flat_one(self):
         km = kaplan_meier([1.0, 2.0], [0, 0])
-        assert km.times.size == 0
-        assert km.survival_at(5.0) == 1.0
+        np.testing.assert_array_equal(km.grid, [0.0])
+        assert km.at(5.0) == 1.0
 
     def test_single_event_steps_to_zero(self):
         km = kaplan_meier([3.0], [1])
-        assert km.survival_at(2.9) == 1.0
-        assert km.survival_at(3.0) == 0.0
+        assert km.at(2.9) == 1.0
+        assert km.at(3.0) == 0.0
 
     def test_left_limit(self):
         km = kaplan_meier([1.0, 2.0, 3.0], [1, 1, 1])
-        assert km.survival_at_minus(2.0) == pytest.approx(2 / 3)
-        assert km.survival_at(2.0) == pytest.approx(1 / 3)
+        assert left_limit(km, 2.0) == pytest.approx(2 / 3)
+        assert km.at(2.0) == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_times_that_are_not_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="positive"):
+            kaplan_meier([1.0, bad], [1, 0])
 
     @given(
         st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=8),
@@ -133,8 +146,10 @@ class TestKaplanMeier:
             [data.draw(st.integers(0, 1)) for _ in raw_times], dtype=int)
         km = kaplan_meier(times, events)
         oracle = km_brute_force(times, events)
+        oracle_left = km_brute_force(times, events, left=True)
         for t in [0.5, 1.0, 2.5, 3.0, 5.0, 6.0]:
-            assert km.survival_at(t) == oracle(t)
+            assert km.at(t) == oracle(t)
+            assert left_limit(km, t) == oracle_left(t)
 
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1)),
                     min_size=1, max_size=12))
@@ -147,9 +162,9 @@ class TestKaplanMeier:
         times = np.array([t for t, _ in draws], float)
         events = np.array([e for _, e in draws])
         g = kaplan_meier(times, 1 - events)
-        assert np.all(g.survival_at_minus(times[events == 1]) > 0)
+        assert np.all(left_limit(g, times[events == 1]) > 0)
         at_risk = np.union1d(times, np.arange(0.0, times.max(), 0.5))
-        assert np.all(g.survival_at_minus(at_risk) > 0)
+        assert np.all(left_limit(g, at_risk) > 0)
         past = times.max() + np.array([0.5, 1.0, 3.0])
         curves = step_curves(np.full(times.size, 0.5), [0.5, 9.0])
         with np.errstate(divide="raise", invalid="raise"):
@@ -157,7 +172,7 @@ class TestKaplanMeier:
                                 grid=np.concatenate([at_risk, past]))
         assert np.all(np.isfinite(trace))
         event_w = np.zeros(times.size)
-        event_w[events == 1] = 1.0 / g.survival_at_minus(times[events == 1])
+        event_w[events == 1] = 1.0 / left_limit(g, times[events == 1])
         np.testing.assert_allclose(trace[at_risk.size:, 1],
                                    0.25 * np.mean(event_w), rtol=1e-12)
 

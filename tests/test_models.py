@@ -154,6 +154,82 @@ class TestLoadChecksNetwork:
             load_model(path)
 
 
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+def _set(key, index, value):
+    def defect(d):
+        d[key][index] = value
+    return defect
+
+
+def _shorten(key):
+    def defect(d):
+        d[key] = d[key][:-1]
+    return defect
+
+
+def _set_baseline(defect):
+    return lambda d: defect(d["baseline"])
+
+
+_TRANSFORM_DEFECTS = [
+    (_drop("mean"), "'mean'"),
+    (_set("scale", 0, -1.0), "'scale'"),
+    (_set("scale", 0, 0.0), "'scale'"),
+    (_set("scale", 0, float("nan")), "'scale'"),
+    (_shorten("mean"), "'mean'"),
+    (_shorten("scale"), "'scale'"),
+    (_set("mean", 1, float("nan")), "'mean'"),
+    (_set("mean", 1, float("inf")), "'mean'"),
+]
+_BASELINE_DEFECTS = [
+    (_drop("baseline"), "'baseline'"),
+    (_set_baseline(_shorten("alpha_hat")), "'alpha_hat'"),
+    (_set_baseline(_shorten("cumulative")), "'cumulative'"),
+    (_set_baseline(_set("cumulative", 2, float("nan"))), "'cumulative'"),
+    (_set_baseline(_set("grid", 1, 0.0)), "'grid'"),
+    (_set_baseline(lambda b: b.update(bandwidth=float("inf"))), "'bandwidth'"),
+]
+_FILE_DEFECTS = {
+    "coxl1": _TRANSFORM_DEFECTS + _BASELINE_DEFECTS + [
+        (_drop("beta_hat"), "'beta_hat'"),
+        (_set("beta_hat", 0, float("nan")), "'beta_hat'"),
+        (lambda d: d.update(lam=float("inf")), "'lam'"),
+        (_drop("lam"), "'lam'"),
+    ],
+    "coxnnet": _TRANSFORM_DEFECTS + _BASELINE_DEFECTS + [
+        (_drop("net"), "'net'"),
+        (lambda d: d.update(ridge=None), "'ridge'"),
+    ],
+    "nnsurv": _TRANSFORM_DEFECTS + [
+        (lambda d: d.update(depth=2), "'depth'"),
+        (lambda d: d.update(ridge=float("nan")), "'ridge'"),
+        (lambda d: d.update(depth=0), "'depth'"),
+        (_drop("cuts"), "'cuts'"),
+    ],
+    "nnsurv_deep": _TRANSFORM_DEFECTS + [
+        (lambda d: d.update(depth=1), "'depth'"),
+        (lambda d: d.update(depth=3), "'depth'"),
+    ],
+}
+
+
+class TestLoadChecksFile:
+    @pytest.mark.parametrize("name, defect, key", [
+        (name, defect, key) for name, defects in _FILE_DEFECTS.items()
+        for defect, key in defects])
+    def test_corrupted_file_names_its_key(self, name, defect, key, fitted,
+                                          tmp_path):
+        d = model_to_dict(fitted[name])
+        defect(d)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=key):
+            load_model(path)
+
+
 def _nan_row(X):
     X[1, 0] = np.nan
     return X

@@ -350,7 +350,8 @@ class TestStackedCandidates:
 class TestMemory:
     def test_training_holds_no_raw_duplicated_rows(self):
         # 300 subjects, p = 500: the duplicated rows are about 11 MiB; the
-        # fit standardizes them and then trains on the standardized copy
+        # fit standardizes them in one matrix of their size and then trains
+        # on it (a scaled, a centred and a result copy read 4.01 times)
         import tracemalloc
 
         data = generate(SimulationSpec(
@@ -364,7 +365,7 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * nbytes
+        assert peak <= 2.5 * nbytes, peak / nbytes
 
     def test_training_selects_rows_by_index(self, monkeypatch):
         # after standardization the fit holds one standardized matrix: folds,
