@@ -1,12 +1,12 @@
 """Configuration-driven experiment harness and command-line interface.
 
-A grid run simulates each cell, splits it, fits every requested model,
-and scores test-set predictions next to the exact-model reference. Each
-row (cell, repetition, model) is computed on its own, in parallel over
-the usable CPUs, and appended to a CSV in grid order, so a resumed run
-computes only the rows that are missing or failed; all seeds derive
-deterministically from (base seed, cell index, repetition, model slot),
-which makes reruns bit-stable however the rows are spread over processes.
+A grid run splits each cell's data per repetition, fits every requested
+model and scores its test-set predictions; a simulated cell is drawn anew
+per repetition and also scored by its exact-model reference, a dataset
+file is loaded once. Each row (cell, repetition, model) is computed on its
+own, in parallel over the usable CPUs, and appended to a CSV in grid
+order, so a resumed run computes only the rows that are missing or failed;
+seeds derive from (base seed, cell, repetition, model slot) alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -75,8 +75,18 @@ class ResultRow:
 
 
 @dataclass(frozen=True)
+class DatasetCell:
+    """A dataset file as a grid cell (``dataset_cell``). Its rows' key holds
+    ``digest``, a hash of the file, so a resume against an edited file
+    recomputes them; ``data`` takes no part in equality or hashing."""
+    name: str
+    digest: str
+    data: SurvivalDataset = field(compare=False, repr=False)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    cells: tuple
+    cells: tuple  # of SimulationSpec and DatasetCell
     models: tuple = MODEL_NAMES
     repetitions: int = 5
     base_seed: int = 0
@@ -90,24 +100,23 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
-        _check_model_names(self.models)
+        for name in self.models:
+            if name not in MODEL_NAMES:
+                raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
+        if len(set(self.models)) != len(self.models):
+            # a repeated name's row would be fitted and written twice
+            raise ValueError(f"duplicate model names in {tuple(self.models)!r}")
 
 
-def _check_model_names(models) -> None:
-    """Reject a name outside ``MODEL_NAMES`` and a repeated name: a
-    duplicate's row would be fitted and written twice."""
-    for name in models:
-        if name not in MODEL_NAMES:
-            raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
-    if len(set(models)) != len(models):
-        raise ValueError(f"duplicate model names in {tuple(models)!r}")
-
-
-def _baseline_label(baseline) -> str:
-    # no commas: the label lands in CSV fields unquoted
-    if isinstance(baseline, Weibull):
-        return f"weibull(a={baseline.a:g};lam={baseline.lam:g})"
-    return f"lognormal(mu={baseline.mu:g};sigma={baseline.sigma:g})"
+def _cell_key(cell) -> tuple:
+    """The (family, baseline, n, p) of ``cell``'s rows; a file's baseline
+    is ``<name>#<digest>``. No commas: CSV fields are unquoted."""
+    if isinstance(cell, DatasetCell):
+        return ("real", f"{cell.name}#{cell.digest}", cell.data.n, cell.data.p)
+    base = cell.baseline
+    label = (f"weibull(a={base.a:g};lam={base.lam:g})" if isinstance(base, Weibull)
+             else f"lognormal(mu={base.mu:g};sigma={base.sigma:g})")
+    return (cell.family.value, label, cell.n, cell.p)
 
 
 def _derived_seed(base_seed: int, *path: int) -> int:
@@ -280,22 +289,16 @@ class _ResultWriter:
 # ---------------------------------------------------------------------------
 # grid execution
 
-def _result_row(spec: SimulationSpec, name: str, rep: int, seed: int,
-                c_td: float, ibs: float, wall_seconds: float) -> ResultRow:
-    return ResultRow(family=spec.family.value,
-                     baseline=_baseline_label(spec.baseline), n=spec.n,
-                     p=spec.p, model=name, rep=rep, seed=seed, c_td=c_td,
-                     ibs=ibs, wall_seconds=wall_seconds)
-
-
 @lru_cache(maxsize=1)
-def _draw(spec: SimulationSpec, train_fraction: float, split_seed: int):
-    """The simulated data of one (cell, repetition) and its split. The
-    last draw is kept, so a process that computes several rows of one
-    draw in turn simulates it once; those rows share it and must not
-    modify it. ``run_grid`` clears it when it returns."""
-    sim = generate(spec)
-    return (sim,) + train_test_split(sim.data, train_fraction, split_seed)
+def _draw(cell, train_fraction: float, sim_seed: int, split_seed: int):
+    """The draw of one (cell, repetition), None for a dataset cell, and
+    its split. The last one is kept, so a process that computes several
+    rows of one draw in turn makes it once; those rows share it and must
+    not modify it. ``run_grid`` clears it when it returns."""
+    sim = (None if isinstance(cell, DatasetCell)
+           else generate(replace(cell, seed=sim_seed)))
+    data = cell.data if sim is None else sim.data
+    return (sim,) + train_test_split(data, train_fraction, split_seed)
 
 
 def _row_seed(base_seed: int, cell_idx: int, rep: int, name: str) -> int:
@@ -313,28 +316,19 @@ def _evaluate_row(config: ExperimentConfig, train_config, cell_idx: int,
     """Score one row of a (cell, repetition) draw: the exact-model
     reference or the model ``name``, with the seeds of ``_row_seed``."""
     seed = _row_seed(config.base_seed, cell_idx, rep, name)
-    sim_seed = _derived_seed(config.base_seed, cell_idx, rep, 0)
-    split_seed = _derived_seed(config.base_seed, cell_idx, rep, 1)
-    spec = replace(config.cells[cell_idx], seed=sim_seed)
-    sim, train, test, split = _draw(spec, config.train_fraction, split_seed)
-    if name == REFERENCE_MODEL:
-        t0 = time.perf_counter()
-        scores = reference_metrics(sim, split.test)
-        seconds = time.perf_counter() - t0
-    else:
-        scores, seconds = _fit_and_score(name, seed, train, test, train_config)
-    return _result_row(spec, name, rep, seed, scores.c_td, scores.ibs, seconds)
-
-
-def _fit_and_score(name: str, seed: int, train: SurvivalDataset,
-                   test: SurvivalDataset, train_config):
-    """Fit model ``name`` on ``train`` with ``seed`` and score its curves
-    for ``test``; returns the metric report and the seconds both took."""
+    cell = config.cells[cell_idx]
+    sim, train, test, split = _draw(
+        cell, config.train_fraction,
+        *(_derived_seed(config.base_seed, cell_idx, rep, slot) for slot in (0, 1)))
     t0 = time.perf_counter()
-    model = fit_model(name, train, seed=seed, config=train_config)
-    scores = metric_report(model.predict_survival(test.X), test.time,
-                           test.event)
-    return scores, time.perf_counter() - t0
+    if name == REFERENCE_MODEL:
+        scores = reference_metrics(sim, split.test)
+    else:
+        model = fit_model(name, train, seed=seed, config=train_config)
+        scores = metric_report(model.predict_survival(test.X), test.time,
+                               test.event)
+    return ResultRow(*_cell_key(cell), name, rep, seed, scores.c_td,
+                     scores.ibs, time.perf_counter() - t0)
 
 
 def _row_or_traceback(config: ExperimentConfig, train_config, key):
@@ -396,6 +390,13 @@ def _ignore_interrupt() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+_task = None  # what the pool maps: forked workers inherit it unpickled
+
+
+def _run_task(key):
+    return _task(key)
+
+
 @contextmanager
 def _mapped(fn, keys: list):
     """``fn`` over ``keys``, yielded in order: on a pool of forked
@@ -405,26 +406,32 @@ def _mapped(fn, keys: list):
     ran; the workers already fill the CPUs. Leaving the block restores
     the caller's BLAS threads and terminates the pool.
     An idle worker whose parent died reads end-of-file and exits."""
+    global _task
     workers = min(_usable_cpus(), len(keys))
     with _one_blas_thread():
         if workers <= 1:
             yield map(fn, keys)
             return
+        _task = fn  # only the keys travel, not a config's dataset
         context = multiprocessing.get_context("fork")
-        with context.Pool(workers, initializer=_ignore_interrupt) as pool:
-            yield pool.imap(fn, keys, chunksize=1)
+        try:
+            with context.Pool(workers, initializer=_ignore_interrupt) as pool:
+                yield pool.imap(_run_task, keys, chunksize=1)
+        finally:
+            _task = None
 
 
 def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
              log=print, train_config=None) -> list:
     """Run every (cell, repetition, model) row, persisting rows as they
-    finish.
+    finish. A ``DatasetCell`` has no reference row; each repetition splits
+    the file anew, with a simulated cell's seeds.
 
     The pending rows run on a pool of forked workers, one per usable
     CPU; with one usable CPU (``taskset -c 0``) they run in this
     process. Only this process writes, and it writes the rows to
     ``results.csv`` in grid order: cell, then repetition, then the
-    reference and ``config.models`` in their order. With ``resume``
+    reference, if any, and ``config.models`` in their order. With ``resume``
     (default), the rows already in the results file are kept and only
     the missing ones, the failed ones and those whose seed is not the
     one ``_row_seed`` derives (a row of another base seed, or written
@@ -448,12 +455,12 @@ def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
     try:
         rows = {row.key(): row for row in read_results(results_path)}
         pending = []
-        for cell_idx, spec in enumerate(config.cells):
-            label = _baseline_label(spec.baseline)
+        for cell_idx, cell in enumerate(config.cells):
+            names = ((REFERENCE_MODEL,) if isinstance(cell, SimulationSpec)
+                     else ()) + tuple(config.models)
             for rep in range(config.repetitions):
-                for name in (REFERENCE_MODEL,) + tuple(config.models):
-                    row = rows.get((spec.family.value, label, spec.n, spec.p,
-                                    name, rep))
+                for name in names:
+                    row = rows.get(_cell_key(cell) + (name, rep))
                     # a failed row's seed is FAILED_SEED
                     if row is None or row.seed != _row_seed(
                             config.base_seed, cell_idx, rep, name):
@@ -461,17 +468,17 @@ def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
         task = partial(_row_or_traceback, config, train_config)
         with _mapped(task, pending) as results:
             for (cell_idx, rep, name), row in zip(pending, results):
-                spec = config.cells[cell_idx]
-                where = (f"cell {cell_idx} ({spec.family.value} n={spec.n} "
-                         f"p={spec.p}) rep {rep}")
                 if isinstance(row, str):
                     with open(err_path, "a", encoding="utf-8") as fh:
                         fh.write(f"cell {cell_idx} rep {rep} model {name}\n"
                                  f"{row}\n")
-                    row = _result_row(spec, name, rep, FAILED_SEED,
-                                      float("nan"), float("nan"), 0.0)
+                    row = ResultRow(*_cell_key(config.cells[cell_idx]), name,
+                                    rep, FAILED_SEED, float("nan"),
+                                    float("nan"), 0.0)
                 writer.write(row)
                 rows[row.key()] = row
+                where = (f"cell {cell_idx} ({row.family} n={row.n} p={row.p}) "
+                         f"rep {rep}")
                 if row.failed:
                     log(f"{where}: {name} failed; see {err_path}")
                 else:
@@ -589,27 +596,13 @@ def save_csv(data: SurvivalDataset, path) -> None:
                             + [repr(float(v)) for v in data.X[i]])
 
 
-def run_real(path, models=MODEL_NAMES, seed: int = 0,
-             train_fraction: float = 2.0 / 3.0, log=print,
-             train_config=None) -> list:
-    """Fit and score every model on a real dataset file (no reference
-    row). A model's seed derives from ``seed`` and its position in
-    ``MODEL_NAMES``, whatever other models run with it."""
-    _check_model_names(models)
-    data = load_csv(path)
-    train, test, _ = train_test_split(data, train_fraction, seed)
-    rows = []
-    for name in models:
-        model_seed = _derived_seed(seed, 0, 0, MODEL_NAMES.index(name))
-        rep, seconds = _fit_and_score(name, model_seed, train, test,
-                                      train_config)
-        row = ResultRow(family="real", baseline=Path(path).name, n=data.n,
-                        p=data.p, model=name, rep=0, seed=model_seed,
-                        c_td=rep.c_td, ibs=rep.ibs, wall_seconds=seconds)
-        log(f"{name}: C_td={rep.c_td:.4f} IBS={rep.ibs:.4f} "
-            f"({row.wall_seconds:.1f}s)")
-        rows.append(row)
-    return rows
+def dataset_cell(path) -> DatasetCell:
+    """A dataset CSV's cell: its rows, read once, and the first 12 hex
+    digits of its sha256. A comma in the file name becomes "_"."""
+    import hashlib  # loads OpenSSL: kept off every command's start-up
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
+    return DatasetCell(Path(path).name.replace(",", "_"), digest,
+                       load_csv(path))
 
 
 # ---------------------------------------------------------------------------
@@ -674,30 +667,30 @@ def main(argv=None) -> int:
     p_eval.add_argument("--model", required=True, help="model JSON file")
     p_eval.add_argument("--data", required=True, help="dataset CSV")
 
-    p_bench = sub.add_parser("bench", help="run an experiment grid from a config")
-    p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--out", default=None)
-    p_bench.add_argument("--no-resume", action="store_true")
-    p_bench.add_argument("--format", choices=["markdown", "csv"],
-                         default="markdown")
+    # the options of every grid command, and of those that build their grid
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--out", default=None)
+    grid.add_argument("--no-resume", action="store_true")
+    grid.add_argument("--format", choices=["markdown", "csv"],
+                      default="markdown")
+    built = argparse.ArgumentParser(add_help=False, parents=[grid])
+    built.add_argument("--repetitions", type=int, default=5)
+    built.add_argument("--models", nargs="+", choices=MODEL_NAMES,
+                       default=list(MODEL_NAMES))
 
-    p_repro = sub.add_parser("reproduce",
+    p_bench = sub.add_parser("bench", parents=[grid],
+                             help="run an experiment grid from a config")
+    p_bench.add_argument("--config", required=True)
+
+    p_repro = sub.add_parser("reproduce", parents=[built],
                              help="run one of the built-in simulation grids")
     p_repro.add_argument("--table", choices=["table1", "table2", "table3"],
                          required=True)
-    p_repro.add_argument("--repetitions", type=int, default=5)
-    p_repro.add_argument("--models", nargs="+", choices=MODEL_NAMES,
-                         default=list(MODEL_NAMES))
-    p_repro.add_argument("--out", default=None)
-    p_repro.add_argument("--no-resume", action="store_true")
-    p_repro.add_argument("--format", choices=["markdown", "csv"],
-                         default="markdown")
 
-    p_real = sub.add_parser("real", help="fit every model on a dataset CSV")
+    p_real = sub.add_parser("real", parents=[built],
+                            help="run the models on splits of a dataset CSV")
     p_real.add_argument("--data", required=True)
     p_real.add_argument("--seed", type=int, default=0)
-    p_real.add_argument("--models", nargs="+", choices=MODEL_NAMES,
-                        default=list(MODEL_NAMES))
 
     args = parser.parse_args(argv)
     try:
@@ -724,7 +717,8 @@ def _run(args) -> int:
         if args.epochs is not None:
             overrides["epochs"] = args.epochs
         config = TrainConfig(**overrides) if overrides else None
-        model = fit_model(args.model, data, seed=args.seed, config=config)
+        with _one_blas_thread():  # as in a grid row, so the bits are a row's
+            model = fit_model(args.model, data, seed=args.seed, config=config)
         save_model(model, args.out)
         print(f"fitted {args.model} on {data.n} subjects -> {args.out}")
         return 0
@@ -732,19 +726,25 @@ def _run(args) -> int:
     if args.command == "eval":
         data = load_csv(args.data)
         model = load_model(args.model)
-        rep = metric_report(model.predict_survival(data.X), data.time,
-                            data.event)
+        with _one_blas_thread():
+            rep = metric_report(model.predict_survival(data.X), data.time,
+                                data.event)
         print(f"c_td={rep.c_td:.4f} ibs={rep.ibs:.4f}")
         return 0
 
-    if args.command in ("bench", "reproduce"):
+    if args.command in ("bench", "reproduce", "real"):
         if args.command == "bench":
             config = load_config(args.config)
             out = args.out or config.output_dir or _default_outdir()
-        else:
+        elif args.command == "reproduce":
             config = builtin_config(args.table, repetitions=args.repetitions,
                                     models=tuple(args.models))
             out = args.out or os.path.join(_default_outdir(), args.table)
+        else:
+            config = ExperimentConfig(
+                cells=(dataset_cell(args.data),), models=tuple(args.models),
+                repetitions=args.repetitions, base_seed=args.seed)
+            out = args.out or os.path.join(_default_outdir(), "real")
         rows = run_grid(config, out, resume=not args.no_resume)
         table = emit_table(rows, args.format)
         suffix = "md" if args.format == "markdown" else "csv"
@@ -752,10 +752,6 @@ def _run(args) -> int:
         table_path.write_text(table, encoding="utf-8")
         print(table)
         print(f"rows: {Path(out) / 'results.csv'}  table: {table_path}")
-        return 0
-
-    if args.command == "real":
-        run_real(args.data, models=tuple(args.models), seed=args.seed)
         return 0
 
     return 1

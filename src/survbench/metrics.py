@@ -63,7 +63,7 @@ _BLOCK = 256
 
 def _check_lengths(predictions: SurvivalCurve, times, events):
     """Times and events as arrays, after requiring a batch with one curve
-    per subject."""
+    per subject, finite positive times and 0/1 events."""
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.int64)
     if (not isinstance(predictions, SurvivalCurve)
@@ -72,6 +72,10 @@ def _check_lengths(predictions: SurvivalCurve, times, events):
         raise ValueError("one predicted curve per subject is required")
     if events.shape != times.shape:
         raise ValueError("times and events must have the same length")
+    if not (times.min() > 0.0 and times.max() < np.inf):  # NaN fails too
+        raise ValueError("times must be strictly positive and finite")
+    if not (events.min() >= 0 and events.max() <= 1):
+        raise ValueError("event values must be 0 or 1")
     return times, events
 
 

@@ -15,6 +15,7 @@ cumulative products of one minus the predicted hazards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -198,10 +199,9 @@ def _train_network(features, targets, subject, rows, depth, lams,
             # take gathers rows faster than fancy indexing at small p
             yield features.take(batch, axis=0), targets.take(batch)
 
-    held_score = None
-    if monitor_val:
-        def held_score(stack):
-            return _mean_cross_entropy(stack, features[va], targets[va])
+    # the held-out rows are gathered once per training, not every epoch
+    held_score = (partial(_mean_cross_entropy, features=features[va],
+                          targets=targets[va]) if monitor_val else None)
 
     return fit_adam(
         params, lams,

@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import json
 import multiprocessing
 import os
@@ -17,13 +18,13 @@ from survbench.bench import (
     ExperimentConfig,
     builtin_config,
     config_from_json,
+    dataset_cell,
     emit_table,
     load_config,
     load_csv,
     main,
     read_results,
     run_grid,
-    run_real,
     save_csv,
 )
 from survbench.models import MODEL_NAMES
@@ -722,62 +723,175 @@ class TestEmitTable:
         assert emit_table(rows, "markdown") == golden
 
 
-class TestRunReal:
+def real_csv(tmp_path, name="real.csv", n=120, p=4, censor=0.5, seed=3):
+    """A simulated dataset written as a dataset file."""
+    sim = generate(SimulationSpec(family=ModelFamily.COX,
+                                  baseline=Weibull(2.0, 1.3e-7), n=n, p=p,
+                                  k=p, censor_target=censor, seed=seed))
+    path = tmp_path / name
+    save_csv(sim.data, path)
+    return path
+
+
+def real_config(path, models=("coxl1",), repetitions=2, base_seed=7):
+    return ExperimentConfig(cells=(dataset_cell(path),), models=models,
+                            repetitions=repetitions, base_seed=base_seed)
+
+
+def quiet(*_):
+    pass
+
+
+def metrics_of(rows):
+    return [(r.key(), r.seed, r.c_td, r.ibs) for r in rows]
+
+
+class TestDatasetCell:
     def test_metabric_shaped_run_completes(self, tmp_path):
         # stand-in with the real dataset's shape characteristics scaled
-        # down: heavy censoring, wide covariates, no reference row
-        sim = generate(SimulationSpec(family=ModelFamily.COX,
-                                      baseline=Weibull(2.0, 1.3e-7),
-                                      n=300, p=60, k=60,
-                                      censor_target=0.55, seed=2))
-        path = tmp_path / "real.csv"
-        save_csv(sim.data, path)
-        rows = run_real(path, models=("coxl1", "nnsurv"), seed=1,
-                        log=lambda *_: None, train_config=FAST)
+        # down: heavy censoring, wide covariates
+        path = real_csv(tmp_path, n=300, p=60, censor=0.55, seed=2)
+        rows = run_grid(real_config(path, ("coxl1", "nnsurv"), 1, base_seed=1),
+                        tmp_path / "out", log=quiet, train_config=FAST)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
         assert [r.model for r in rows] == ["coxl1", "nnsurv"]
         for row in rows:
             assert 0.0 <= row.c_td <= 1.0 and row.ibs >= 0.0
-            assert row.family == "real"
+            assert (row.family, row.baseline, row.n, row.p) == \
+                ("real", f"real.csv#{digest}", 300, 60)
+
+    def test_no_reference_row(self, tmp_path, monkeypatch):
+        def no_reference(*_):
+            raise AssertionError("a dataset cell has no exact model")
+
+        monkeypatch.setattr(bench_mod, "reference_metrics", no_reference)
+        use_cpus(monkeypatch, {0})
+        rows = run_grid(real_config(real_csv(tmp_path)), tmp_path / "out",
+                        log=quiet, train_config=FAST)
+        assert [(r.model, r.rep) for r in rows] == [("coxl1", 0), ("coxl1", 1)]
+        assert not any(r.failed for r in rows)
+        assert ",reference," not in (tmp_path / "out" / "results.csv").read_text()
+        assert "reference" not in emit_table(rows)
 
     def test_deterministic(self, tmp_path):
-        sim = generate(SimulationSpec(family=ModelFamily.COX,
-                                      baseline=Weibull(2.0, 1.3e-7),
-                                      n=120, p=4, k=4,
-                                      censor_target=0.5, seed=3))
-        path = tmp_path / "real.csv"
-        save_csv(sim.data, path)
-        a = run_real(path, models=("coxl1",), seed=7, log=lambda *_: None,
-                     train_config=FAST)
-        b = run_real(path, models=("coxl1",), seed=7, log=lambda *_: None,
-                     train_config=FAST)
-        assert a[0].c_td == b[0].c_td and a[0].ibs == b[0].ibs
+        config = real_config(real_csv(tmp_path))
+        a = run_grid(config, tmp_path / "a", log=quiet, train_config=FAST)
+        b = run_grid(real_config(tmp_path / "real.csv"), tmp_path / "b",
+                     log=quiet, train_config=FAST)
+        assert metrics_of(a) == metrics_of(b)
+        # each repetition splits the file anew
+        assert a[0].c_td != a[1].c_td
 
     def test_unknown_model_rejected_before_fitting(self, tmp_path):
         path = tmp_path / "real.csv"
         path.write_text("time,event,x1\n1.0,1,0.5\n")
         with pytest.raises(ValueError, match="unknown model 'forest'"):
-            run_real(path, models=("coxl1", "forest"), log=lambda *_: None)
+            real_config(path, models=("coxl1", "forest"))
 
-    def test_duplicate_model_names_rejected_before_loading(self, tmp_path):
-        # the rule of ExperimentConfig, checked before the file is read:
+    def test_duplicate_model_name_is_one_error_line(self, tmp_path, capsys,
+                                                    monkeypatch):
         # coxl1 used to be fitted twice and returned as two rows
-        with pytest.raises(ValueError, match="duplicate model names"):
-            run_real(tmp_path / "absent.csv", models=("coxl1", "coxl1"),
-                     log=lambda *_: None)
+        fits = []
+        monkeypatch.setattr(bench_mod, "fit_model",
+                            lambda name, *args, **kwargs: fits.append(name))
+        with pytest.raises(SystemExit) as exit_:
+            main(["real", "--data", str(real_csv(tmp_path)), "--models",
+                  "coxl1", "coxl1", "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("survbench real: error: duplicate model names")
+        assert fits == [] and not (tmp_path / "out").exists()
 
     def test_model_seed_follows_its_name_not_its_place(self, tmp_path):
-        sim = generate(SimulationSpec(family=ModelFamily.COX,
-                                      baseline=Weibull(2.0, 1.3e-7),
-                                      n=120, p=4, k=4,
-                                      censor_target=0.5, seed=3))
-        path = tmp_path / "real.csv"
-        save_csv(sim.data, path)
-        alone, = run_real(path, models=("nnsurv",), seed=7,
-                          log=lambda *_: None, train_config=FAST)
-        _, together = run_real(path, models=("coxl1", "nnsurv"), seed=7,
-                               log=lambda *_: None, train_config=FAST)
+        path = real_csv(tmp_path)
+        alone, = run_grid(real_config(path, ("nnsurv",), 1), tmp_path / "a",
+                          log=quiet, train_config=FAST)
+        _, together = run_grid(real_config(path, ("coxl1", "nnsurv"), 1),
+                               tmp_path / "b", log=quiet, train_config=FAST)
         assert (alone.seed, alone.c_td, alone.ibs) == \
             (together.seed, together.c_td, together.ibs)
+        # the seed rule of a simulated cell: slot 2 + the model's index
+        assert alone.seed == bench_mod._derived_seed(7, 0, 0, 4)
+
+    def test_parallel_rows_equal_in_process_rows(self, tmp_path, monkeypatch):
+        path = real_csv(tmp_path)
+        lines = {}
+        for cpus in ({0}, {0, 1}):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{len(cpus)}"
+            rows = run_grid(real_config(path, ("coxl1", "nnsurv")), out,
+                            log=quiet, train_config=FAST)
+            assert multiprocessing.active_children() == []
+            assert read_results(out / "results.csv") == rows
+            # every field but wall_seconds, the last
+            lines[len(cpus)] = [line.rsplit(",", 1)[0] for line in
+                                (out / "results.csv").read_text().splitlines()]
+        assert len(lines[1]) == 1 + 2 * 2
+        assert lines[1] == lines[2]
+
+    def test_workers_inherit_the_rows(self, tmp_path, monkeypatch):
+        # only row keys travel to the forked workers, never a dataset
+        def no_pickle(self, protocol):
+            raise AssertionError("a dataset cell was pickled")
+
+        monkeypatch.setattr(bench_mod.DatasetCell, "__reduce_ex__", no_pickle)
+        use_cpus(monkeypatch, {0, 1})
+        rows = run_grid(real_config(real_csv(tmp_path)), tmp_path / "out",
+                        log=quiet, train_config=FAST)
+        assert len(rows) == 2 and not any(r.failed for r in rows)
+
+    def test_resume_against_an_edited_file_recomputes(self, tmp_path,
+                                                      monkeypatch):
+        path = real_csv(tmp_path)
+        out = tmp_path / "out"
+        first = run_grid(real_config(path), out, log=quiet, train_config=FAST)
+        header, row, *rest = path.read_text().splitlines(keepends=True)
+        fields = row.split(",")
+        fields[2] = repr(float(fields[2]) + 1.0)  # one covariate cell
+        path.write_text("".join([header, ",".join(fields)] + rest))
+
+        fits = []
+        real_fit = bench_mod.fit_model
+
+        def counting_fit(name, *args, **kwargs):
+            fits.append(name)
+            return real_fit(name, *args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "fit_model", counting_fit)
+        use_cpus(monkeypatch, {0})
+        edited = real_config(path)
+        rows = run_grid(edited, out, log=quiet, train_config=FAST)
+        assert fits == ["coxl1", "coxl1"]
+        label = f"real.csv#{edited.cells[0].digest}"
+        assert label != first[0].baseline
+        new = [r for r in rows if r.baseline == label]
+        assert [(r.model, r.rep) for r in new] == [("coxl1", 0), ("coxl1", 1)]
+        # the first file's rows stay under their own key
+        assert [r for r in rows if r.baseline != label] == first
+
+    def test_half_written_last_row_is_recomputed(self, tmp_path):
+        config = real_config(real_csv(tmp_path), ("coxl1", "coxnnet"))
+        clean = run_grid(config, tmp_path / "clean", log=quiet,
+                         train_config=FAST)
+        out = tmp_path / "run"
+        run_grid(config, out, log=quiet, train_config=FAST)
+        results = out / "results.csv"
+        lines = results.read_text().splitlines(keepends=True)
+        results.write_text("".join(lines[:-1]) + lines[-1][:25])
+        resumed = run_grid(config, out, log=quiet, train_config=FAST)
+        assert metrics_of(resumed) == metrics_of(clean)
+        assert read_results(results) == resumed
+        assert len(results.read_text().splitlines()) == 1 + 4
+
+    def test_comma_in_file_name_leaves_none_in_the_label(self, tmp_path):
+        path = real_csv(tmp_path, name="tcga,brca.csv")
+        rows = run_grid(real_config(path), tmp_path / "out", log=quiet,
+                        train_config=FAST)
+        assert rows[0].baseline.startswith("tcga_brca.csv#")
+        header, *body = emit_table(rows, "csv").splitlines()
+        assert [len(line.split(",")) for line in body] == [7]
+        assert read_results(tmp_path / "out" / "results.csv") == rows
 
 
 class TestOutputDirEnv:
@@ -823,6 +937,46 @@ class TestCli:
                      str(data_path)]) == 0
         out = capsys.readouterr().out
         assert "c_td=" in out and "ibs=" in out
+
+    def test_fit_and_eval_run_one_blas_thread(self, tmp_path, monkeypatch):
+        # a CLI-fitted model has the bits of the same fit in a grid row
+        counts = [4]  # the caller's thread count, then each one set
+
+        def set_threads(count):
+            counts.append(count)
+            return counts[-2]
+
+        monkeypatch.setattr(bench_mod, "_openblas_set_threads",
+                            lambda: set_threads)
+        seen = []
+        for name in ("fit_model", "metric_report"):
+            def recording(*args, _real=getattr(bench_mod, name), _name=name,
+                          **kwargs):
+                seen.append((_name, counts[-1]))
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(bench_mod, name, recording)
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        save_csv(generate(SimulationSpec(family=ModelFamily.COX,
+                                         baseline=Weibull(2.0, 1.3e-7), n=80,
+                                         p=3, k=3, seed=4)).data, data)
+        assert main(["fit", "--data", str(data), "--model", "coxl1",
+                     "--out", str(model)]) == 0
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
+        assert seen == [("fit_model", 1), ("metric_report", 1)]
+        assert counts == [4, 1, 4, 1, 4]
+
+    def test_real_command_runs_a_grid(self, tmp_path, capsys):
+        path = real_csv(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["real", "--data", str(path), "--models", "coxl1",
+                     "--repetitions", "2", "--seed", "7", "--format", "csv",
+                     "--out", str(out_dir)]) == 0
+        rows = read_results(out_dir / "results.csv")
+        assert [(r.model, r.rep) for r in rows] == [("coxl1", 0), ("coxl1", 1)]
+        assert (out_dir / "table.csv").read_text() == emit_table(rows, "csv")
+        # the grid's rows, as run_grid computes them
+        again = run_grid(real_config(path), tmp_path / "again", log=quiet)
+        assert metrics_of(again) == metrics_of(rows)
 
     def test_bench_command_runs_config(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -537,6 +537,20 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="one predicted curve per subject"):
             brier_trace(self.short, self.times, self.events)
 
+    @pytest.mark.parametrize("metric", [c_index_td, brier_trace, metric_report])
+    @pytest.mark.parametrize("times, events, message", [
+        ([1.0, np.nan, 2.5], [1, 1, 0], "times must be strictly positive"),
+        ([1.0, -5.0, 2.5], [1, 1, 0], "times must be strictly positive"),
+        ([1.0, 2.0, 2.5], [1, 2, 0], "event values must be 0 or 1"),
+    ], ids=["nan-time", "negative-time", "event-2"])
+    def test_unscorable_subjects(self, metric, times, events, message):
+        # each used to give C_td a number: 0.0, 0.333 and 0.0
+        curves = SurvivalCurve([1.0, 2.0, 3.0], [[0.9, 0.6, 0.3],
+                                                 [0.8, 0.5, 0.2],
+                                                 [0.7, 0.4, 0.1]])
+        with pytest.raises(ValueError, match=message):
+            metric(curves, times, events)
+
 
 def test_metric_report_memory_is_linear_in_n():
     # an n×n float64 matrix at n = 3000 alone takes 69 MiB
