@@ -33,9 +33,14 @@ class BaselineEstimate:
 
 
 def epanechnikov(u: np.ndarray) -> np.ndarray:
-    """K(u) = 0.75 (1 - u^2) on |u| <= 1."""
+    """K(u) = 0.75 (1 - u^2) on |u| <= 1, written over ``u`` when it is a
+    float64 array."""
     u = np.asarray(u, dtype=np.float64)
-    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+    np.multiply(u, u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.maximum(0.0, u, out=u)
+    u *= 0.75
+    return u
 
 
 def default_grid(data: SurvivalDataset, n_points: int = 200) -> np.ndarray:
@@ -85,7 +90,8 @@ def ramlau_hansen(data: SurvivalDataset, scores, bandwidth: float,
     else:
         mean_risk_score = risk_set_sums(data.risk_index.later, scores) / data.n
         weights = 1.0 / (data.n * mean_risk_score[events])
-        u = (grid[:, None] - data.time[None, events]) / bandwidth
+        u = grid[:, None] - data.time[None, events]
+        u /= bandwidth
         alpha = epanechnikov(u) @ weights / bandwidth
     alpha = np.maximum(alpha, 0.0)
 
@@ -131,5 +137,6 @@ def survival_from_scores(base: BaselineEstimate, scores) -> SurvivalCurve:
     scores = np.asarray(scores, dtype=np.float64)
     if np.any(scores <= 0):
         raise ValueError("scores must be positive")
-    probs = np.exp(-scores[..., None] * base.cumulative)
+    probs = -scores[..., None] * base.cumulative
+    np.exp(probs, out=probs)
     return SurvivalCurve(grid=base.grid, probs=probs)

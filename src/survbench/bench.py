@@ -21,6 +21,7 @@ import signal
 import sys
 import time
 import traceback
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -440,8 +441,9 @@ def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
     raises is recorded as failed (NaN metrics, seed ``FAILED_SEED``)
     with its traceback in ``errors.log``, and the other rows still run.
     Without ``resume``, the results file and ``errors.log`` start
-    afresh. Returns one row per key, as ``read_results`` reads them back
-    from the file.
+    afresh. Returns the config's rows, one per key in grid order, as
+    ``read_results`` reads them back from the file; rows of other keys
+    stay in the file and are not returned.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -454,13 +456,14 @@ def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
     writer = _ResultWriter(results_path)
     try:
         rows = {row.key(): row for row in read_results(results_path)}
-        pending = []
+        keys, pending = [], []
         for cell_idx, cell in enumerate(config.cells):
             names = ((REFERENCE_MODEL,) if isinstance(cell, SimulationSpec)
                      else ()) + tuple(config.models)
             for rep in range(config.repetitions):
                 for name in names:
-                    row = rows.get(_cell_key(cell) + (name, rep))
+                    keys.append(_cell_key(cell) + (name, rep))
+                    row = rows.get(keys[-1])
                     # a failed row's seed is FAILED_SEED
                     if row is None or row.seed != _row_seed(
                             config.base_seed, cell_idx, rep, name):
@@ -486,7 +489,7 @@ def run_grid(config: ExperimentConfig, output_dir, resume: bool = True,
     finally:
         writer.close()
         _draw.cache_clear()
-    return list(rows.values())
+    return [rows[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +543,9 @@ def emit_table(rows, fmt: str = "markdown") -> str:
 
 def load_csv(path) -> SurvivalDataset:
     """Read a dataset CSV: a header with reserved ``time`` and ``event``
-    columns, every other column a numeric covariate. Rows are validated
-    individually and rejected with their line number."""
+    columns, every other column a numeric covariate. Each row is parsed
+    with ``float`` into one float64 matrix, which is then validated as a
+    whole; the first bad row is rejected with its line number."""
     # utf-8-sig drops the byte-order mark of a spreadsheet's "CSV UTF-8"
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -558,32 +562,43 @@ def load_csv(path) -> SurvivalDataset:
         x_cols = [j for j in range(len(header)) if j not in (t_col, e_col)]
         if not x_cols:
             raise ValueError("header has no covariate column")
-        times, events, xrows = [], [], []
+        # the rows back to back; a row that fails to parse ends the read,
+        # and is reported after the checks of the rows before it
+        cells = array("d")
+        n_rows, unparsed = 0, None
         for line_no, rec in enumerate(reader, start=2):
             if len(rec) != len(header):
-                raise ValueError(f"row {line_no}: expected {len(header)} fields, "
-                                 f"got {len(rec)}")
+                unparsed = (f"row {line_no}: expected {len(header)} fields, "
+                            f"got {len(rec)}")
+                break
             try:
-                values = [float(v) for v in rec]
+                cells.extend(map(float, rec))
             except ValueError:
-                raise ValueError(f"row {line_no}: non-numeric cell") from None
-            if any(np.isnan(v) for v in values):
-                raise ValueError(f"row {line_no}: missing value")
-            if not all(np.isfinite(values[j]) for j in x_cols):
-                raise ValueError(f"row {line_no}: covariates must be finite")
-            t = values[t_col]
-            e = values[e_col]
-            if not np.isfinite(t) or t <= 0:
-                raise ValueError(f"row {line_no}: time must be positive, got {t!r}")
-            if e not in (0.0, 1.0):
-                raise ValueError(f"row {line_no}: event must be 0 or 1, got {e!r}")
-            times.append(t)
-            events.append(int(e))
-            xrows.append([values[j] for j in x_cols])
-    if not times:
+                del cells[n_rows * len(header):]
+                unparsed = f"row {line_no}: non-numeric cell"
+                break
+            n_rows += 1
+    values = np.frombuffer(cells).reshape(n_rows, len(header))
+    X = np.take(values, x_cols, axis=1)
+    times = values[:, t_col].copy()
+    events = values[:, e_col]
+    checks = (
+        (np.isnan(values).any(axis=1), "missing value"),
+        (~np.isfinite(X).all(axis=1), "covariates must be finite"),
+        ((times <= 0) | (times == np.inf), "time must be positive, got {t!r}"),
+        ((events != 0) & (events != 1), "event must be 0 or 1, got {e!r}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(bad.argmax())
+        message = next(message for mask, message in checks if mask[i])
+        raise ValueError(f"row {i + 2}: " + message.format(
+            t=float(times[i]), e=float(events[i])))
+    if unparsed is not None:
+        raise ValueError(unparsed)
+    if n_rows == 0:
         raise ValueError("no data rows")
-    return SurvivalDataset(np.asarray(xrows, dtype=np.float64),
-                           np.asarray(times), np.asarray(events))
+    return SurvivalDataset(X, times, events.astype(np.int64))
 
 
 def save_csv(data: SurvivalDataset, path) -> None:

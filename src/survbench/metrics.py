@@ -56,9 +56,11 @@ def kaplan_meier(times, indicators) -> SurvivalCurve:
         probs=np.concatenate(([1.0], np.cumprod(1.0 - d[drop] / n_risk[drop]))))
 
 
-# events per comparison block: its work set, and the most exact-model
-# values the reference holds at once, is _BLOCK × n
-_BLOCK = 256
+# most values one comparison block reads (suffix rows × events): the
+# block's read, its comparison masks and the reference's exact values
+# stay within a fixed working set whatever n is; an event whose suffix
+# alone is longer makes a block of its own
+_BUDGET = 2**18
 
 
 def _check_lengths(predictions: SurvivalCurve, times, events):
@@ -88,10 +90,12 @@ def _concordance(read, times: np.ndarray,
     expected event. Returns (concordant + 0.5·tied, comparable) over the
     pairs (i, j) with i an event and T_i < T_j, or T_i = T_j with j
     censored. In time order with events first at ties, each event's
-    comparable subjects form a suffix. A block of ``_BLOCK`` events reads
-    one column per event, from the block's first event to the end of the
-    order, so the events' own values come with their suffixes; nothing is
-    read when no pair is comparable.
+    comparable subjects form a suffix. A block of events reads one column
+    per event, from the block's first event to the end of the order, so
+    the events' own values come with their suffixes. It takes as many
+    events as keep that read within ``_BUDGET`` values, at least one:
+    blocks are short while the suffixes are long and grow toward the end
+    of the order. Nothing is read when no pair is comparable.
     """
     is_event = events.astype(bool)
     order = np.lexsort((~is_event, times))
@@ -105,11 +109,12 @@ def _concordance(read, times: np.ndarray,
     comparable = int((n - start).sum())
     if comparable == 0:
         return 0.0, 0
-    less = tied = 0
-    for lo in range(0, pos.size, _BLOCK):
-        block_pos = pos[lo:lo + _BLOCK]
+    less = tied = lo = 0
+    while lo < pos.size:
+        hi = lo + max(1, _BUDGET // (n - pos[lo]))
+        block_pos = pos[lo:hi]
         subj = order[block_pos]
-        first = start[lo:lo + _BLOCK]
+        first = start[lo:hi]
         # the block's own events lie ahead of their suffixes, so each
         # event's own value sits on its row of the same read
         later = read(order[block_pos[0]:], subj)
@@ -117,6 +122,7 @@ def _concordance(read, times: np.ndarray,
         in_suffix = np.arange(block_pos[0], n)[:, None] >= first
         less += int(np.count_nonzero((own < later) & in_suffix))
         tied += int(np.count_nonzero((own == later) & in_suffix))
+        lo = hi
     return less + 0.5 * tied, comparable
 
 
@@ -200,13 +206,13 @@ def reference_metrics(simulated, test_idx) -> MetricReport:
     """Metrics of the exact data-generating model on a held-out subset.
 
     The true curves are evaluated only where the metrics read them. C_td
-    takes one block of ``_BLOCK`` events at a time and evaluates the
-    model's closed-form survival at the block's distinct event times, only
-    for the subjects from the block's first event on in time order (its
-    events and their comparable suffixes), so at most n·``_BLOCK`` exact
-    values are held; the Brier trace reads one ``true_survival`` batch of
-    n × 100 on its grid. Every value is the exact model at an evaluation
-    point.
+    takes one block of events at a time and evaluates the model's
+    closed-form survival at the block's distinct event times, only for
+    the subjects from the block's first event on in time order (its
+    events and their comparable suffixes), so it holds at most
+    ``_BUDGET`` exact values, or one event's suffix; the Brier trace
+    reads one ``true_survival`` batch of n × 100 on its grid. Every value
+    is the exact model at an evaluation point.
     """
     test_idx = np.asarray(test_idx, dtype=np.intp)
     if test_idx.size == 0:

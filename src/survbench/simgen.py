@@ -44,7 +44,9 @@ class Weibull:
 
     def cumulative_hazard(self, t):
         t = np.asarray(t, dtype=np.float64)
-        return self.lam * t ** self.a
+        h = t ** self.a
+        h *= self.lam
+        return h
 
     def inverse_cumulative_hazard(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -75,9 +77,15 @@ class LogNormal:
         from scipy.special import log_ndtr
 
         t = np.asarray(t, dtype=np.float64)
-        z = (np.log(t, out=np.full_like(t, -np.inf), where=t > 0) - self.mu) / self.sigma
-        # H0(t) = -log(1 - Phi(z)); log_ndtr keeps the tail accurate
-        return -log_ndtr(-z)
+        # z = (log t - mu) / sigma, then H0(t) = -log(1 - Phi(z)), all in
+        # one buffer; log_ndtr keeps the tail accurate
+        h = np.log(t, out=np.full_like(t, -np.inf), where=t > 0)
+        h -= self.mu
+        h /= self.sigma
+        np.negative(h, out=h)
+        log_ndtr(h, out=h)
+        np.negative(h, out=h)
+        return h if h.ndim else h[()]
 
     def inverse_cumulative_hazard(self, u):
         from scipy.special import ndtri_exp
@@ -199,10 +207,15 @@ def true_survival(simulated: SimulatedDataset, x, grid) -> SurvivalCurve:
 
 
 def survival_probability(family: ModelFamily, baseline: BaselineDist, eta, t):
-    """S(t | eta) = exp(-H0(psi1 * t) * psi2) for linear predictor eta."""
+    """S(t | eta) = exp(-H0(psi1 * t) * psi2) for linear predictor eta,
+    computed in the buffer H0 returns."""
     t = np.asarray(t, dtype=np.float64)
-    h = baseline.cumulative_hazard(family.psi1(eta) * t) * family.psi2(eta)
-    return np.exp(-h)
+    # a scalar H0 becomes a 0-d buffer that the steps below can write
+    s = np.asarray(baseline.cumulative_hazard(family.psi1(eta) * t))
+    s *= family.psi2(eta)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    return s if s.ndim else s[()]
 
 
 def _brentq(f, a: float, b: float, xtol: float = 2e-12,

@@ -99,6 +99,16 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="row 13: covariates must be finite"):
             load_csv(path)
 
+    def test_earlier_bad_value_named_before_a_later_unparsable_row(
+            self, tmp_path):
+        # rows are checked as one matrix after parsing: the first bad row
+        # is still the one named
+        path = tmp_path / "two.csv"
+        path.write_text("time,event,x1\n1.0,1,0.5\n2.0,3,0.5\n3.0,0,abc\n")
+        with pytest.raises(ValueError,
+                           match=r"row 3: event must be 0 or 1, got 3\.0"):
+            load_csv(path)
+
     def test_header_without_covariates_rejected_at_load(self, tmp_path):
         path = tmp_path / "x0.csv"
         path.write_text("time,event\n1.0,1\n2.0,0\n")
@@ -865,10 +875,13 @@ class TestDatasetCell:
         assert fits == ["coxl1", "coxl1"]
         label = f"real.csv#{edited.cells[0].digest}"
         assert label != first[0].baseline
-        new = [r for r in rows if r.baseline == label]
-        assert [(r.model, r.rep) for r in new] == [("coxl1", 0), ("coxl1", 1)]
-        # the first file's rows stay under their own key
-        assert [r for r in rows if r.baseline != label] == first
+        # only the edited file's rows come back
+        assert [(r.baseline, r.model, r.rep) for r in rows] == [
+            (label, "coxl1", 0), (label, "coxl1", 1)]
+        # the first file's rows stay in the file under their own key
+        kept = read_results(out / "results.csv")
+        assert [r for r in kept if r.baseline != label] == first
+        assert [r for r in kept if r.baseline == label] == rows
 
     def test_half_written_last_row_is_recomputed(self, tmp_path):
         config = real_config(real_csv(tmp_path), ("coxl1", "coxnnet"))

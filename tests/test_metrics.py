@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from survbench import metrics, simgen
 from survbench.core import SurvivalCurve, SurvivalDataset
 from survbench.metrics import (
-    _BLOCK,
     brier_trace,
     c_index_td,
     integrate_trace,
@@ -72,6 +71,29 @@ def c_td_brute_force(curves, times, events):
             sj = curves[j].at(times[i])
             num += 1.0 if si < sj else (0.5 if si == sj else 0.0)
     return num / den
+
+
+def recorded_blocks(monkeypatch):
+    """The (rows, events) of every block read that C_td makes from here
+    on, in order."""
+    blocks = []
+    concordance = metrics._concordance
+
+    def recording(read, times, events):
+        def counted(rows, subj):
+            blocks.append((rows.size, subj.size))
+            return read(rows, subj)
+        return concordance(counted, times, events)
+
+    monkeypatch.setattr(metrics, "_concordance", recording)
+    return blocks
+
+
+def assert_within_budget(blocks, budget):
+    """A read whose suffix alone exceeds the budget holds one event; every
+    other read holds at most ``budget`` values."""
+    for rows, events in blocks:
+        assert events == 1 if rows > budget else rows * events <= budget
 
 
 def assert_matches_oracle(curves, times, events):
@@ -246,16 +268,25 @@ class TestCIndexTd:
     @given(st.data())
     @settings(max_examples=4, deadline=None, derandomize=True)
     def test_past_block_size_matches_oracle(self, data):
-        # more events than one comparison block holds
-        n = data.draw(st.integers(_BLOCK + 20, _BLOCK + 120))
+        # a budget below n: the first events' suffixes alone exceed it, so
+        # they are blocks of one; later blocks grow to several events
+        n = data.draw(st.integers(40, 120))
+        budget = data.draw(st.integers(n // 2, n - 1))
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
         times = rng.integers(1, 60, size=n).astype(float)
         events = (rng.random(n) < 0.95).astype(int)
+        events[np.argmin(times)] = 1  # the first in time order is an event
         grid = np.linspace(0.5, 61.0, 12)
         curves = SurvivalCurve(grid, np.array(
             [np.sort(rng.random(12).round(1))[::-1] for _ in range(n)]))
-        assert events.sum() > _BLOCK
-        assert_matches_oracle(curves, times, events)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BUDGET", budget)
+            blocks = recorded_blocks(mp)
+            assert_matches_oracle(curves, times, events)
+        assert len(blocks) >= 3
+        assert blocks[0] == (n, 1)
+        assert max(k for _, k in blocks) > 1
+        assert_within_budget(blocks, budget)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(5)
@@ -406,8 +437,10 @@ class TestReferenceMetrics:
         grid = np.unique(np.concatenate(
             [times, np.linspace(0.0, times.max(), 101)[1:]]))
         curves = true_survival(sim, X, grid)
+        budget = data.draw(st.integers(1, 3 * n), label="budget")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "_BLOCK", data.draw(st.integers(2, 7)))
+            mp.setattr(metrics, "_BUDGET", budget)
+            blocks = recorded_blocks(mp)
             try:
                 rep = reference_metrics(sim, idx)
             except ValueError as err:
@@ -418,6 +451,7 @@ class TestReferenceMetrics:
             union = metric_report(curves, times, events)
         assert rep.c_td == c_td_brute_force(curves, times, events)
         assert (rep.c_td, rep.ibs) == (union.c_td, union.ibs)
+        assert_within_budget(blocks, budget)
 
     def test_report_fields_consistent(self):
         sim = self.make_sim(1)
@@ -441,26 +475,44 @@ class TestReferenceMetrics:
         assert rep.c_td == 0.6389440817485098
         assert rep.ibs == 0.08689612371344622
 
-    def test_pinned_past_one_block(self):
-        # 499 events among 700 test subjects: two blocks of events; recorded
-        # when the exact curves were tabulated on the union of the event
-        # times and the Brier grid
+    def pinned_past_one_block(self, monkeypatch):
+        """The pinned reference of 700 AH test subjects, 499 of them
+        events, and the blocks its C_td read."""
+        # recorded when the exact curves were tabulated on the union of
+        # the event times and the Brier grid
         spec = SimulationSpec(family=ModelFamily.AH,
                               baseline=LogNormal(7.73, 0.7),
                               n=1000, p=5, k=5, censor_target=0.3, seed=11)
+        blocks = recorded_blocks(monkeypatch)
         rep = reference_metrics(generate(spec), np.arange(700))
         assert rep.c_td == 0.6797434792896536
         assert rep.ibs == 0.09495155913514071
+        return blocks
 
-    def reference_peak(self):
-        """tracemalloc peak of the reference metrics on 3000 AH subjects."""
+    def test_pinned_past_one_block(self, monkeypatch):
+        # two blocks of events at the default budget
+        blocks = self.pinned_past_one_block(monkeypatch)
+        assert len(blocks) >= 2
+        assert_within_budget(blocks, metrics._BUDGET)
+
+    def test_pinned_with_one_event_blocks(self, monkeypatch):
+        # one event per block while the suffix is longer than the budget
+        monkeypatch.setattr(metrics, "_BUDGET", 500)
+        blocks = self.pinned_past_one_block(monkeypatch)
+        assert len(blocks) >= 3
+        assert blocks[0][1] == 1
+        assert_within_budget(blocks, 500)
+
+    @staticmethod
+    def reference_peak(n=3000):
+        """tracemalloc peak of the reference metrics on n AH subjects."""
         spec = SimulationSpec(family=ModelFamily.AH,
                               baseline=LogNormal(7.73, 0.7),
-                              n=3000, p=10, k=10, censor_target=0.3, seed=3)
+                              n=n, p=10, k=10, censor_target=0.3, seed=3)
         sim = generate(spec)
         tracemalloc.start()
         try:
-            reference_metrics(sim, np.arange(3000))
+            reference_metrics(sim, np.arange(n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -473,8 +525,9 @@ class TestReferenceMetrics:
 
     def test_memory_holds_one_event_block(self):
         # the table on the event times and the Brier grid, plus C_td's
-        # copy of it, peaked at 110 MiB
-        assert self.reference_peak() < 40 * 2**20
+        # copy of it, peaked at 110 MiB; blocks of 256 events, 27 MiB;
+        # the element budget, about 7 MiB
+        assert self.reference_peak() < 12 * 2**20
 
     def test_empty_test_idx(self):
         with pytest.raises(ValueError, match="at least one test subject"):
@@ -552,10 +605,9 @@ class TestInputChecks:
             metric(curves, times, events)
 
 
-def test_metric_report_memory_is_linear_in_n():
-    # an n×n float64 matrix at n = 3000 alone takes 69 MiB
+def metric_report_peak(n):
+    """tracemalloc peak of metric_report on n random curves of 200 points."""
     rng = np.random.default_rng(0)
-    n = 3000
     times = rng.uniform(1.0, 100.0, n)
     events = (rng.random(n) < 0.7).astype(int)
     grid = np.linspace(0.5, 101.0, 200)
@@ -566,4 +618,22 @@ def test_metric_report_memory_is_linear_in_n():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    return peak
+
+
+def test_metric_report_memory_is_linear_in_n():
+    # an n×n float64 matrix at n = 3000 alone takes 69 MiB
+    assert metric_report_peak(3000) < 32 * 2**20
+
+
+@pytest.mark.parametrize("peak", [metric_report_peak,
+                                  TestReferenceMetrics.reference_peak],
+                         ids=["metric_report", "reference_metrics"])
+def test_scoring_working_set_does_not_grow_with_n(peak):
+    # From 3000 to 6000 subjects the peak may grow by the O(n) arrays
+    # alone: the batches on the Brier grid (101 float64 values a subject;
+    # the exact curves and their buffer, the trace's table) and index
+    # arrays, under 2.5 such rows a subject. C_td's blocks stay within
+    # the element budget; blocks of 256 events added 4.4 KiB
+    # (metric_report) and 10 KiB (reference_metrics) a subject.
+    assert peak(6000) - peak(3000) < 3000 * 2.5 * 101 * 8
