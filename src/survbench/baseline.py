@@ -102,8 +102,10 @@ def ramlau_hansen(data: SurvivalDataset, scores, bandwidth: float,
 
 
 def select_bandwidth_gl(data: SurvivalDataset, scores, grid,
-                        bandwidth_grid=None, kappa: float = 1.0) -> float:
-    """Goldenshluger-Lepski bandwidth choice.
+                        bandwidth_grid=None,
+                        kappa: float = 1.0) -> BaselineEstimate:
+    """Goldenshluger-Lepski bandwidth choice; returns the estimate at the
+    chosen bandwidth, as ``ramlau_hansen`` computes it.
 
     Balances a pairwise-comparison bias proxy
     A(m) = max_{m' <= m} [ sup_grid |a_{m'} - a_m| - V(m') ]_+
@@ -117,17 +119,17 @@ def select_bandwidth_gl(data: SurvivalDataset, scores, grid,
         raise ValueError("empty bandwidth grid")
     scores, grid = _validate(data, scores, grid)
 
-    estimates = [ramlau_hansen(data, scores, m, grid).alpha_hat for m in ms]
+    estimates = [ramlau_hansen(data, scores, m, grid) for m in ms]
+    alphas = [est.alpha_hat for est in estimates]
     v = kappa * np.log(data.n) / (data.n * ms)
     crit = np.empty(ms.size)
     for j in range(ms.size):
         gaps = [
-            max(float(np.max(np.abs(estimates[jp] - estimates[j]))) - v[jp], 0.0)
+            max(float(np.max(np.abs(alphas[jp] - alphas[j]))) - v[jp], 0.0)
             for jp in range(j + 1)
         ]
         crit[j] = max(gaps) + v[j]
-    best = ms.size - 1 - int(np.argmin(crit[::-1]))
-    return float(ms[best])
+    return estimates[ms.size - 1 - int(np.argmin(crit[::-1]))]
 
 
 def survival_from_scores(base: BaselineEstimate, scores) -> SurvivalCurve:

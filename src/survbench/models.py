@@ -20,7 +20,6 @@ from . import coxlasso
 from .baseline import (
     BaselineEstimate,
     default_grid,
-    ramlau_hansen,
     select_bandwidth_gl,
     survival_from_scores,
 )
@@ -82,12 +81,6 @@ class DiscreteTimeModel:
 FittedModel = Union[CoxLassoModel, CoxnnetModel, DiscreteTimeModel]
 
 
-def _cox_family_baseline(train: SurvivalDataset, scores: np.ndarray) -> BaselineEstimate:
-    grid = default_grid(train)
-    bandwidth = select_bandwidth_gl(train, scores, grid)
-    return ramlau_hansen(train, scores, bandwidth, grid)
-
-
 def fit_model(name: str, train: SurvivalDataset, seed: int = 0,
               config: TrainConfig | None = None,
               lasso_cv_folds: int = 5) -> FittedModel:
@@ -97,11 +90,13 @@ def fit_model(name: str, train: SurvivalDataset, seed: int = 0,
     if name == "coxl1":
         fit = coxlasso.coxl1_fit(train, seed, lasso_cv_folds)
         scores = coxlasso.risk_score(fit, train.X)
-        return CoxLassoModel(fit=fit, base=_cox_family_baseline(train, scores))
+        base = select_bandwidth_gl(train, scores, default_grid(train))
+        return CoxLassoModel(fit=fit, base=base)
     if name == "coxnnet":
         fit = coxnnet_fit(train, seed, config)
         scores = coxnnet_scores(fit, train.X)
-        return CoxnnetModel(fit=fit, base=_cox_family_baseline(train, scores))
+        base = select_bandwidth_gl(train, scores, default_grid(train))
+        return CoxnnetModel(fit=fit, base=base)
     depth = 1 if name == "nnsurv" else 2
     return DiscreteTimeModel(fit=nnsurv_fit(train, seed, config, depth=depth))
 

@@ -1,11 +1,12 @@
 """Partial-likelihood network: a one-hidden-layer tanh net whose scalar
 output replaces the linear predictor of a Cox regression.
 
-The loss is the negative Cox partial log-likelihood of the network
-outputs (``core.cox_loss``, the one coxl1 also uses) plus a squared-L2
-penalty on all weights and biases; risk sets are global, so training is
-full-batch. The fitted per-subject scores exp(theta_i) plug into the
-kernel baseline estimator to produce full survival curves.
+The data loss is the negative Cox partial log-likelihood of the network
+outputs (``core.cox_loss``, the one coxl1 also uses); the training
+driver adds the squared-L2 penalty on all weights and biases. Risk sets
+are global, so training is full-batch. The fitted per-subject scores
+exp(theta_i) plug into the kernel baseline estimator to produce full
+survival curves.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from ..core import (
 )
 from ..metrics import _concordance
 from .config import TrainConfig
-from .mlp import (
-    MlpParams,
-    init_mlp,
-    mlp_backward,
-    mlp_forward,
-    squared_norm,
-)
+from .mlp import MlpParams, init_mlp, mlp_backward, mlp_forward
 from .train import fit_adam, fit_network
 
 
@@ -54,28 +49,19 @@ def _per_network(theta: np.ndarray):
     return theta[..., 0].reshape(-1, theta.shape[-2])
 
 
-def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset, lam):
-    """Penalized negative partial log-likelihood of the network output and
-    its gradient with respect to every parameter, laid out like
-    ``params.vec``. For a stack of networks ``lam`` holds one ridge weight
-    per network and the losses have shape (C,); the Cox kernel runs once
-    per network on its own linear predictor."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if (lam < 0).any():
-        raise ValueError("ridge weight must be nonnegative")
+def coxnnet_loss_and_grad(params: MlpParams, data: SurvivalDataset):
+    """Negative partial log-likelihood of the network output and its
+    gradient with respect to every parameter, laid out like
+    ``params.vec``. For a stack of networks the losses have shape (C,);
+    the Cox kernel runs once per network on its own linear predictor."""
     theta, caches = mlp_forward(params, data.X)
-    if not (data.event == 1).any():
-        warnings.warn("all subjects censored; loss reduces to the penalty",
-                      RuntimeWarning, stacklevel=2)
     etas = _per_network(theta)
     neg_ll, d_theta = np.empty(etas.shape[0]), np.empty_like(etas)
     for c, eta in enumerate(etas):
         neg_ll[c], d_theta[c] = cox_loss_and_grad(eta, data.risk_index,
                                                   data.event)
-    loss = neg_ll.reshape(lam.shape) + lam * squared_norm(params)
     grad = mlp_backward(params, caches, d_theta.reshape(theta.shape))
-    grad += (2.0 * lam)[..., None] * params.vec
-    return loss, grad
+    return neg_ll.reshape(theta.shape[:-2]), grad
 
 
 def _train_network(zdata: SurvivalDataset, rows: np.ndarray, lams,
@@ -102,10 +88,8 @@ def _train_network(zdata: SurvivalDataset, rows: np.ndarray, lams,
             return np.array([cox_loss(eta, val.risk_index, val.event)
                              for eta in _per_network(theta)])
 
-    return fit_adam(
-        params, lams,
-        lambda stack, lams, batch: coxnnet_loss_and_grad(stack, batch, lams),
-        lambda: (train,), held_score, config)
+    return fit_adam(params, lams, coxnnet_loss_and_grad, lambda: (train,),
+                    held_score, config)
 
 
 def _scalar_concordance(scores: np.ndarray, time: np.ndarray,
@@ -128,6 +112,9 @@ def coxnnet_fit(data: SurvivalDataset, seed: int = 0,
     random draw of the fit. ``coxnnet_scores`` gives the plug-in scores
     exp(theta_i) of any rows, the training rows included."""
     config = config or TrainConfig()
+    if not (data.event == 1).any():
+        warnings.warn("all subjects censored; loss reduces to the penalty",
+                      RuntimeWarning, stacklevel=2)
     Z, mean, scale = standardize_covariates(data.X)
     zdata = SurvivalDataset(Z, data.time, data.event)
 

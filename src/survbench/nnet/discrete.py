@@ -5,11 +5,12 @@ one input row per interval survived, with the interval midpoint appended
 as an extra covariate (Biganzoli et al. 1998). The network's linear head
 emits each row's hazard logit z, the log-odds of the conditional event
 probability h = sigma(z) (the logistic-hazard form of Gensheimer &
-Narasimhan 2019). Training minimizes the exact cross-entropy
-log(1 + e^z) - d z against the per-interval death indicator d plus a
-squared-L2 penalty. A one-hidden-layer ReLU net is the shallow variant;
-the deep variant adds a second hidden layer. Survival curves are
-cumulative products of one minus the predicted hazards.
+Narasimhan 2019). The data loss is the exact cross-entropy
+log(1 + e^z) - d z against the per-interval death indicator d; the
+training driver adds the squared-L2 penalty. A one-hidden-layer ReLU
+net is the shallow variant; the deep variant adds a second hidden
+layer. Survival curves are cumulative products of one minus the
+predicted hazards.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from ..core import (
     stratified_cut,
 )
 from .config import TrainConfig
-from .mlp import (
-    MlpParams,
-    init_mlp,
-    mlp_backward,
-    mlp_forward,
-    squared_norm,
-)
+from .mlp import MlpParams, init_mlp, mlp_backward, mlp_forward
 from .train import fit_adam, fit_network
 
 HAZARD_CLIP = 1e-12
@@ -129,22 +124,16 @@ def _cross_entropy(z: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def nnsurv_loss_and_grad(params: MlpParams, features: np.ndarray,
-                         targets: np.ndarray, lam):
-    """Summed cross-entropy of the hazard logits plus the squared-L2
-    penalty; the gradient is laid out like ``params.vec``. For a stack of
-    networks ``lam`` holds one ridge weight per network and the losses
-    have shape (C,)."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if (lam < 0).any():
-        raise ValueError("ridge weight must be nonnegative")
+                         targets: np.ndarray):
+    """Summed cross-entropy of the hazard logits and its gradient, laid out
+    like ``params.vec``; for a stack of networks the losses have shape
+    (C,)."""
     z, caches = mlp_forward(params, features)
     z = z[..., 0]
     d = np.asarray(targets, dtype=np.float64)
-    loss = np.add.reduce(_cross_entropy(z, d), axis=-1) + lam * squared_norm(params)
+    loss = np.add.reduce(_cross_entropy(z, d), axis=-1)
     d_out = (_hazard(z) - d)[..., None]  # d ce / d z
-    grad = mlp_backward(params, caches, d_out)
-    grad += (2.0 * lam)[..., None] * params.vec
-    return loss, grad
+    return loss, mlp_backward(params, caches, d_out)
 
 
 @dataclass(frozen=True)
@@ -203,10 +192,9 @@ def _train_network(features, targets, subject, rows, depth, lams,
     held_score = (partial(_mean_cross_entropy, features=features[va],
                           targets=targets[va]) if monitor_val else None)
 
-    return fit_adam(
-        params, lams,
-        lambda stack, lams, batch: nnsurv_loss_and_grad(stack, *batch, lams),
-        batches, held_score, config)
+    return fit_adam(params, lams,
+                    lambda stack, batch: nnsurv_loss_and_grad(stack, *batch),
+                    batches, held_score, config)
 
 
 def nnsurv_fit(data: SurvivalDataset, seed: int = 0,

@@ -6,7 +6,8 @@ shape (C, P)): every ridge candidate of a CV fold starts from the same
 initial weights and sees the same batches, so the candidates train
 together, one forward/backward pass and one Adam step per batch. Each
 head supplies only what differs between them, namely the batches of an
-epoch with their loss, and the held-out score.
+epoch with their data loss, and the held-out score; the squared-L2
+penalty on every weight and bias is added here, once for both heads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from ..core import cross_validate
 from .config import TrainConfig
-from .mlp import Adam, MlpParams, unpack
+from .mlp import Adam, MlpParams, squared_norm, unpack
 
 
 def fit_adam(template: MlpParams, lams, loss_and_grad, batches, held_score,
@@ -25,8 +26,10 @@ def fit_adam(template: MlpParams, lams, loss_and_grad, batches, held_score,
     from ``template``'s parameters; keeps each one's best-scoring iterate.
 
     ``batches()`` yields the batches of one epoch, and
-    ``loss_and_grad(stack, lams, batch)`` returns the (C,) batch losses and
-    the gradient of the stack; one Adam step per batch moves the whole
+    ``loss_and_grad(stack, batch)`` returns the (C,) data losses of a batch
+    and their gradient with respect to the stack. Each candidate's loss
+    gains ``lam * squared_norm`` of its parameters and its gradient
+    ``2 lam`` times them; one Adam step per batch then moves the whole
     stack, in place. After each epoch's updates ``held_score(stack)``
     scores every network (lower is better); with ``held_score`` None the
     epoch's summed training losses stand in. A candidate stops once its
@@ -50,7 +53,9 @@ def fit_adam(template: MlpParams, lams, loss_and_grad, batches, held_score,
     for epoch in range(config.epochs):
         epoch_loss = np.zeros(lams.size)
         for batch in batches():
-            loss, grad = loss_and_grad(stack, lams, batch)
+            loss, grad = loss_and_grad(stack, batch)
+            loss = loss + lams * squared_norm(stack)
+            grad += (2.0 * lams)[:, None] * vec
             if not np.isfinite(loss[active]).all():
                 raise RuntimeError("training loss became non-finite")
             epoch_loss += loss

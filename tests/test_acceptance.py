@@ -2,7 +2,6 @@
 single PASS/FAIL line (run with -s to watch them stream)."""
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -68,7 +67,6 @@ def rel_gap(analytic, fd):
 def test_criterion_01_gradient_fidelity():
     t0 = time.time()
     worst = 0.0
-    warnings.filterwarnings("ignore", message="all subjects censored")
     for trial in range(50):
         rng = np.random.default_rng(trial)
         n = int(rng.integers(4, 11))
@@ -76,21 +74,19 @@ def test_criterion_01_gradient_fidelity():
         hidden = int(rng.integers(1, 4))
         data = SurvivalDataset(rng.standard_normal((n, p)),
                                rng.uniform(1, 10, n), rng.integers(0, 2, n))
-        lam = float(rng.uniform(0.0, 0.2))
         if trial % 2 == 0:
             params = init_mlp((p, hidden, 1), ("tanh", "identity"),
                               seed=trial, output_bias=False)
-            _, grad = coxnnet_loss_and_grad(params, data, lam)
-            fd = finite_diff(lambda q: coxnnet_loss_and_grad(q, data, lam)[0],
+            _, grad = coxnnet_loss_and_grad(params, data)
+            fd = finite_diff(lambda q: coxnnet_loss_and_grad(q, data)[0],
                              params)
         else:
             feats = rng.standard_normal((n, p))
             targets = rng.integers(0, 2, n).astype(float)
             params = init_mlp((p, hidden, 1), ("relu", "identity"), seed=trial)
-            _, grad = nnsurv_loss_and_grad(params, feats, targets, lam)
+            _, grad = nnsurv_loss_and_grad(params, feats, targets)
             fd = finite_diff(
-                lambda q: nnsurv_loss_and_grad(q, feats, targets, lam)[0],
-                params)
+                lambda q: nnsurv_loss_and_grad(q, feats, targets)[0], params)
         worst = max(worst, rel_gap(grad, fd))
     ok = worst < 1e-5 and time.time() - t0 < 60
     report(1, "gradient fidelity", ok, f"worst rel err {worst:.2e}")
@@ -372,7 +368,7 @@ def test_criterion_09_baseline_consistency():
             sc = np.exp(simn.data.X @ simn.true_beta)
             g = np.linspace(0.0, float(np.quantile(simn.data.time, 0.75)), 150)
             selected[n] = select_bandwidth_gl(simn.data, sc, g,
-                                              bandwidth_grid=bw)
+                                              bandwidth_grid=bw).bandwidth
         wins += selected[2000] < selected[200]
     ok = mid_ok and wins >= 4 and time.time() - t0 < 300
     report(9, "baseline-estimator consistency", ok,

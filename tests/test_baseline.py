@@ -83,14 +83,14 @@ class TestBandwidthSelection:
         sim, scores = cox_sim(100, seed=3)
         grid = default_grid(sim.data, 50)
         assert select_bandwidth_gl(sim.data, scores, grid,
-                                   bandwidth_grid=[123.0]) == 123.0
+                                   bandwidth_grid=[123.0]).bandwidth == 123.0
 
     def test_huge_kappa_selects_largest(self):
         sim, scores = cox_sim(100, seed=4)
         grid = default_grid(sim.data, 50)
         bw = [100.0, 200.0, 400.0, 800.0]
         m = select_bandwidth_gl(sim.data, scores, grid, bandwidth_grid=bw,
-                                kappa=1e9)
+                                kappa=1e9).bandwidth
         assert m == 800.0
 
     def test_deterministic(self):
@@ -99,7 +99,7 @@ class TestBandwidthSelection:
         bw = [100.0, 300.0, 900.0]
         a = select_bandwidth_gl(sim.data, scores, grid, bandwidth_grid=bw)
         b = select_bandwidth_gl(sim.data, scores, grid, bandwidth_grid=bw)
-        assert a == b
+        assert a.bandwidth == b.bandwidth
 
     def test_empty_grid_errors(self):
         sim, scores = cox_sim(50, seed=6)
@@ -117,9 +117,20 @@ class TestBandwidthSelection:
                 sim, scores = cox_sim(n, seed=97 * fam + (n == 2000))
                 grid = np.linspace(0.0, float(np.quantile(sim.data.time, 0.75)), 150)
                 selected[n] = select_bandwidth_gl(sim.data, scores, grid,
-                                                  bandwidth_grid=bw)
+                                                  bandwidth_grid=bw).bandwidth
             wins += selected[2000] < selected[200]
         assert wins >= 4
+
+    def test_returns_the_estimate_at_the_chosen_bandwidth(self):
+        sim, scores = cox_sim(150, seed=5)
+        grid = default_grid(sim.data, 80)
+        est = select_bandwidth_gl(sim.data, scores, grid,
+                                  bandwidth_grid=[100.0, 300.0, 900.0])
+        want = ramlau_hansen(sim.data, scores, est.bandwidth, grid)
+        for field in ("grid", "alpha_hat", "cumulative"):
+            np.testing.assert_array_equal(getattr(est, field),
+                                          getattr(want, field))
+        assert type(est.bandwidth) is float
 
     def test_default_bandwidth_grid_span(self):
         sim, _ = cox_sim(100, seed=7)

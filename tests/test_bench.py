@@ -1016,9 +1016,16 @@ class TestCli:
         ("reproduce", lambda d: ["--table", "table1", "--repetitions", "0",
                                  "--out", str(d / "out")], "repetitions"),
         ("real", lambda d: ["--data", str(d / "missing.csv")], "missing.csv"),
+        ("fit", lambda d: ["--data", str(_toy_csv(d)), "--model", "coxnnet",
+                           "--ridge", "nan", "--out", str(d / "m.json")],
+         "ridge weight must be finite"),
+        ("fit", lambda d: ["--data", str(_toy_csv(d)), "--model", "coxnnet",
+                           "--ridge", "inf", "--out", str(d / "m.json")],
+         "ridge weight must be finite"),
     ], ids=["simulate-shape-nan", "simulate-n-1", "simulate-censor-1.5",
             "fit-missing-data", "eval-no-beta_hat", "bench-unknown-key",
-            "reproduce-0-repetitions", "real-missing-data"])
+            "reproduce-0-repetitions", "real-missing-data", "fit-ridge-nan",
+            "fit-ridge-inf"])
     def test_bad_input_is_one_error_line(self, command, args, message,
                                          tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survbench import baseline
+from survbench import models as models_module
 from survbench.core import SurvivalDataset
 from survbench.metrics import c_index_td, metric_report
 from survbench.models import (
@@ -72,6 +74,29 @@ class TestUniformInterface:
             order = np.argsort(interior[:, 0], kind="stable")
             for col in range(interior.shape[1]):
                 assert np.all(np.diff(interior[order, col]) >= -1e-12)
+
+
+class TestCoxFamilyBaseline:
+    @pytest.mark.parametrize("name", ["coxl1", "coxnnet"])
+    def test_one_kernel_estimate_per_candidate_bandwidth(self, name, sim_small,
+                                                         monkeypatch):
+        # the bandwidth search hands back the estimate it chose, so the fit
+        # computes no extra one for the winner
+        calls = []
+        original = baseline.ramlau_hansen
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(baseline, "ramlau_hansen", counted)
+        # wherever a fit could call it by name
+        monkeypatch.setattr(models_module, "ramlau_hansen", counted, raising=False)
+        model = fit_model(name, sim_small.data, seed=3, config=FAST,
+                          lasso_cv_folds=2)
+        bandwidths = baseline.default_bandwidth_grid(sim_small.data)
+        assert sorted(calls) == sorted(bandwidths)
+        assert model.base.bandwidth in bandwidths
 
 
 class TestSerialization:

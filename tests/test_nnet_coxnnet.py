@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,6 @@ from survbench.nnet.mlp import (
     init_mlp,
     mlp_backward,
     mlp_forward,
-    squared_norm,
     unpack,
 )
 from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
@@ -38,15 +39,15 @@ def random_instance(n, p, hidden, seed):
     return data, params
 
 
-def finite_diff_loss(params, data, lam, eps=1e-6):
+def finite_diff_loss(params, data, eps=1e-6):
     vec = params.vec
     fd = np.zeros_like(vec)
     for j in range(vec.size):
         up, dn = vec.copy(), vec.copy()
         up[j] += eps
         dn[j] -= eps
-        fd[j] = (coxnnet_loss_and_grad(unpack(params, up), data, lam)[0]
-                 - coxnnet_loss_and_grad(unpack(params, dn), data, lam)[0]) / (2 * eps)
+        fd[j] = (coxnnet_loss_and_grad(unpack(params, up), data)[0]
+                 - coxnnet_loss_and_grad(unpack(params, dn), data)[0]) / (2 * eps)
     return fd
 
 
@@ -61,7 +62,7 @@ class TestLossAndGrad:
                                        activations=("tanh", "identity"))
         sizes = risk_set_sums(data.risk_index.later, np.ones(n))
         want = float(np.sum(np.log(sizes[data.event == 1])))
-        loss, _ = coxnnet_loss_and_grad(params, data, 0.0)
+        loss, _ = coxnnet_loss_and_grad(params, data)
         assert loss == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -70,44 +71,36 @@ class TestLossAndGrad:
         if data.event.sum() == 0:
             data = SurvivalDataset(data.X, data.time,
                                    np.ones(data.n, dtype=int))
-        lam = 0.05
-        _, grad = coxnnet_loss_and_grad(params, data, lam)
-        fd = finite_diff_loss(params, data, lam)
+        _, grad = coxnnet_loss_and_grad(params, data)
+        fd = finite_diff_loss(params, data)
         err = np.abs(grad - fd) / np.maximum(1e-8, np.abs(fd))
         assert np.max(np.where(np.abs(fd) > 1e-10, err, 0.0)) < 1e-5
 
-    def test_all_censored_warns_and_gives_penalty(self):
+    def test_all_censored_is_zero(self):
+        # with no event the data term and its gradient vanish; the driver's
+        # penalty is all that is left to train on
         data, params = random_instance(n=6, p=2, hidden=2, seed=3)
         data = SurvivalDataset(data.X, data.time, np.zeros(6, dtype=int))
-        with pytest.warns(RuntimeWarning, match="censored"):
-            loss, _ = coxnnet_loss_and_grad(params, data, 2.0)
-        penalty = 2.0 * sum(float(np.sum(w * w)) for w in params.weights)
-        penalty += 2.0 * sum(float(np.sum(b * b)) for b in params.biases
-                             if b is not None)
-        assert loss == pytest.approx(penalty, rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = coxnnet_loss_and_grad(params, data)
+        assert loss == 0.0
+        np.testing.assert_array_equal(grad, np.zeros_like(params.vec))
 
     def test_stack_equals_one_kernel_call_per_candidate(self):
         data, params = random_instance(n=50, p=3, hidden=4, seed=8)
         rng = np.random.default_rng(8)
         stack = unpack(params, params.vec
                        + rng.normal(0.0, 0.5, (3, params.vec.size)))
-        lams = np.array([0.0, 0.1, 2.0])
-        loss, grad = coxnnet_loss_and_grad(stack, data, lams)
+        loss, grad = coxnnet_loss_and_grad(stack, data)
         theta, caches = mlp_forward(stack, data.X)
         want_loss, d_theta = np.empty(3), np.empty(theta.shape[:2])
         for c in range(3):
             want_loss[c], d_theta[c] = cox_loss_and_grad(
                 theta[c, :, 0], data.risk_index, data.event)
-        want_loss += lams * squared_norm(stack)
         want_grad = mlp_backward(stack, caches, d_theta[..., None])
-        want_grad += 2.0 * lams[:, None] * stack.vec
         np.testing.assert_array_equal(loss, want_loss)
         np.testing.assert_array_equal(grad, want_grad)
-
-    def test_negative_ridge_rejected(self):
-        data, params = random_instance(n=5, p=2, hidden=2, seed=4)
-        with pytest.raises(ValueError):
-            coxnnet_loss_and_grad(params, data, -1.0)
 
 
 def small_sim(n=300, p=5, seed=0):
@@ -193,6 +186,17 @@ class TestFit:
         assert any(m.startswith("every fold was skipped") for m in messages)
         assert fit.ridge == 1e-2
 
+    def test_all_censored_fit_warns_once(self):
+        # the warning comes from the fit, not from each of its Adam steps
+        data = small_sim(n=120, p=4, seed=3).data
+        data = SurvivalDataset(data.X, data.time, np.zeros(data.n, dtype=int))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            coxnnet_fit(data, 0, TrainConfig(epochs=30, min_epochs=5))
+        censored = [w for w in record if "all subjects censored" in str(w.message)]
+        assert len(censored) == 1
+        assert censored[0].filename == __file__
+
     def test_fold_seeds_drawn_after_the_labels(self, monkeypatch):
         # one stream from the fit's seed: the event-stratified fold labels,
         # one seed per fold, then the final fit's seed on every subject
@@ -241,11 +245,11 @@ class TestStackedCandidates:
                            output_bias=False) for s in (5, 6)]
         nets = [params] + others
         stack = unpack(params, np.stack([net.vec for net in nets]))
-        lams = np.array([0.0, 0.5, 2.0])
-        loss, grad = coxnnet_loss_and_grad(stack, data, lams)
+        loss, grad = coxnnet_loss_and_grad(stack, data)
         assert loss.shape == (3,) and grad.shape == stack.vec.shape
-        for c, (net, lam) in enumerate(zip(nets, lams)):
-            want_loss, want_grad = coxnnet_loss_and_grad(net, data, float(lam))
+        for c, net in enumerate(nets):
+            want_loss, want_grad = coxnnet_loss_and_grad(net, data)
+            assert want_loss.shape == ()
             assert loss[c] == want_loss
             np.testing.assert_array_equal(grad[c], want_grad)
 

@@ -140,7 +140,7 @@ def constant_half_net(p_in):
                                  activations=("relu", "identity"))
 
 
-def central_differences(params, feats, targets, lam, eps=1e-6):
+def central_differences(params, feats, targets, eps=1e-6):
     """d loss / d params.vec of ``nnsurv_loss_and_grad`` by central
     differences."""
     vec = params.vec
@@ -149,8 +149,8 @@ def central_differences(params, feats, targets, lam, eps=1e-6):
         up, dn = vec.copy(), vec.copy()
         up[j] += eps
         dn[j] -= eps
-        fd[j] = (nnsurv_loss_and_grad(unpack(params, up), feats, targets, lam)[0]
-                 - nnsurv_loss_and_grad(unpack(params, dn), feats, targets, lam)[0]) / (2 * eps)
+        fd[j] = (nnsurv_loss_and_grad(unpack(params, up), feats, targets)[0]
+                 - nnsurv_loss_and_grad(unpack(params, dn), feats, targets)[0]) / (2 * eps)
     return fd
 
 
@@ -158,7 +158,7 @@ class TestLossAndGrad:
     def test_single_row_event_at_half(self):
         params = constant_half_net(2)
         loss, _ = nnsurv_loss_and_grad(params, np.array([[0.3, 0.7]]),
-                                       np.array([1.0]), 0.0)
+                                       np.array([1.0]))
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_saturated_correct_prediction_near_zero_loss(self):
@@ -166,7 +166,7 @@ class TestLossAndGrad:
                                        biases=(np.array([50.0]),),
                                        activations=("identity",))
         loss, _ = nnsurv_loss_and_grad(params, np.array([[0.0]]),
-                                       np.array([1.0]), 0.0)
+                                       np.array([1.0]))
         assert loss == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("logit, target", [(40.0, 0.0), (-40.0, 1.0)])
@@ -178,11 +178,11 @@ class TestLossAndGrad:
                                        biases=(np.array([logit - 1.0]),),
                                        activations=("identity",))
         feats, targets = np.array([[1.0]]), np.array([target])
-        loss, grad = nnsurv_loss_and_grad(params, feats, targets, 0.0)
+        loss, grad = nnsurv_loss_and_grad(params, feats, targets)
         assert loss == pytest.approx(40.0, rel=1e-12)
         assert np.all(np.abs(grad) > 0.5)
         np.testing.assert_allclose(
-            grad, central_differences(params, feats, targets, 0.0), rtol=1e-6)
+            grad, central_differences(params, feats, targets), rtol=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_gradient_matches_finite_differences(self, seed):
@@ -190,9 +190,8 @@ class TestLossAndGrad:
         feats = rng.standard_normal((9, 3))
         targets = rng.integers(0, 2, 9).astype(float)
         params = init_mlp((3, 3, 1), ("relu", "identity"), seed=seed + 10)
-        lam = 0.02
-        _, grad = nnsurv_loss_and_grad(params, feats, targets, lam)
-        fd = central_differences(params, feats, targets, lam)
+        _, grad = nnsurv_loss_and_grad(params, feats, targets)
+        fd = central_differences(params, feats, targets)
         err = np.abs(grad - fd) / np.maximum(1e-8, np.abs(fd))
         assert np.max(np.where(np.abs(fd) > 1e-10, err, 0.0)) < 1e-5
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from survbench.nnet import TrainConfig
-from survbench.nnet.mlp import MlpParams, unpack
+from survbench.nnet.mlp import Adam, MlpParams, squared_norm, unpack
 from survbench.nnet.train import fit_adam, fit_network
 
 TARGET = np.array([1.0, -2.0, 0.5])
@@ -15,7 +15,7 @@ def line(start=(0.0, 0.0, 0.0)):
                                  ["identity"])
 
 
-def quadratic(stack, lams, batch):
+def quadratic(stack, batch):
     """Half the batch weight times each candidate's squared distance to
     TARGET: (C,) losses and the (C, 3) gradient."""
     diff = stack.vec - TARGET
@@ -75,8 +75,8 @@ class TestFitAdam:
     def test_trace_sums_batch_losses_before_each_step(self):
         seen = []
 
-        def recording(stack, lams, batch):
-            loss, grad = quadratic(stack, lams, batch)
+        def recording(stack, batch):
+            loss, grad = quadratic(stack, batch)
             seen.append(loss[0])
             return loss, grad
 
@@ -95,9 +95,9 @@ class TestFitAdam:
     def test_non_finite_loss_raises(self):
         calls = []
 
-        def blows_up(stack, lams, batch):
+        def blows_up(stack, batch):
             calls.append(batch)
-            loss, grad = quadratic(stack, lams, batch)
+            loss, grad = quadratic(stack, batch)
             return (np.full(1, np.nan) if len(calls) == 5 else loss), grad
 
         with pytest.raises(RuntimeError, match="non-finite"):
@@ -112,29 +112,67 @@ class TestFitAdam:
     def test_callbacks_see_one_stack_trained_in_place(self):
         shown = []
 
-        def loss_and_grad(stack, lams, batch):
-            shown.append((stack, lams))
-            return quadratic(stack, lams, batch)
+        def loss_and_grad(stack, batch):
+            shown.append(stack)
+            return quadratic(stack, batch)
 
         best, _ = fit_adam(line((0.3, 0.1, -0.2)), [0.5, 2.0], loss_and_grad,
                            two_batches, None, config(epochs=3))
-        stack, lams = shown[0]
+        stack = shown[0]
         assert stack.vec.shape == (2, 3) and stack.weights[0].shape == (2, 3, 1)
-        np.testing.assert_array_equal(lams, [0.5, 2.0])
-        assert all(s is stack and l is lams for s, l in shown)
+        assert all(s is stack for s in shown)
         assert best.vec.shape == (2, 3) and best.vec is not stack.vec
 
 
+class TestRidgePenalty:
+    def test_adds_each_candidates_penalty_and_its_gradient(self, monkeypatch):
+        # the heads return only their data loss: every candidate's loss
+        # gains lam * squared_norm of its parameters, biases included, and
+        # the gradient that Adam steps on gains 2 lam times them
+        template = MlpParams.from_layers(
+            [np.array([[0.3, -0.1], [0.2, 0.4]]), np.array([[0.5], [-0.6]])],
+            [np.array([0.1, -0.2]), np.array([0.7])], ["tanh", "identity"])
+        lams = np.array([0.0, 0.5, 2.0])
+        calls, stepped = [], []
+
+        def data_loss(stack, batch):
+            diff = stack.vec - 0.25
+            loss, grad = 0.5 * batch * np.sum(diff * diff, axis=-1), batch * diff
+            calls.append((stack.vec.copy(), loss.copy(), grad.copy()))
+            return loss, grad
+
+        step = Adam.step
+
+        def recording_step(self, vec, grad):
+            stepped.append(grad.copy())
+            return step(self, vec, grad)
+
+        monkeypatch.setattr(Adam, "step", recording_step)
+        _, traces = fit_adam(template, lams, data_loss, two_batches, None,
+                             config(epochs=3, patience=10))
+        assert len(calls) == len(stepped) == 6
+        epoch_loss = np.zeros((3, lams.size))
+        for k, ((vec, loss, grad), got) in enumerate(zip(calls, stepped)):
+            penalty = lams * squared_norm(unpack(template, vec))
+            assert np.all(penalty[1:] > 0)
+            epoch_loss[k // 2] += loss + penalty
+            np.testing.assert_array_equal(got, grad + (2.0 * lams)[:, None] * vec)
+        for c in range(lams.size):
+            np.testing.assert_array_equal(traces[c], epoch_loss[:, c])
+
+    def test_penalty_counts_toward_the_finite_loss_check(self):
+        # a finite data loss with an overflowing penalty stops training
+        huge = line((1e200, 0.0, 0.0))
+        with pytest.raises(RuntimeError, match="non-finite"), \
+                np.errstate(over="ignore"):
+            fit_adam(huge, [1.0],
+                     lambda stack, batch: (np.zeros(1), np.zeros((1, 3))),
+                     two_batches, None, config(epochs=1))
+
+
+# with the driver's penalty, candidate c's optimum of ``quadratic`` sits
+# at TARGET / (1 + 2 RIDGES[c] / batch), so the candidates part ways
 RIDGES = np.array([0.0, 0.3, 3.0])
-
-
-def ridge_quadratic(stack, ridges, batch):
-    """``quadratic`` plus each candidate's ridge: each optimum sits at
-    TARGET / (1 + 2 ridge / batch), so the candidates part ways."""
-    vec = stack.vec
-    loss, grad = quadratic(stack, ridges, batch)
-    return (loss + ridges * np.sum(vec * vec, axis=-1),
-            grad + (2.0 * ridges)[:, None] * vec)
 
 
 def held_distance(stack):
@@ -161,13 +199,12 @@ class TestStackedCandidates:
         # change the others' steps, best iterates or traces
         cfg = config(epochs=120, patience=4, min_epochs=6)
         start = line((0.3, 0.1, -0.2))
-        best, traces = fit_adam(start, RIDGES, ridge_quadratic, two_batches,
-                                held, cfg)
+        best, traces = fit_adam(start, RIDGES, quadratic, two_batches, held,
+                                cfg)
         lengths = []
         for c in range(RIDGES.size):
-            alone, alone_traces = fit_adam(start, RIDGES[c:c + 1],
-                                           ridge_quadratic, two_batches, held,
-                                           cfg)
+            alone, alone_traces = fit_adam(start, RIDGES[c:c + 1], quadratic,
+                                           two_batches, held, cfg)
             np.testing.assert_array_equal(best.vec[c], alone.vec[0])
             np.testing.assert_array_equal(traces[c], alone_traces[0])
             lengths.append(traces[c].size)
@@ -179,9 +216,9 @@ class TestStackedCandidates:
         # from then on its loss would be NaN, which must not stop candidate 1
         seen, shown = [], []
 
-        def loss_and_grad(stack, lams, batch):
+        def loss_and_grad(stack, batch):
             shown.append(stack.vec[0].copy())
-            loss, grad = quadratic(stack, lams, batch)
+            loss, grad = quadratic(stack, batch)
             if len(shown) > 6:
                 loss[0] = np.nan
             return loss, grad
@@ -203,9 +240,9 @@ class TestStackedCandidates:
     def test_active_candidate_non_finite_loss_still_raises(self):
         calls = []
 
-        def loss_and_grad(stack, lams, batch):
+        def loss_and_grad(stack, batch):
             calls.append(batch)
-            loss, grad = quadratic(stack, lams, batch)
+            loss, grad = quadratic(stack, batch)
             if len(calls) > 8:
                 loss[1] = np.inf
             return loss, grad
@@ -224,10 +261,34 @@ class TestTrainConfigBoundary:
         (dict(ridge_grid=()), "ridge_grid"),
         (dict(ridge_grid=(1e-3, -1e-4)), "ridge_grid"),
         (dict(hidden=0), "hidden"),
+        (dict(ridge=float("nan")), "ridge weight"),
+        (dict(ridge=float("inf")), "ridge weight"),
+        (dict(ridge=True), "ridge weight"),
+        (dict(learning_rate=float("nan")), "learning_rate"),
+        (dict(learning_rate=float("inf")), "learning_rate"),
+        (dict(learning_rate=0.0), "learning_rate"),
+        (dict(ridge_grid=(float("nan"),)), "ridge_grid"),
+        (dict(ridge_grid=(1e-3, float("inf"))), "ridge_grid"),
+        (dict(epochs=2.5), "epochs must be an integer"),
+        (dict(epochs=True), "epochs must be an integer"),
+        (dict(batch_size=1.5), "batch_size must be an integer"),
+        (dict(cv_folds=2.5), "cv_folds must be an integer"),
+        (dict(hidden=2.5), "hidden must be an integer"),
+        (dict(min_epochs=-3), "early-stopping"),
     ])
     def test_rejects_what_training_cannot_run(self, bad, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**bad)
+
+    def test_negative_ridge_rejected(self):
+        # the one ridge check: the heads and the Adam loop take it as given
+        with pytest.raises(ValueError, match="ridge weight"):
+            TrainConfig(ridge=-1.0)
+
+    def test_accepts_numpy_integers_and_a_zero_ridge(self):
+        cfg = TrainConfig(ridge=0, epochs=np.int64(5), min_epochs=np.int32(0),
+                          ridge_grid=(0.0, np.float64(1e-3)))
+        assert cfg.epochs == 5 and cfg.ridge == 0
 
     def test_seed_is_no_field(self):
         # every fit takes its seed as an argument, as fit_model passes it
