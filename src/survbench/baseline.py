@@ -10,12 +10,13 @@ candidate grid.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SurvivalCurve, SurvivalDataset, risk_set_sums
+
+NO_EVENT = "the training data hold no event, so no model can learn from them"
 
 
 @dataclass(frozen=True)
@@ -77,23 +78,20 @@ def ramlau_hansen(data: SurvivalDataset, scores, bandwidth: float,
 
     Each event at T_i contributes K((t - T_i)/m) / (m * n * mean score of
     its risk set); censored subjects only shrink the risk-set weights.
+    The bandwidth must be positive and finite; data without an event,
+    which leave no hazard to estimate, raise a ``ValueError``.
     """
     scores, grid = _validate(data, scores, grid)
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-
+    if not 0.0 < bandwidth < np.inf:  # NaN fails too
+        raise ValueError("bandwidth must be positive and finite")
     events = data.event == 1
     if not events.any():
-        warnings.warn("all subjects censored; baseline hazard estimated as 0",
-                      RuntimeWarning, stacklevel=2)
-        alpha = np.zeros(grid.size)
-    else:
-        mean_risk_score = risk_set_sums(data.risk_index.later, scores) / data.n
-        weights = 1.0 / (data.n * mean_risk_score[events])
-        u = grid[:, None] - data.time[None, events]
-        u /= bandwidth
-        alpha = epanechnikov(u) @ weights / bandwidth
-    alpha = np.maximum(alpha, 0.0)
+        raise ValueError(NO_EVENT)
+    mean_risk_score = risk_set_sums(data.risk_index.later, scores) / data.n
+    weights = 1.0 / (data.n * mean_risk_score[events])
+    u = grid[:, None] - data.time[None, events]
+    u /= bandwidth
+    alpha = epanechnikov(u) @ weights / bandwidth
 
     cumulative = np.concatenate(
         [[0.0], np.cumsum(np.diff(grid) * (alpha[1:] + alpha[:-1]) / 2.0)])
@@ -110,7 +108,8 @@ def select_bandwidth_gl(data: SurvivalDataset, scores, grid,
     Balances a pairwise-comparison bias proxy
     A(m) = max_{m' <= m} [ sup_grid |a_{m'} - a_m| - V(m') ]_+
     against the variance proxy V(m) = kappa log(n) / (n m); ties go to
-    the larger bandwidth.
+    the larger bandwidth. Each candidate passes ``ramlau_hansen``'s
+    checks: positive and finite, on data that hold an event.
     """
     if bandwidth_grid is None:
         bandwidth_grid = default_bandwidth_grid(data)

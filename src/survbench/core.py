@@ -76,7 +76,7 @@ class SurvivalDataset:
         if X.ndim != 2:
             raise ValueError("X must be a 2-D matrix")
         time = np.asarray(self.time, dtype=np.float64)
-        event = np.asarray(self.event, dtype=np.int64)
+        event = np.asarray(self.event)
         if time.ndim != 1 or event.ndim != 1:
             raise ValueError("time and event must be 1-D")
         if not (X.shape[0] == time.shape[0] == event.shape[0]):
@@ -88,8 +88,10 @@ class SurvivalDataset:
             raise ValueError("covariates must be finite")
         if not np.all(np.isfinite(time)) or np.any(time <= 0):
             raise ValueError("times must be strictly positive and finite")
+        # before the cast, which would truncate 0.5 or 1.7 to a valid value
         if not np.all((event == 0) | (event == 1)):
             raise ValueError("event values must be 0 or 1")
+        event = event.astype(np.int64, copy=False)
         for name, arr in (("X", X), ("time", time), ("event", event)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

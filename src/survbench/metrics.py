@@ -24,8 +24,6 @@ class MetricReport:
 
     c_td: float
     ibs: float
-    brier_trace: np.ndarray  # rows of (t, BS(t))
-    tau: float
 
 
 def kaplan_meier(times, indicators) -> SurvivalCurve:
@@ -67,7 +65,7 @@ def _check_lengths(predictions: SurvivalCurve, times, events):
     """Times and events as arrays, after requiring a batch with one curve
     per subject, finite positive times and 0/1 events."""
     times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.int64)
+    events = np.asarray(events)
     if (not isinstance(predictions, SurvivalCurve)
             or predictions.probs.ndim != 2 or times.size == 0
             or predictions.probs.shape[0] != times.size):
@@ -76,9 +74,10 @@ def _check_lengths(predictions: SurvivalCurve, times, events):
         raise ValueError("times and events must have the same length")
     if not (times.min() > 0.0 and times.max() < np.inf):  # NaN fails too
         raise ValueError("times must be strictly positive and finite")
-    if not (events.min() >= 0 and events.max() <= 1):
+    # before the cast, which would truncate 0.5 or 1.9 to a valid value
+    if not np.all((events == 0) | (events == 1)):
         raise ValueError("event values must be 0 or 1")
-    return times, events
+    return times, events.astype(np.int64, copy=False)
 
 
 def _concordance(read, times: np.ndarray,
@@ -190,15 +189,12 @@ def integrate_trace(trace: np.ndarray, tau: float) -> float:
 
 
 def metric_report(predictions: SurvivalCurve, times, events) -> MetricReport:
-    """C_td, IBS and the per-time Brier trace for one set of predictions."""
+    """C_td and IBS for one set of predictions."""
     times, events = _check_lengths(predictions, times, events)
-    tau = float(times.max())
     trace = brier_trace(predictions, times, events)
     return MetricReport(
         c_td=c_index_td(predictions, times, events),
-        ibs=integrate_trace(trace, tau),
-        brier_trace=trace,
-        tau=tau,
+        ibs=integrate_trace(trace, float(times.max())),
     )
 
 
@@ -237,5 +233,4 @@ def reference_metrics(simulated, test_idx) -> MetricReport:
     curves = true_survival(simulated, X, np.linspace(0.0, tau, 101)[1:])
     trace = brier_trace(curves, times, events)
     return MetricReport(c_td=concordant / comparable,
-                        ibs=integrate_trace(trace, tau), brier_trace=trace,
-                        tau=tau)
+                        ibs=integrate_trace(trace, tau))

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import coxlasso
 from .baseline import (
+    NO_EVENT,
     BaselineEstimate,
     default_grid,
     select_bandwidth_gl,
@@ -84,9 +85,12 @@ FittedModel = Union[CoxLassoModel, CoxnnetModel, DiscreteTimeModel]
 def fit_model(name: str, train: SurvivalDataset, seed: int = 0,
               config: TrainConfig | None = None,
               lasso_cv_folds: int = 5) -> FittedModel:
-    """Run the complete fitting pipeline for one method name."""
+    """Run the complete fitting pipeline for one method name; training
+    data without an event raise a ``ValueError`` before anything runs."""
     if name not in MODEL_NAMES:
         raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
+    if not train.event.any():
+        raise ValueError(NO_EVENT)
     if name == "coxl1":
         fit = coxlasso.coxl1_fit(train, seed, lasso_cv_folds)
         scores = coxlasso.risk_score(fit, train.X)

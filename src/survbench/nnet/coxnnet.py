@@ -11,7 +11,6 @@ survival curves.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +111,6 @@ def coxnnet_fit(data: SurvivalDataset, seed: int = 0,
     random draw of the fit. ``coxnnet_scores`` gives the plug-in scores
     exp(theta_i) of any rows, the training rows included."""
     config = config or TrainConfig()
-    if not (data.event == 1).any():
-        warnings.warn("all subjects censored; loss reduces to the penalty",
-                      RuntimeWarning, stacklevel=2)
     Z, mean, scale = standardize_covariates(data.X)
     zdata = SurvivalDataset(Z, data.time, data.event)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -26,12 +28,15 @@ def cox_sim(n, seed, censor=0.3):
 
 
 class TestRamlauHansen:
-    def test_all_censored_is_zero_with_warning(self):
+    def test_all_censored_raises_without_warning(self):
         data = SurvivalDataset(np.zeros((4, 1)), [1.0, 2.0, 3.0, 4.0], [0] * 4)
-        with pytest.warns(RuntimeWarning, match="censored"):
-            est = ramlau_hansen(data, np.ones(4), 1.0, np.linspace(0, 4, 20))
-        np.testing.assert_array_equal(est.alpha_hat, np.zeros(20))
-        np.testing.assert_array_equal(est.cumulative, np.zeros(20))
+        grid = np.linspace(0, 4, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="hold no event"):
+                ramlau_hansen(data, np.ones(4), 1.0, grid)
+            with pytest.raises(ValueError, match="hold no event"):
+                select_bandwidth_gl(data, np.ones(4), grid)
 
     def test_single_event_is_scaled_kernel(self):
         data = SurvivalDataset(np.zeros((1, 1)), [5.0], [1])
@@ -72,8 +77,9 @@ class TestRamlauHansen:
         grid = np.linspace(0, 2, 5)
         with pytest.raises(ValueError, match="positive"):
             ramlau_hansen(data, np.array([1.0, -1.0]), 1.0, grid)
-        with pytest.raises(ValueError, match="bandwidth"):
-            ramlau_hansen(data, np.ones(2), 0.0, grid)
+        for bandwidth in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="bandwidth"):
+                ramlau_hansen(data, np.ones(2), bandwidth, grid)
         with pytest.raises(ValueError, match="increasing"):
             ramlau_hansen(data, np.ones(2), 1.0, [2.0, 1.0])
 
@@ -100,6 +106,14 @@ class TestBandwidthSelection:
         a = select_bandwidth_gl(sim.data, scores, grid, bandwidth_grid=bw)
         b = select_bandwidth_gl(sim.data, scores, grid, bandwidth_grid=bw)
         assert a.bandwidth == b.bandwidth
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -np.inf])
+    def test_bad_candidate_bandwidth_errors(self, bad):
+        # a NaN candidate used to give an all-NaN estimate, and be chosen
+        sim, scores = cox_sim(50, seed=6)
+        with pytest.raises(ValueError, match="bandwidth"):
+            select_bandwidth_gl(sim.data, scores, default_grid(sim.data, 30),
+                                bandwidth_grid=[bad, 1.0])
 
     def test_empty_grid_errors(self):
         sim, scores = cox_sim(50, seed=6)

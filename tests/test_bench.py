@@ -27,6 +27,7 @@ from survbench.bench import (
     run_grid,
     save_csv,
 )
+from survbench.core import SurvivalDataset
 from survbench.models import MODEL_NAMES
 from survbench.nnet import TrainConfig
 from survbench.simgen import ModelFamily, SimulationSpec, Weibull, generate
@@ -897,6 +898,19 @@ class TestDatasetCell:
         assert read_results(results) == resumed
         assert len(results.read_text().splitlines()) == 1 + 4
 
+    def test_file_without_events_gives_failed_rows(self, tmp_path):
+        path = real_csv(tmp_path)
+        data = load_csv(path)
+        save_csv(SurvivalDataset(data.X, data.time, np.zeros(data.n, int)),
+                 path)
+        out = tmp_path / "out"
+        rows = run_grid(real_config(path, ("coxl1", "nnsurv"), 1), out,
+                        log=quiet, train_config=FAST)
+        assert [(r.model, r.failed) for r in rows] == [("coxl1", True),
+                                                       ("nnsurv", True)]
+        log = (out / "errors.log").read_text()
+        assert log.count("ValueError: the training data hold no event") == 2
+
     def test_comma_in_file_name_leaves_none_in_the_label(self, tmp_path):
         path = real_csv(tmp_path, name="tcga,brca.csv")
         rows = run_grid(real_config(path), tmp_path / "out", log=quiet,
@@ -935,6 +949,12 @@ def _config_with_unknown_key(tmp_path):
 def _toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("time,event,x1\n1.5,1,0.2\n2.5,0,-0.3\n")
+    return path
+
+
+def _censored_csv(tmp_path):
+    path = tmp_path / "censored.csv"
+    path.write_text("time,event,x1\n1.5,0,0.2\n2.5,0,-0.3\n")
     return path
 
 
@@ -1022,10 +1042,13 @@ class TestCli:
         ("fit", lambda d: ["--data", str(_toy_csv(d)), "--model", "coxnnet",
                            "--ridge", "inf", "--out", str(d / "m.json")],
          "ridge weight must be finite"),
+        ("fit", lambda d: ["--data", str(_censored_csv(d)), "--model",
+                           "coxl1", "--out", str(d / "m.json")],
+         "the training data hold no event"),
     ], ids=["simulate-shape-nan", "simulate-n-1", "simulate-censor-1.5",
             "fit-missing-data", "eval-no-beta_hat", "bench-unknown-key",
             "reproduce-0-repetitions", "real-missing-data", "fit-ridge-nan",
-            "fit-ridge-inf"])
+            "fit-ridge-inf", "fit-no-event"])
     def test_bad_input_is_one_error_line(self, command, args, message,
                                          tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -38,6 +38,17 @@ class TestSurvivalDataset:
         with pytest.raises(ValueError, match="0 or 1"):
             make_data([1.0, 2.0], [1, 2])
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, -1.0, -0.5, np.nan])
+    def test_rejects_fractional_or_nan_events(self, bad):
+        # a cast to int64 ahead of the check used to keep 0.5 as 0, 1.7 as 1
+        with pytest.raises(ValueError, match="0 or 1"):
+            make_data([1.0, 2.0, 3.0], [1.0, bad, 0.0])
+
+    def test_float_events_keep_their_values(self):
+        data = make_data([1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
+        assert data.event.dtype == np.int64
+        assert data.event.tolist() == [1, 0, 1]
+
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError, match="row mismatch"):
             SurvivalDataset(np.zeros((3, 2)), [1.0, 2.0], [1, 1])

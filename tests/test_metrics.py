@@ -456,9 +456,13 @@ class TestReferenceMetrics:
     def test_report_fields_consistent(self):
         sim = self.make_sim(1)
         rep = reference_metrics(sim, np.arange(100))
-        assert rep.tau == pytest.approx(float(sim.data.time[:100].max()))
-        assert rep.brier_trace.shape[1] == 2
-        assert integrate_trace(rep.brier_trace, rep.tau) == pytest.approx(rep.ibs)
+        times, events = sim.data.time[:100], sim.data.event[:100]
+        tau = float(times.max())
+        curves = true_survival(sim, sim.data.X[:100],
+                               np.linspace(0.0, tau, 101)[1:])
+        trace = brier_trace(curves, times, events)
+        assert trace.shape[1] == 2
+        assert integrate_trace(trace, tau) == rep.ibs
 
     def test_pinned_cox_weibull(self):
         # recorded when the exact curves were tabulated one subject at a
@@ -595,9 +599,17 @@ class TestInputChecks:
         ([1.0, np.nan, 2.5], [1, 1, 0], "times must be strictly positive"),
         ([1.0, -5.0, 2.5], [1, 1, 0], "times must be strictly positive"),
         ([1.0, 2.0, 2.5], [1, 2, 0], "event values must be 0 or 1"),
-    ], ids=["nan-time", "negative-time", "event-2"])
+        ([1.0, 2.0, 2.5], [0.5, 1, 1.9], "event values must be 0 or 1"),
+        ([1.0, 2.0, 2.5], [1, 1.7, 0], "event values must be 0 or 1"),
+        ([1.0, 2.0, 2.5], [1, -1.0, 0], "event values must be 0 or 1"),
+        ([1.0, 2.0, 2.5], [1, -0.5, 0], "event values must be 0 or 1"),
+        ([1.0, 2.0, 2.5], [1, np.nan, 0], "event values must be 0 or 1"),
+    ], ids=["nan-time", "negative-time", "event-2", "event-0.5-1.9",
+            "event-1.7", "event-minus-1", "event-minus-0.5", "event-nan"])
     def test_unscorable_subjects(self, metric, times, events, message):
-        # each used to give C_td a number: 0.0, 0.333 and 0.0
+        # the first three used to give C_td a number: 0.0, 0.333 and 0.0;
+        # fractional events were truncated to 0 or 1 and a NaN event failed
+        # in the cast to int64
         curves = SurvivalCurve([1.0, 2.0, 3.0], [[0.9, 0.6, 0.3],
                                                  [0.8, 0.5, 0.2],
                                                  [0.7, 0.4, 0.1]])

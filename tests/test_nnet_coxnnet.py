@@ -186,17 +186,6 @@ class TestFit:
         assert any(m.startswith("every fold was skipped") for m in messages)
         assert fit.ridge == 1e-2
 
-    def test_all_censored_fit_warns_once(self):
-        # the warning comes from the fit, not from each of its Adam steps
-        data = small_sim(n=120, p=4, seed=3).data
-        data = SurvivalDataset(data.X, data.time, np.zeros(data.n, dtype=int))
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            coxnnet_fit(data, 0, TrainConfig(epochs=30, min_epochs=5))
-        censored = [w for w in record if "all subjects censored" in str(w.message)]
-        assert len(censored) == 1
-        assert censored[0].filename == __file__
-
     def test_fold_seeds_drawn_after_the_labels(self, monkeypatch):
         # one stream from the fit's seed: the event-stratified fold labels,
         # one seed per fold, then the final fit's seed on every subject
